@@ -6,6 +6,7 @@ recorded run can be replayed byte-identically.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -63,8 +64,14 @@ def default_params(question: str) -> CompletionParams:
     return CompletionParams(max_tokens=DEFAULT_MAX_TOKENS.get(question, 256))
 
 
+@functools.cache
+def _params_json(params: CompletionParams) -> str:
+    return json.dumps(params.to_dict(), sort_keys=True)
+
+
 def transcript_digest(prompt_text: str, params: CompletionParams) -> str:
-    payload = prompt_text + "\x00" + json.dumps(params.to_dict(), sort_keys=True)
+    """Cache key of a prompt text and its params; also what provenance records."""
+    payload = prompt_text + "\x00" + _params_json(params)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -51,6 +51,10 @@ def _find_doc(entries, doc_id):
     return index[doc_id]
 
 
+def _shots(entries, setting):
+    return prompting.build_shots(entries) if prompting.setting_has_shots(setting) else None
+
+
 def _match_config(args) -> MatchConfig:
     kwargs = {}
     if getattr(args, "threshold", None) is not None:
@@ -157,12 +161,8 @@ def cmd_import(args) -> int:
 def cmd_prompt(args) -> int:
     entries = _load_entries(args.corpus)
     doc, _ = _find_doc(entries, args.doc)
-    shots = None
-    if prompting.setting_has_shots(args.setting):
-        shots = [prompting.build_shot(d, g) for d, g in corpus.shot_documents(entries)]
     prompt = prompting.render(args.question, args.setting, doc,
-                              x=args.x, y=args.y, shots=shots)
-    log.debug("prompt digest %s", prompt.digest)
+                              x=args.x, y=args.y, shots=_shots(entries, args.setting))
     sys.stdout.write(prompt.text)
     return EXIT_OK
 
@@ -171,13 +171,11 @@ def cmd_extract(args) -> int:
     entries = _load_entries(args.corpus)
     doc, gold = _find_doc(entries, args.doc)
     backend = _make_backend(args, entries)
-    shots = None
-    if prompting.setting_has_shots(args.setting):
-        shots = [prompting.build_shot(d, g) for d, g in corpus.shot_documents(entries)]
     run = pipeline.extract(doc, args.setting, backend, gold=gold,
-                           activity_source=args.activity_source, shots=shots)
+                           activity_source=args.activity_source,
+                           shots=_shots(entries, args.setting))
     for t in run.transcripts:
-        log.debug("issued %s prompt %s", t["question"], t["prompt_digest"])
+        log.debug("issued %s prompt %s", t["question"], t["digest"])
     atomic_write(args.out, run.model.to_json())
     if args.dot:
         atomic_write(args.dot, run.model.to_dot())

@@ -170,13 +170,11 @@ def default_corpus() -> list[tuple[Document, GoldStandard]]:
     return _parse_records(json.loads(text))
 
 
-def corpus_index(entries=None) -> dict[str, tuple[Document, GoldStandard]]:
-    if entries is None:
-        entries = default_corpus()
+def corpus_index(entries) -> dict[str, tuple[Document, GoldStandard]]:
     return {doc.id: (doc, gs) for doc, gs in entries}
 
 
-def shot_documents(entries=None) -> list[tuple[Document, GoldStandard]]:
+def shot_documents(entries) -> list[tuple[Document, GoldStandard]]:
     """The two few-shot sample documents, in prompt order."""
     index = corpus_index(entries)
     missing = [i for i in SHOT_IDS if i not in index]
@@ -185,7 +183,7 @@ def shot_documents(entries=None) -> list[tuple[Document, GoldStandard]]:
     return [index[i] for i in SHOT_IDS]
 
 
-def evaluation_documents(entries=None) -> list[tuple[Document, GoldStandard]]:
+def evaluation_documents(entries) -> list[tuple[Document, GoldStandard]]:
     """The seven evaluation documents, in fixed report order."""
     index = corpus_index(entries)
     missing = [i for i in EVALUATION_IDS if i not in index]

@@ -107,8 +107,6 @@ def extract(doc: Document, setting: str, backend,
         raise ValueError(f"unknown activity source: {activity_source}")
     if activity_source == GOLD_INJECTED and gold is None:
         raise ValueError("gold-injected extraction requires a gold standard")
-    if shots is None and prompting.setting_has_shots(setting):
-        shots = prompting.default_shots()
     params_by_question = params_by_question or {}
 
     run = ExtractionRun(doc.id, setting, activity_source, WorldModel(doc.id))
@@ -122,16 +120,17 @@ def extract(doc: Document, setting: str, backend,
         except BackendError as exc:
             raise ExtractionAborted(str(exc), run) from exc
         run.counters[question] += 1
+        digest = backend_mod.transcript_digest(prompt.text, params)
         run.transcripts.append({
             "question": question,
             "doc_id": doc.id,
             "setting": setting,
             "x": x,
             "y": y,
-            "prompt_digest": prompt.digest,
+            "digest": digest,
             "completion": completion,
         })
-        return completion, prompt.digest
+        return completion, digest
 
     if activity_source == GOLD_INJECTED:
         for surface in gold.activity_surfaces:

@@ -7,7 +7,6 @@ then the two shot blocks (if any), then the target block.
 """
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 
@@ -135,8 +134,9 @@ def build_shot(doc: corpus.Document, gold: corpus.GoldStandard) -> ShotExample:
     return ShotExample(doc.id, doc.body, qa)
 
 
-def default_shots() -> list[ShotExample]:
-    return [build_shot(doc, gold) for doc, gold in corpus.shot_documents()]
+def build_shots(entries) -> list[ShotExample]:
+    """The worked examples of a corpus's two shot documents, in prompt order."""
+    return [build_shot(doc, gold) for doc, gold in corpus.shot_documents(entries)]
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,6 @@ class Prompt:
     doc_id: str
     x: str | None
     y: str | None
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 def render(question: str, setting: str, doc: corpus.Document,
@@ -172,8 +168,8 @@ def render(question: str, setting: str, doc: corpus.Document,
                 lines.append(definition.text)
         blocks.append(lines)
     if setting_has_shots(setting):
-        if shots is None:
-            shots = default_shots()
+        if not shots:
+            raise PromptError(f"setting {setting} requires shot examples")
         for shot in shots:
             lines = [PROCESS_CUE, shot.body]
             for q, a in shot.qa[question]:

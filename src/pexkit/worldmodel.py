@@ -25,7 +25,7 @@ class WorldModel:
         self.participants: list[str] = []
         self.performs: set[tuple[int, int]] = set()
         self.follows: set[tuple[int, int]] = set()
-        # element key -> (question id, prompt digest)
+        # element key -> (question id, transcript digest of the prompt)
         self.provenance: dict[str, tuple[str, str]] = {}
 
     def _add_phrase(self, kind: str, items: list[str], surface: str, prov) -> int:

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pexkit import backend as backend_mod
-from pexkit import corpus
+from pexkit import corpus, prompting
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +17,11 @@ def entries():
 @pytest.fixture(scope="session")
 def index(entries):
     return corpus.corpus_index(entries)
+
+
+@pytest.fixture(scope="session")
+def shots(entries):
+    return prompting.build_shots(entries)
 
 
 @pytest.fixture()

@@ -78,7 +78,7 @@ def test_criterion_3_result_table_arithmetic():
            "macro average 0.96/0.93/0.94", ok)
 
 
-def test_criterion_4_prompt_golden_files(index):
+def test_criterion_4_prompt_golden_files(index, shots):
     doc, gold = index["10.1"]
     bindings = {
         prompting.Q1: {},
@@ -89,7 +89,7 @@ def test_criterion_4_prompt_golden_files(index):
     ok = True
     for question in prompting.QUESTION_KINDS:
         for setting in prompting.SETTINGS:
-            rendered = prompting.render(question, setting, doc,
+            rendered = prompting.render(question, setting, doc, shots=shots,
                                         **bindings[question]).text
             name = f"{question}_{setting.replace('+', '_')}.txt"
             ok &= rendered == (GOLDEN_DIR / name).read_text("utf-8")

@@ -1,6 +1,8 @@
 import json
+from importlib import resources
 
 from pexkit import cli
+from pexkit.corpus import SHOT_IDS
 
 
 def run_cli(capsys, *argv):
@@ -121,3 +123,35 @@ def test_prompt_idempotent(capsys):
                            "--setting", "defs+2shots", "--doc", "5.2",
                            "--x", "writes the diagnosis", "--y", "analyzes the sample")
     assert first == second
+
+
+def _bundled_records():
+    text = resources.files("pexkit.data").joinpath("corpus.json").read_text("utf-8")
+    return json.loads(text)
+
+
+def test_run_suite_missing_evaluation_document(tmp_path, capsys):
+    records = _bundled_records()
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps([r for r in records if r["id"] != "10.13"]))
+    code, _, err = run_cli(capsys, "run-suite", "--backend", "oracle",
+                           "--corpus", str(corpus_path), "--settings", "raw",
+                           "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert "evaluation documents missing" in err
+    assert "Traceback" not in err
+
+
+def test_prompt_uses_the_given_corpus_shots(tmp_path, capsys):
+    records = _bundled_records()
+    changed = "A clerk stamps the form and then files it in the archive."
+    for record in records:
+        if record["id"] == SHOT_IDS[0]:
+            record["body"] = changed
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps(records))
+    code, out, _ = run_cli(capsys, "prompt", "--question", "q1",
+                           "--setting", "2shots", "--doc", "1.2",
+                           "--corpus", str(corpus_path))
+    assert code == 0
+    assert changed in out

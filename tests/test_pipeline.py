@@ -195,3 +195,19 @@ def test_replay_pair_order_independence(index, oracle, tmp_path):
     second = pipeline.extract(doc, prompting.RAW, replay, gold=gold,
                               activity_source=GOLD_INJECTED)
     assert first.model.follows == second.model.follows == set(gold.follows)
+
+
+def test_provenance_joins_the_transcript_cache(index, oracle, shots, tmp_path):
+    """Every Q1/Q2/Q3 provenance digest is the key of its cache entry."""
+    from pexkit.backend import RecordingBackend, TranscriptCache
+
+    doc, gold = index["10.1"]
+    cache = TranscriptCache(tmp_path / "c.jsonl")
+    run = pipeline.extract(doc, prompting.DEFS_SHOTS2,
+                           RecordingBackend(oracle, cache), gold=gold,
+                           activity_source=EXTRACTED, shots=shots)
+    provenance = list(run.model.provenance.values())
+    assert {q for q, _ in provenance} == set(prompting.QUESTION_KINDS)
+    for question, digest in provenance:
+        assert cache.lookup(digest) is not None, (question, digest)
+    assert all(cache.lookup(t["digest"]) for t in run.transcripts)

@@ -60,33 +60,32 @@ def test_defs_applicability_per_question(index):
     assert "Participant:" not in q3
 
 
-def test_shots_block_count(index):
+def test_shots_block_count(index, shots):
     doc, _ = index["1.2"]
-    text = render(Q1, SHOTS2, doc).text
+    text = render(Q1, SHOTS2, doc, shots=shots).text
     assert text.count(PROCESS_CUE) == 3  # two shots before the target block
     assert text.index(doc.body) > text.rindex("A: requests")
 
 
-def test_shot_order_is_2_2_then_10_9(index):
+def test_shot_order_is_2_2_then_10_9(index, shots):
     doc, _ = index["1.2"]
-    text = render(Q1, SHOTS2, doc).text
+    text = render(Q1, SHOTS2, doc, shots=shots).text
     body_22 = index["2.2"][0].body
     body_109 = index["10.9"][0].body
     assert text.index(body_22) < text.index(body_109)
 
 
-def test_rendering_is_pure(index):
+def test_rendering_is_pure(index, shots):
     doc, _ = index["10.6"]
-    a = render(Q3, DEFS_SHOTS2, doc, x="p", y="q")
-    b = render(Q3, DEFS_SHOTS2, doc, x="p", y="q")
+    a = render(Q3, DEFS_SHOTS2, doc, x="p", y="q", shots=shots)
+    b = render(Q3, DEFS_SHOTS2, doc, x="p", y="q", shots=shots)
     assert a.text == b.text
-    assert a.digest == b.digest
 
 
-def test_suffix_is_target_question_cue(index):
+def test_suffix_is_target_question_cue(index, shots):
     doc, _ = index["10.13"]
     for setting in prompting.SETTINGS:
-        text = render(Q1, setting, doc).text
+        text = render(Q1, setting, doc, shots=shots).text
         tail = text.split("\n\n")[-1].split("\n")
         assert tail[0] == PROCESS_CUE
         assert tail[1] == doc.body
@@ -95,11 +94,11 @@ def test_suffix_is_target_question_cue(index):
         assert text.endswith("A: ")
 
 
-def test_defs_shots_compositionality(index):
+def test_defs_shots_compositionality(index, shots):
     doc, _ = index["10.1"]
-    combined = render(Q1, DEFS_SHOTS2, doc).text
+    combined = render(Q1, DEFS_SHOTS2, doc, shots=shots).text
     defs_block = render(Q1, DEFS, doc).text.split("\n\n")[0]
-    shots_blocks = render(Q1, SHOTS2, doc).text.split("\n\n")[:-1]
+    shots_blocks = render(Q1, SHOTS2, doc, shots=shots).text.split("\n\n")[:-1]
     target = render(Q1, RAW, doc).text
     assert combined == "\n\n".join([defs_block, *shots_blocks, target])
 
@@ -112,7 +111,7 @@ def test_q2_requires_binding(index):
 
 @pytest.mark.parametrize("question", [Q1, Q2, Q3])
 @pytest.mark.parametrize("setting", list(prompting.SETTINGS))
-def test_golden_prompts(question, setting, index):
+def test_golden_prompts(question, setting, index, shots):
     doc, gold = index["10.1"]
     bindings = {}
     if question in (Q2, Q3):
@@ -120,7 +119,14 @@ def test_golden_prompts(question, setting, index):
     if question == Q3:
         bindings["x"] = gold.activity_surfaces[1]
         bindings["y"] = gold.activity_surfaces[0]
-    rendered = render(question, setting, doc, **bindings).text
+    rendered = render(question, setting, doc, shots=shots, **bindings).text
     name = f"{question}_{setting.replace('+', '_')}.txt"
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert rendered == expected
+
+
+def test_shot_setting_without_shots_is_an_error(index):
+    doc, _ = index["1.2"]
+    for shots in (None, []):
+        with pytest.raises(PromptError):
+            render(Q1, SHOTS2, doc, shots=shots)
