@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
@@ -17,13 +18,20 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from . import worldmodel
 from .corpus import Document, GoldStandard
-from .errors import BackendError, CacheConflictError, CacheMissError
+from .errors import (BackendError, CacheConflictError, CacheCorruptError,
+                     CacheMissError)
 from .prompting import Q1, Q2, Q3, Prompt
 
+log = logging.getLogger(__name__)
+
 API_KEY_ENV = "PEX_API_KEY"
+
+# Longest wait between two attempts of one live request, in seconds.
+MAX_RETRY_WAIT = 30.0
 
 DEFAULT_STOP = ("\n\n", "Q:")
 
@@ -76,29 +84,59 @@ def transcript_digest(prompt_text: str, params: CompletionParams) -> str:
 
 
 class TranscriptCache:
-    """Append-only JSONL store of prompt -> completion transcripts."""
+    """Append-only JSONL store of prompt -> completion transcripts.
+
+    A final line that does not parse is what a crash part-way through an
+    append leaves behind: loading skips it with a warning, and the next
+    append cuts it off and starts on a fresh line. A line that does not parse
+    anywhere else raises ``CacheCorruptError``.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
+        # (byte offset, prefix) the next append starts from, when the file
+        # does not end with a complete line.
+        self._resume: tuple[int, str] | None = None
         if self.path.exists():
-            with self.path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    self._check_entry(entry)
-                    self._entries[entry["digest"]] = entry
+            self._load()
 
-    @staticmethod
-    def _check_entry(entry: dict) -> None:
-        params = CompletionParams.from_dict(entry["params"])
-        expected = transcript_digest(entry["prompt"], params)
-        if entry["digest"] != expected:
+    def _load(self) -> None:
+        torn = None
+        offset = good_end = 0
+        newline = True
+        with self.path.open("rb") as handle:
+            for number, raw in enumerate(handle, 1):
+                offset += len(raw)
+                if not raw.strip():
+                    continue
+                if torn is not None:
+                    raise CacheCorruptError(f"{self.path}:{torn}: cache line does not parse")
+                try:
+                    entry = json.loads(raw.decode("utf-8"))
+                except ValueError:  # also a UnicodeDecodeError
+                    torn = number
+                    continue
+                self._check_entry(entry, number)
+                self._entries[entry["digest"]] = entry
+                good_end, newline = offset, raw.endswith(b"\n")
+        if torn is not None or not newline:
+            self._resume = (good_end, "" if newline else "\n")
+        if torn is not None:
+            log.warning("%s:%d: skipping a torn final cache line", self.path, torn)
+
+    def _check_entry(self, entry: dict, number: int) -> None:
+        try:
+            params = CompletionParams.from_dict(entry["params"])
+            expected = transcript_digest(entry["prompt"], params)
+            digest, _ = entry["digest"], entry["completion"]
+        except (KeyError, TypeError) as exc:
+            raise CacheCorruptError(
+                f"{self.path}:{number}: malformed cache entry: {exc!r}") from exc
+        if digest != expected:
             raise CacheConflictError(
-                f"cache entry digest {entry['digest'][:12]} does not recompute "
+                f"cache entry digest {str(digest)[:12]} does not recompute "
                 f"from its stored prompt and params")
 
     def __len__(self) -> int:
@@ -128,6 +166,11 @@ class TranscriptCache:
             self._entries[digest] = entry
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as handle:
+                if self._resume is not None:
+                    end, prefix = self._resume
+                    handle.truncate(end)
+                    handle.write(prefix)
+                    self._resume = None
                 handle.write(json.dumps(entry) + "\n")
 
 
@@ -139,13 +182,27 @@ def truncate_at_stop(text: str, stop: tuple[str, ...]) -> str:
     return text
 
 
+def _retry_after(resp, default: float) -> float:
+    """Seconds a 429 response's numeric ``Retry-After`` asks for, else ``default``."""
+    try:
+        return max(0, int(resp.headers.get("Retry-After", "")))
+    except ValueError:
+        return default
+
+
 class LiveBackend:
-    """Completions-style HTTP API client with retry/backoff and rate limiting."""
+    """Completions-style HTTP API client with retry/backoff and rate limiting.
+
+    ``max_concurrency`` caps the requests in flight at once; callers that can
+    ask independent questions together (``pipeline.extract``) send that many.
+    """
 
     def __init__(self, base_url: str, model: str, api_key: str | None = None,
                  max_retries: int = 5, backoff: float = 1.0,
                  min_interval: float = 0.0, max_concurrency: int = 4,
-                 session=None):
+                 timeout: float = 60.0, session=None):
+        if max_concurrency < 1:
+            raise BackendError(f"max_concurrency must be >= 1, got {max_concurrency}")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
@@ -154,7 +211,16 @@ class LiveBackend:
         self.max_retries = max_retries
         self.backoff = backoff
         self.min_interval = min_interval
-        self._session = session or requests.Session()
+        self.max_concurrency = max_concurrency
+        self.timeout = timeout
+        if session is None:
+            # One pooled connection per request in flight; urllib3's default
+            # pool of 10 would drop and reopen connections past that.
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=max_concurrency)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
         self._sem = threading.Semaphore(max_concurrency)
         self._rate_lock = threading.Lock()
         self._last_request = 0.0
@@ -181,18 +247,22 @@ class LiveBackend:
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error = None
+        wait = 0.0
         for attempt in range(self.max_retries):
             if attempt:
-                time.sleep(min(self.backoff * 2 ** (attempt - 1), 30.0))
+                time.sleep(min(wait, MAX_RETRY_WAIT))
+            wait = self.backoff * 2 ** attempt
             with self._sem:
                 self._throttle()
                 try:
                     resp = self._session.post(f"{self.base_url}/completions",
                                               json=payload, headers=headers,
-                                              timeout=60)
+                                              timeout=self.timeout)
                 except requests.RequestException as exc:
                     last_error = f"transport failure: {exc}"
                     continue
+            if resp.status_code == 429:
+                wait = _retry_after(resp, wait)
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = f"HTTP {resp.status_code}"
                 continue
@@ -212,6 +282,10 @@ class ReplayBackend:
     def __init__(self, cache: TranscriptCache, fallback=None):
         self.cache = cache
         self.fallback = fallback
+
+    @property
+    def max_concurrency(self) -> int:
+        return 1 if self.fallback is None else getattr(self.fallback, "max_concurrency", 1)
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         digest = transcript_digest(prompt.text, params)
@@ -234,6 +308,10 @@ class RecordingBackend:
         self.inner = inner
         self.cache = cache
 
+    @property
+    def max_concurrency(self) -> int:
+        return getattr(self.inner, "max_concurrency", 1)
+
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         completion = self.inner.complete(prompt, params)
         self.cache.record(prompt.text, params, completion)
@@ -242,6 +320,8 @@ class RecordingBackend:
 
 class OracleBackend:
     """Answer every question from the gold standard (scripted oracle)."""
+
+    max_concurrency = 1
 
     def __init__(self, entries: dict[str, tuple[Document, GoldStandard]]):
         self._entries = entries

@@ -27,3 +27,7 @@ class CacheMissError(BackendError):
 
 class CacheConflictError(BackendError):
     """Two different completions recorded under the same digest."""
+
+
+class CacheCorruptError(BackendError):
+    """Transcript cache line that does not parse, other than a torn final line."""

@@ -7,7 +7,11 @@ question for every ordered pair of distinct activities.
 from __future__ import annotations
 
 import re
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from . import backend as backend_mod
 from . import prompting
@@ -97,64 +101,105 @@ class ExtractionAborted(BackendError):
         self.run = run
 
 
+def _in_order(call, items, width: int):
+    """Yield ``(item, call(item))`` for every item, in item order.
+
+    Up to ``width`` calls run at once on worker threads, and at most
+    ``2 * width`` items are drawn from the lazy ``items`` ahead of the one
+    being yielded. A failed call raises at its own position, after every
+    earlier result has been yielded; the calls behind it are cancelled or
+    waited for, so no worker thread outlives the generator. Width 1 calls
+    ``call`` on the caller's thread, one item at a time.
+    """
+    if width <= 1:
+        for item in items:
+            yield item, call(item)
+        return
+    pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="pex-ask")
+    window: deque = deque()
+    try:
+        for item in items:
+            window.append((item, pool.submit(call, item)))
+            if len(window) >= 2 * width:
+                item, future = window.popleft()
+                yield item, future.result()
+        while window:
+            item, future = window.popleft()
+            yield item, future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def extract(doc: Document, setting: str, backend,
             gold: GoldStandard | None = None,
             activity_source: str = EXTRACTED,
             params_by_question: dict | None = None,
             shots: list | None = None) -> ExtractionRun:
-    """Run the full question dialogue for one document and setting."""
+    """Run the full question dialogue for one document and setting.
+
+    The Q2 questions, and then the Q3 questions, are independent of each
+    other: each batch is sent ``backend.max_concurrency`` questions at a time
+    (1 for a backend that declares none), and its answers are applied in
+    question order, so the run equals a sequential one.
+    """
     if activity_source not in (EXTRACTED, GOLD_INJECTED):
         raise ValueError(f"unknown activity source: {activity_source}")
     if activity_source == GOLD_INJECTED and gold is None:
         raise ValueError("gold-injected extraction requires a gold standard")
     params_by_question = params_by_question or {}
+    width = getattr(backend, "max_concurrency", 1)
 
     run = ExtractionRun(doc.id, setting, activity_source, WorldModel(doc.id))
     model = run.model
 
-    def ask(question: str, x=None, y=None) -> tuple[str, str]:
-        prompt = prompting.render(question, setting, doc, x=x, y=y, shots=shots)
+    def ask(question: str, bindings, count: int):
+        """Ask ``question`` for each of ``count`` (x, y) bindings; yield
+        (completion, digest) in binding order."""
         params = params_by_question.get(question) or backend_mod.default_params(question)
-        try:
-            completion = backend.complete(prompt, params)
-        except BackendError as exc:
-            raise ExtractionAborted(str(exc), run) from exc
-        run.counters[question] += 1
-        digest = backend_mod.transcript_digest(prompt.text, params)
-        run.transcripts.append({
-            "question": question,
-            "doc_id": doc.id,
-            "setting": setting,
-            "x": x,
-            "y": y,
-            "digest": digest,
-            "completion": completion,
-        })
-        return completion, digest
+        prompts = (prompting.render(question, setting, doc, x=x, y=y, shots=shots)
+                   for x, y in bindings)
+        answers = _in_order(lambda prompt: backend.complete(prompt, params),
+                            prompts, min(width, count))
+        with closing(answers):
+            try:
+                for prompt, completion in answers:
+                    run.counters[question] += 1
+                    digest = backend_mod.transcript_digest(prompt.text, params)
+                    run.transcripts.append({
+                        "question": question,
+                        "doc_id": doc.id,
+                        "setting": setting,
+                        "x": prompt.x,
+                        "y": prompt.y,
+                        "digest": digest,
+                        "completion": completion,
+                    })
+                    yield completion, digest
+            except BackendError as exc:
+                raise ExtractionAborted(str(exc), run) from exc
 
     if activity_source == GOLD_INJECTED:
         for surface in gold.activity_surfaces:
             model.add_activity(surface, (GOLD_INJECTED, "-"))
     else:
-        completion, digest = ask(prompting.Q1)
+        [(completion, digest)] = ask(prompting.Q1, [(None, None)], 1)
         for surface in parse_list_answer(completion):
             model.add_activity(surface, (prompting.Q1, digest))
 
     activities = list(model.activities)
-    for i, surface in enumerate(activities):
-        completion, digest = ask(prompting.Q2, x=surface)
-        for name in parse_participant_answer(completion):
-            p = model.add_participant(name, (prompting.Q2, digest))
-            model.add_performs(p, i, (prompting.Q2, digest))
-
     n = len(activities)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # "does X immediately follow Y": a Yes means X comes after Y,
-            # recorded as the edge Y -> X, i.e. (i, j) here.
-            completion, digest = ask(prompting.Q3, x=activities[j], y=activities[i])
+    with closing(ask(prompting.Q2, [(s, None) for s in activities], n)) as answers:
+        for i, (completion, digest) in enumerate(answers):
+            for name in parse_participant_answer(completion):
+                p = model.add_participant(name, (prompting.Q2, digest))
+                model.add_performs(p, i, (prompting.Q2, digest))
+
+    # "does X immediately follow Y": a Yes means X comes after Y,
+    # recorded as the edge Y -> X, i.e. (i, j) here.
+    pairs = list(permutations(range(n), 2))
+    bindings = ((activities[j], activities[i]) for i, j in pairs)
+    with closing(ask(prompting.Q3, bindings, len(pairs))) as answers:
+        for (i, j), (completion, digest) in zip(pairs, answers, strict=True):
             verdict = parse_yesno(completion)
             if verdict == YES:
                 model.add_follows(i, j, (prompting.Q3, digest))

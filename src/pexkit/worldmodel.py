@@ -84,8 +84,13 @@ class WorldModel:
             model = cls(data["doc_id"])
             model.activities = list(data["activities"])
             model.participants = list(data["participants"])
-            model.performs = {(p, a) for p, a in data["performs"]}
-            model.follows = {(s, d) for s, d in data["follows"]}
+            n_activities, n_participants = len(model.activities), len(model.participants)
+            model.performs = _index_pairs(data["performs"], "performs",
+                                          ("participant", n_participants),
+                                          ("activity", n_activities))
+            model.follows = _index_pairs(data["follows"], "follows",
+                                         ("activity", n_activities),
+                                         ("activity", n_activities))
             model.provenance = {k: tuple(v) for k, v in data["provenance"].items()}
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed world-model JSON: {exc}") from exc
@@ -127,6 +132,20 @@ class WorldModel:
         if not isinstance(other, WorldModel):
             return NotImplemented
         return self.to_dict() == other.to_dict()
+
+
+def _index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:
+    """Loaded ``kind`` edges as index pairs; ``first`` and ``second`` give
+    each position's element name and element count, which bounds its index."""
+    out = set()
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ModelError(f"{kind} entry {pair!r} is not a pair of indices")
+        for idx, (name, count) in zip(pair, (first, second)):
+            if type(idx) is not int or not 0 <= idx < count:
+                raise ModelError(f"{kind} {name} index {idx!r} out of range")
+        out.add(tuple(pair))
+    return out
 
 
 def _dot_escape(text: str) -> str:

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from pexkit import backend as bk
-from pexkit.errors import BackendError, CacheConflictError, CacheMissError
+from pexkit.errors import (BackendError, CacheConflictError, CacheCorruptError,
+                           CacheMissError)
 from pexkit.prompting import Q1, Q2, Q3, RAW, Prompt
 
 
@@ -67,6 +68,47 @@ def test_cache_rejects_tampered_digest(tmp_path):
     entry["prompt"] = "tampered"
     path.write_text(json.dumps(entry) + "\n")
     with pytest.raises(CacheConflictError):
+        bk.TranscriptCache(path)
+
+
+def test_cache_skips_torn_final_line(tmp_path, caplog):
+    path = tmp_path / "c.jsonl"
+    bk.TranscriptCache(path).record("p1", PARAMS, "a")
+    with path.open("a") as handle:
+        handle.write('{"digest": "ab')
+    cache = bk.TranscriptCache(path)
+    assert len(cache) == 1
+    assert "torn final cache line" in caplog.text
+
+
+def test_cache_append_after_torn_line_starts_fresh(tmp_path):
+    path = tmp_path / "c.jsonl"
+    bk.TranscriptCache(path).record("p1", PARAMS, "a")
+    with path.open("a") as handle:
+        handle.write('{"digest": "ab')
+    bk.TranscriptCache(path).record("p2", PARAMS, "b")
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["completion"] for line in lines] == ["a", "b"]
+    assert len(bk.TranscriptCache(path)) == 2
+
+
+def test_cache_append_after_unterminated_line_starts_fresh(tmp_path):
+    path = tmp_path / "c.jsonl"
+    bk.TranscriptCache(path).record("p1", PARAMS, "a")
+    path.write_text(path.read_text().rstrip("\n"))
+    bk.TranscriptCache(path).record("p2", PARAMS, "b")
+    assert len(bk.TranscriptCache(path)) == 2
+
+
+@pytest.mark.parametrize("bad", ['{"digest": "ab', "[1, 2]", '{"digest": "ab"}'])
+def test_cache_corrupt_line_mid_file(tmp_path, bad):
+    path = tmp_path / "c.jsonl"
+    cache = bk.TranscriptCache(path)
+    cache.record("p1", PARAMS, "a")
+    cache.record("p2", PARAMS, "b")
+    first, second = path.read_text().splitlines()
+    path.write_text("\n".join([first, bad, second]) + "\n")
+    with pytest.raises(CacheCorruptError, match=":2:"):
         bk.TranscriptCache(path)
 
 
@@ -135,9 +177,10 @@ def test_oracle_unknown_document(oracle):
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None):
+    def __init__(self, status_code, payload=None, headers=None):
         self.status_code = status_code
         self._payload = payload or {}
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -179,3 +222,59 @@ def test_live_backend_requires_key(monkeypatch):
     monkeypatch.delenv(bk.API_KEY_ENV, raising=False)
     with pytest.raises(BackendError, match="API key"):
         bk.LiveBackend("https://api.example/v1", "engine")
+
+
+def test_live_backend_sizes_pool_to_concurrency():
+    live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
+                          max_concurrency=16)
+    assert live.max_concurrency == 16
+    for url in ("https://api.example/v1", "http://localhost:8000/v1"):
+        pool = live._session.get_adapter(url).poolmanager
+        assert pool.connection_pool_kw["maxsize"] == 16
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_live_backend_rejects_concurrency_below_one(width):
+    with pytest.raises(BackendError, match="max_concurrency"):
+        bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
+                       max_concurrency=width)
+
+
+def test_live_backend_honours_retry_after(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(bk.time, "sleep", sleeps.append)
+    session = FakeSession([
+        FakeResponse(429, headers={"Retry-After": "7"}),
+        FakeResponse(429, headers={"Retry-After": "120"}),
+        FakeResponse(503, headers={"Retry-After": "9"}),
+        FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+        FakeResponse(200, {"choices": [{"text": "ok"}]}),
+    ])
+    live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
+                          backoff=1.0, session=session)
+    assert live.complete(make_prompt("p"), PARAMS) == "ok"
+    # numeric 429 header; capped at the 30 s ceiling; 5xx and an HTTP date
+    # fall back to exponential backoff (1 * 2**2, 1 * 2**3)
+    assert sleeps == [7, 30.0, 4.0, 8.0]
+
+
+def test_live_backend_timeout_parameter():
+    session = FakeSession([FakeResponse(200, {"choices": [{"text": "a"}]})] * 2)
+    default = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
+                             session=session)
+    short = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
+                           timeout=2.5, session=session)
+    default.complete(make_prompt("p"), PARAMS)
+    short.complete(make_prompt("p"), PARAMS)
+    assert [kwargs["timeout"] for _, kwargs in session.calls] == [60.0, 2.5]
+
+
+def test_wrappers_forward_concurrency(tmp_path, oracle):
+    cache = bk.TranscriptCache(tmp_path / "c.jsonl")
+    live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
+                          max_concurrency=6)
+    assert bk.RecordingBackend(live, cache).max_concurrency == 6
+    assert bk.ReplayBackend(cache, fallback=live).max_concurrency == 6
+    assert bk.ReplayBackend(cache).max_concurrency == 1
+    assert oracle.max_concurrency == 1
+    assert bk.RecordingBackend(oracle, cache).max_concurrency == 1

@@ -68,6 +68,38 @@ def test_evaluate_oracle_model_all_ones(tmp_path, capsys):
         assert scores["f1"] == 1.0, row
 
 
+def test_evaluate_rejects_out_of_range_model(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({
+        "doc_id": "3.3", "activities": ["a"], "participants": [],
+        "performs": [], "follows": [[0, 5]], "provenance": {}}))
+    code, _, err = run_cli(capsys, "evaluate", "--doc", "3.3",
+                           "--model", str(model_path))
+    assert code == 2
+    assert "index 5 out of range" in err
+
+
+def test_run_suite_torn_cache_tail_is_skipped(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"digest": "ab')
+    code, _, err = run_cli(capsys, "run-suite", "--backend", "replay",
+                           "--cache", str(cache), "--settings", "raw",
+                           "--outdir", str(tmp_path / "out"))
+    assert code == 3
+    assert "cache miss" in err
+    assert "Traceback" not in err
+
+
+def test_run_suite_corrupt_cache_exits_3(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"digest": "ab\n{}\n')
+    code, _, err = run_cli(capsys, "run-suite", "--backend", "replay",
+                           "--cache", str(cache), "--settings", "raw",
+                           "--outdir", str(tmp_path / "out"))
+    assert code == 3
+    assert "does not parse" in err
+
+
 def test_run_suite_cache_miss_fails(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run-suite", "--backend", "replay",
                            "--cache", str(tmp_path / "missing.jsonl"),

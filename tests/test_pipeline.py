@@ -1,9 +1,19 @@
+import hashlib
+import json
+import random
+import sys
+import threading
+import time
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pexkit import pipeline, prompting
+from pexkit.backend import RecordingBackend, TranscriptCache
 from pexkit.corpus import Document
+from pexkit.errors import BackendError
 from pexkit.pipeline import (EXTRACTED, GOLD_INJECTED, ExtractionAborted,
                              parse_list_answer, parse_participant_answer,
                              parse_yesno)
@@ -211,3 +221,113 @@ def test_provenance_joins_the_transcript_cache(index, oracle, shots, tmp_path):
     for question, digest in provenance:
         assert cache.lookup(digest) is not None, (question, digest)
     assert all(cache.lookup(t["digest"]) for t in run.transcripts)
+
+
+# -- concurrent dispatch ----------------------------------------------------
+
+
+class JitteryBackend:
+    """Oracle answers, some Q3 answers replaced by a hash of the prompt, each
+    after a wait drawn from a generator seeded by the prompt. At width > 1
+    calls finish out of question order; every answer is still a function of
+    its prompt alone."""
+
+    def __init__(self, oracle, max_concurrency, fail=None):
+        self.oracle = oracle
+        self.max_concurrency = max_concurrency
+        self.fail = fail  # (x, y) of the Q3 that raises
+        self.finished = []
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        key = hashlib.sha256(prompt.text.encode("utf-8")).digest()
+        time.sleep(random.Random(key).uniform(0.0002, 0.002))
+        if prompt.question == prompting.Q3 and (prompt.x, prompt.y) == self.fail:
+            raise BackendError("injected failure")
+        answer = self.oracle.complete(prompt, params)
+        if prompt.question == prompting.Q3 and key[0] % 4 == 0:
+            answer = ("It depends.", "Yes", "No")[key[1] % 3]
+        with self._lock:
+            self.finished.append((prompt.x, prompt.y))
+            self.threads.add(threading.current_thread().name)
+        return answer
+
+
+def dispatch_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("pex-ask")]
+
+
+def test_concurrent_extract_equals_sequential(index, oracle, shots):
+    doc, gold = index["1.3"]
+    runs, backends = {}, {}
+    for width in (1, 4):
+        backends[width] = JitteryBackend(oracle, width)
+        runs[width] = pipeline.extract(doc, prompting.DEFS_SHOTS2, backends[width],
+                                       gold=gold, shots=shots)
+    seq, conc = runs[1], runs[4]
+    assert conc.model.to_json() == seq.model.to_json()
+    assert conc.transcripts == seq.transcripts
+    assert conc.counters == seq.counters == {"q1": 1, "q2": 11, "q3": 110}
+    assert conc.unknown_q3 == seq.unknown_q3 > 0
+    asked = [(t["x"], t["y"]) for t in seq.transcripts]
+    assert backends[1].finished == asked
+    assert backends[1].threads == {threading.main_thread().name}
+    assert len(backends[4].threads) > 1
+    assert sorted(backends[4].finished, key=str) == sorted(asked, key=str)
+    assert backends[4].finished != asked
+    assert not dispatch_threads()
+
+
+def test_concurrent_run_suite_equals_sequential(entries, oracle, tmp_path):
+    from pexkit.suite import run_suite
+
+    outputs = {}
+    for width in (1, 4):
+        outdir = tmp_path / f"w{width}"
+        run_suite(entries, [prompting.RAW], JitteryBackend(oracle, width), outdir)
+        outputs[width] = {p.relative_to(outdir): p.read_bytes()
+                          for p in outdir.rglob("*") if p.is_file()}
+    assert len(outputs[1]) == 2 + 7 * 2
+    assert outputs[4] == outputs[1]
+    assert not dispatch_threads()
+
+
+@pytest.mark.parametrize("k", [0, 37, 109])
+def test_concurrent_abort_keeps_the_sequential_partial_run(index, oracle, k):
+    doc, gold = index["1.3"]
+    n = len(gold.activity_surfaces)
+    i, j = list(permutations(range(n), 2))[k]
+    fail = (gold.activity_surfaces[j], gold.activity_surfaces[i])
+    aborted = {}
+    for width in (1, 4):
+        backend = JitteryBackend(oracle, width, fail=fail)
+        with pytest.raises(ExtractionAborted) as excinfo:
+            pipeline.extract(doc, prompting.RAW, backend, gold=gold)
+        aborted[width] = excinfo.value.run
+    assert aborted[4].transcripts == aborted[1].transcripts
+    assert aborted[4].counters == aborted[1].counters == {"q1": 1, "q2": n, "q3": k}
+    assert not dispatch_threads()
+
+
+def test_concurrent_recording_keeps_every_entry(index, oracle, tmp_path):
+    """Eight workers, more than the cores, switching threads often, all
+    recording into one cache: no entry is lost or written twice."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        recorded = {}
+        for width in (1, 8):
+            path = tmp_path / f"w{width}.jsonl"
+            backend = RecordingBackend(JitteryBackend(oracle, width), TranscriptCache(path))
+            for doc_id in ("1.2", "1.3"):
+                doc, gold = index[doc_id]
+                pipeline.extract(doc, prompting.RAW, backend, gold=gold)
+            lines = [json.loads(line) for line in path.read_text().splitlines()]
+            recorded[width] = {e["digest"]: e["completion"] for e in lines}
+            assert len(recorded[width]) == len(lines)
+    finally:
+        sys.setswitchinterval(switch)
+    assert recorded[8] == recorded[1]
+    assert len(recorded[1]) == 2 * 1 + 10 + 11 + 90 + 110
+    assert not dispatch_threads()

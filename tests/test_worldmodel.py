@@ -125,3 +125,20 @@ def test_roundtrip_property(surfaces):
     assert back == m
     assert {normalize_key(a) for a in back.activities} == \
         {normalize_key(s) for s in surfaces}
+
+
+@pytest.mark.parametrize("key, pairs, message", [
+    ("follows", [[0, 5]], "follows activity index 5 out of range"),
+    ("follows", [[-1, 0]], "follows activity index -1 out of range"),
+    ("follows", [[0]], "not a pair"),
+    ("follows", [[0, "1"]], "follows activity index '1' out of range"),
+    ("performs", [[0, 0, 1]], "not a pair"),
+    ("performs", [[1, 0]], "performs participant index 1 out of range"),
+    ("performs", [[0, 2]], "performs activity index 2 out of range"),
+    ("performs", [7], "not a pair"),
+])
+def test_from_dict_checks_edge_indices(key, pairs, message):
+    data = model_with(["a", "b"], ["p"]).to_dict()
+    data[key] = pairs
+    with pytest.raises(ModelError, match=message):
+        WorldModel.from_dict(data)
