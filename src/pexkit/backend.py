@@ -18,7 +18,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import requests
-from requests.adapters import HTTPAdapter
 
 from . import worldmodel
 from .corpus import Document, GoldStandard
@@ -32,6 +31,9 @@ API_KEY_ENV = "PEX_API_KEY"
 
 # Longest wait between two attempts of one live request, in seconds.
 MAX_RETRY_WAIT = 30.0
+
+# Seconds one live request may take before it counts as a transport failure.
+REQUEST_TIMEOUT = 60.0
 
 DEFAULT_STOP = ("\n\n", "Q:")
 
@@ -88,17 +90,18 @@ class TranscriptCache:
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
-    append cuts it off and starts on a fresh line. A line that does not parse
-    anywhere else raises ``CacheCorruptError``.
+    append cuts it off, if the file still ends with it, and starts on a fresh
+    line. A line that does not parse anywhere else raises
+    ``CacheCorruptError``.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
-        # (byte offset, prefix) the next append starts from, when the file
-        # does not end with a complete line.
-        self._resume: tuple[int, str] | None = None
+        # (end of the last good line, bytes after it) as loaded, when the
+        # file does not end with a complete line; the next append mends it.
+        self._resume: tuple[int, bytes] | None = None
         if self.path.exists():
             self._load()
 
@@ -106,10 +109,12 @@ class TranscriptCache:
         torn = None
         offset = good_end = 0
         newline = True
+        tail: list[bytes] = []
         with self.path.open("rb") as handle:
             for number, raw in enumerate(handle, 1):
                 offset += len(raw)
                 if not raw.strip():
+                    tail.append(raw)
                     continue
                 if torn is not None:
                     raise CacheCorruptError(f"{self.path}:{torn}: cache line does not parse")
@@ -117,12 +122,14 @@ class TranscriptCache:
                     entry = json.loads(raw.decode("utf-8"))
                 except ValueError:  # also a UnicodeDecodeError
                     torn = number
+                    tail.append(raw)
                     continue
                 self._check_entry(entry, number)
                 self._entries[entry["digest"]] = entry
                 good_end, newline = offset, raw.endswith(b"\n")
+                tail.clear()
         if torn is not None or not newline:
-            self._resume = (good_end, "" if newline else "\n")
+            self._resume = (good_end, b"".join(tail))
         if torn is not None:
             log.warning("%s:%d: skipping a torn final cache line", self.path, torn)
 
@@ -165,13 +172,28 @@ class TranscriptCache:
             }
             self._entries[digest] = entry
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
+            with self.path.open("a+b") as handle:
                 if self._resume is not None:
-                    end, prefix = self._resume
-                    handle.truncate(end)
-                    handle.write(prefix)
-                    self._resume = None
-                handle.write(json.dumps(entry) + "\n")
+                    self._mend(handle)
+                handle.write((json.dumps(entry) + "\n").encode("utf-8"))
+
+    def _mend(self, handle) -> None:
+        """Make the file end with a complete line before the first append.
+
+        The torn tail seen at load is cut off only while the file still ends
+        with exactly those bytes; lines another writer appended since are
+        kept, and the append then just starts on a fresh line.
+        """
+        good_end, tail = self._resume
+        self._resume = None
+        fd = handle.fileno()
+        size = os.fstat(fd).st_size
+        if (tail and size == good_end + len(tail)
+                and os.pread(fd, len(tail), good_end) == tail):
+            handle.truncate(good_end)
+            size = good_end
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            handle.write(b"\n")
 
 
 def truncate_at_stop(text: str, stop: tuple[str, ...]) -> str:
@@ -200,7 +222,7 @@ class LiveBackend:
     def __init__(self, base_url: str, model: str, api_key: str | None = None,
                  max_retries: int = 5, backoff: float = 1.0,
                  min_interval: float = 0.0, max_concurrency: int = 4,
-                 timeout: float = 60.0, session=None):
+                 session=None):
         if max_concurrency < 1:
             raise BackendError(f"max_concurrency must be >= 1, got {max_concurrency}")
         self.base_url = base_url.rstrip("/")
@@ -212,15 +234,7 @@ class LiveBackend:
         self.backoff = backoff
         self.min_interval = min_interval
         self.max_concurrency = max_concurrency
-        self.timeout = timeout
-        if session is None:
-            # One pooled connection per request in flight; urllib3's default
-            # pool of 10 would drop and reopen connections past that.
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=max_concurrency)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self._session = session
+        self._session = session or requests.Session()
         self._sem = threading.Semaphore(max_concurrency)
         self._rate_lock = threading.Lock()
         self._last_request = 0.0
@@ -257,7 +271,7 @@ class LiveBackend:
                 try:
                     resp = self._session.post(f"{self.base_url}/completions",
                                               json=payload, headers=headers,
-                                              timeout=self.timeout)
+                                              timeout=REQUEST_TIMEOUT)
                 except requests.RequestException as exc:
                     last_error = f"transport failure: {exc}"
                     continue
@@ -285,7 +299,7 @@ class ReplayBackend:
 
     @property
     def max_concurrency(self) -> int:
-        return 1 if self.fallback is None else getattr(self.fallback, "max_concurrency", 1)
+        return getattr(self.fallback, "max_concurrency", 1)
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         digest = transcript_digest(prompt.text, params)
@@ -320,8 +334,6 @@ class RecordingBackend:
 
 class OracleBackend:
     """Answer every question from the gold standard (scripted oracle)."""
-
-    max_concurrency = 1
 
     def __init__(self, entries: dict[str, tuple[Document, GoldStandard]]):
         self._entries = entries

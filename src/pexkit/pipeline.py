@@ -152,14 +152,14 @@ def extract(doc: Document, setting: str, backend,
     run = ExtractionRun(doc.id, setting, activity_source, WorldModel(doc.id))
     model = run.model
 
-    def ask(question: str, bindings, count: int):
-        """Ask ``question`` for each of ``count`` (x, y) bindings; yield
-        (completion, digest) in binding order."""
+    def ask(question: str, bindings: list):
+        """Ask ``question`` for each (x, y) binding; yield (completion, digest)
+        in binding order."""
         params = params_by_question.get(question) or backend_mod.default_params(question)
         prompts = (prompting.render(question, setting, doc, x=x, y=y, shots=shots)
                    for x, y in bindings)
         answers = _in_order(lambda prompt: backend.complete(prompt, params),
-                            prompts, min(width, count))
+                            prompts, min(width, len(bindings)))
         with closing(answers):
             try:
                 for prompt, completion in answers:
@@ -182,13 +182,13 @@ def extract(doc: Document, setting: str, backend,
         for surface in gold.activity_surfaces:
             model.add_activity(surface, (GOLD_INJECTED, "-"))
     else:
-        [(completion, digest)] = ask(prompting.Q1, [(None, None)], 1)
+        [(completion, digest)] = ask(prompting.Q1, [(None, None)])
         for surface in parse_list_answer(completion):
             model.add_activity(surface, (prompting.Q1, digest))
 
     activities = list(model.activities)
     n = len(activities)
-    with closing(ask(prompting.Q2, [(s, None) for s in activities], n)) as answers:
+    with closing(ask(prompting.Q2, [(s, None) for s in activities])) as answers:
         for i, (completion, digest) in enumerate(answers):
             for name in parse_participant_answer(completion):
                 p = model.add_participant(name, (prompting.Q2, digest))
@@ -197,9 +197,9 @@ def extract(doc: Document, setting: str, backend,
     # "does X immediately follow Y": a Yes means X comes after Y,
     # recorded as the edge Y -> X, i.e. (i, j) here.
     pairs = list(permutations(range(n), 2))
-    bindings = ((activities[j], activities[i]) for i, j in pairs)
-    with closing(ask(prompting.Q3, bindings, len(pairs))) as answers:
-        for (i, j), (completion, digest) in zip(pairs, answers, strict=True):
+    bindings = [(activities[j], activities[i]) for i, j in pairs]
+    with closing(ask(prompting.Q3, bindings)) as answers:
+        for (i, j), (completion, digest) in zip(pairs, answers):
             verdict = parse_yesno(completion)
             if verdict == YES:
                 model.add_follows(i, j, (prompting.Q3, digest))

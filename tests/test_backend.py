@@ -100,6 +100,17 @@ def test_cache_append_after_unterminated_line_starts_fresh(tmp_path):
     assert len(bk.TranscriptCache(path)) == 2
 
 
+@pytest.mark.parametrize("tear", ['{"digest": "ab', ""])
+def test_cache_mend_keeps_lines_appended_since_load(tmp_path, tear):
+    path = tmp_path / "c.jsonl"
+    bk.TranscriptCache(path).record("p1", PARAMS, "a")
+    path.write_text(path.read_text() + tear if tear else path.read_text().rstrip("\n"))
+    first, second = bk.TranscriptCache(path), bk.TranscriptCache(path)
+    second.record("p2", PARAMS, "b")
+    first.record("p3", PARAMS, "c")
+    assert len(bk.TranscriptCache(path)) == 3
+
+
 @pytest.mark.parametrize("bad", ['{"digest": "ab', "[1, 2]", '{"digest": "ab"}'])
 def test_cache_corrupt_line_mid_file(tmp_path, bad):
     path = tmp_path / "c.jsonl"
@@ -224,15 +235,6 @@ def test_live_backend_requires_key(monkeypatch):
         bk.LiveBackend("https://api.example/v1", "engine")
 
 
-def test_live_backend_sizes_pool_to_concurrency():
-    live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
-                          max_concurrency=16)
-    assert live.max_concurrency == 16
-    for url in ("https://api.example/v1", "http://localhost:8000/v1"):
-        pool = live._session.get_adapter(url).poolmanager
-        assert pool.connection_pool_kw["maxsize"] == 16
-
-
 @pytest.mark.parametrize("width", [0, -1])
 def test_live_backend_rejects_concurrency_below_one(width):
     with pytest.raises(BackendError, match="max_concurrency"):
@@ -258,17 +260,6 @@ def test_live_backend_honours_retry_after(monkeypatch):
     assert sleeps == [7, 30.0, 4.0, 8.0]
 
 
-def test_live_backend_timeout_parameter():
-    session = FakeSession([FakeResponse(200, {"choices": [{"text": "a"}]})] * 2)
-    default = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
-                             session=session)
-    short = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
-                           timeout=2.5, session=session)
-    default.complete(make_prompt("p"), PARAMS)
-    short.complete(make_prompt("p"), PARAMS)
-    assert [kwargs["timeout"] for _, kwargs in session.calls] == [60.0, 2.5]
-
-
 def test_wrappers_forward_concurrency(tmp_path, oracle):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
     live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
@@ -276,5 +267,4 @@ def test_wrappers_forward_concurrency(tmp_path, oracle):
     assert bk.RecordingBackend(live, cache).max_concurrency == 6
     assert bk.ReplayBackend(cache, fallback=live).max_concurrency == 6
     assert bk.ReplayBackend(cache).max_concurrency == 1
-    assert oracle.max_concurrency == 1
     assert bk.RecordingBackend(oracle, cache).max_concurrency == 1
