@@ -79,6 +79,13 @@ def _params_json(params: CompletionParams) -> str:
     return json.dumps(params.to_dict(), sort_keys=True)
 
 
+# Each layer a question passes through (the memo, the cache wrappers, the
+# pipeline's transcript) asks for its digest. On the sequential path (oracle,
+# replay) they ask back to back, so two entries make it one sha256 per prompt
+# there. Under concurrent dispatch the layers of different questions
+# interleave and some digests are computed again, beside a network call. A
+# larger memo would keep more whole prompt texts alive for no sequential gain.
+@functools.lru_cache(maxsize=2)
 def transcript_digest(prompt_text: str, params: CompletionParams) -> str:
     """Cache key of a prompt text and its params; also what provenance records."""
     payload = prompt_text + "\x00" + _params_json(params)
@@ -103,7 +110,11 @@ class TranscriptCache:
         # file does not end with a complete line; the next append mends it.
         self._resume: tuple[int, bytes] | None = None
         if self.path.exists():
-            self._load()
+            try:
+                self._load()
+            except OSError as exc:
+                raise BackendError(
+                    f"cannot read transcript cache {self.path}: {exc.strerror}") from exc
 
     def _load(self) -> None:
         torn = None
@@ -136,7 +147,9 @@ class TranscriptCache:
     def _check_entry(self, entry: dict, number: int) -> None:
         try:
             params = CompletionParams.from_dict(entry["params"])
-            expected = transcript_digest(entry["prompt"], params)
+            # Uncached: each entry is hashed once, and a load must not churn
+            # the memo that in-run lookups share.
+            expected = transcript_digest.__wrapped__(entry["prompt"], params)
             digest, _ = entry["digest"], entry["completion"]
         except (KeyError, TypeError) as exc:
             raise CacheCorruptError(
@@ -329,6 +342,32 @@ class RecordingBackend:
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         completion = self.inner.complete(prompt, params)
         self.cache.record(prompt.text, params, completion)
+        return completion
+
+
+class SingleFlight:
+    """Ask ``inner`` once per distinct prompt text and params.
+
+    A repeat gets the stored completion; a failed call stores nothing, so
+    the next caller asks again. This is a plain memo: no caller has two
+    calls for one prompt in flight at once (``pipeline.extract`` asks
+    distinct prompts within a batch and finishes a batch before the next),
+    so a repeat never has to wait for a call still running.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self._done: dict[str, str] = {}
+
+    @property
+    def max_concurrency(self) -> int:
+        return getattr(self.inner, "max_concurrency", 1)
+
+    def complete(self, prompt: Prompt, params: CompletionParams) -> str:
+        digest = transcript_digest(prompt.text, params)
+        completion = self._done.get(digest)
+        if completion is None:
+            completion = self._done[digest] = self.inner.complete(prompt, params)
         return completion
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
 from .backend import (LiveBackend, OracleBackend, RecordingBackend,
@@ -183,15 +184,18 @@ def cmd_extract(args) -> int:
           f"{len(run.model.participants)} participants, "
           f"{len(run.model.follows)} follows, {len(run.model.performs)} performs "
           f"({run.counters['q1']} Q1 / {run.counters['q2']} Q2 / "
-          f"{run.counters['q3']} Q3 queries)")
+          f"{run.counters['q3']} Q3 queries, {run.unknown_q3} unknown Q3 answers)")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     entries = _load_entries(args.corpus)
     _, gold = _find_doc(entries, args.doc)
-    from pathlib import Path
-    model = WorldModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.model).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelError(f"cannot read world model {args.model}: {exc}") from exc
+    model = WorldModel.from_json(text)
     cfg = _match_config(args)
     kwargs = {"ex_model": model} if args.mode == evaluation.EX else {"gs_model": model}
     rows = evaluation.evaluate_document(gold, cfg=cfg, **kwargs)

@@ -138,16 +138,22 @@ def _parse_record(rec: dict) -> tuple[Document, GoldStandard]:
     return Document(doc_id, body), gs
 
 
-def load_corpus(path) -> list[tuple[Document, GoldStandard]]:
-    """Load and validate a canonical corpus file."""
+def _read_json(path, what: str):
+    """Parse the JSON file at ``path``, named ``what`` in errors."""
     path = Path(path)
     if not path.exists():
-        raise CorpusError(f"corpus file not found: {path}")
+        raise CorpusError(f"{what} not found: {path}")
     try:
-        records = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"corpus file {path} is not valid JSON: {exc}") from exc
-    return _parse_records(records)
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # also a UnicodeDecodeError
+        raise CorpusError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_corpus(path) -> list[tuple[Document, GoldStandard]]:
+    """Load and validate a canonical corpus file."""
+    return _parse_records(_read_json(path, "corpus file"))
 
 
 def _parse_records(records) -> list[tuple[Document, GoldStandard]]:
@@ -204,13 +210,7 @@ def import_raw(path) -> list[dict]:
 
     The directly-follows relation is derived by eliding non-activity nodes.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"raw annotation file not found: {path}")
-    try:
-        records = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"raw file {path} is not valid JSON: {exc}") from exc
+    records = _read_json(path, "raw annotation file")
     out = []
     for rec in records:
         try:

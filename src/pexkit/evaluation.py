@@ -38,7 +38,16 @@ class MatchConfig:
     @classmethod
     def with_aliases(cls, path, **kwargs) -> "MatchConfig":
         """Load the reviewed alias map from a JSON file."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise PexError(f"cannot read alias map {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # also a UnicodeDecodeError
+            raise PexError(f"alias map {path} is not valid JSON: {exc}") from exc
+        if not (isinstance(data, dict) and all(
+                isinstance(golds, list) and all(isinstance(g, str) for g in golds)
+                for golds in data.values())):
+            raise PexError(f"alias map {path} must map phrases to lists of gold phrases")
         return cls(aliases=data, **kwargs)
 
 

@@ -1,10 +1,12 @@
 """Drive extract + evaluate for all evaluation documents and settings."""
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
+from .backend import SingleFlight
 from .evaluation import MatchConfig
 
 
@@ -21,6 +23,11 @@ def run_suite(entries, settings, backend, outdir,
     """Extract every document under every setting (both activity sources),
     score the six report rows, and write models plus CSV/JSON reports.
 
+    Each distinct prompt is asked once per (document, setting): the gs run
+    reuses the ex run's answers wherever their questions agree. Prompts of
+    different jobs never coincide (each holds its document's text and its
+    setting's template), so the memo lives for one job only.
+
     Returns the report mapping setting -> doc_id -> row -> ElementScores.
     """
     docs = corpus.evaluation_documents(entries)
@@ -34,8 +41,9 @@ def run_suite(entries, settings, backend, outdir,
     for setting in settings:
         report[setting] = {}
         for doc, gold in docs:
+            memo = SingleFlight(backend)
             ex_run, gs_run = (
-                pipeline.extract(doc, setting, backend, gold=gold,
+                pipeline.extract(doc, setting, memo, gold=gold,
                                  activity_source=source, shots=shots)
                 for source in (pipeline.EXTRACTED, pipeline.GOLD_INJECTED))
             for run in (ex_run, gs_run):
@@ -44,7 +52,6 @@ def run_suite(entries, settings, backend, outdir,
             report[setting][doc.id] = evaluation.evaluate_document(
                 gold, ex_model=ex_run.model, gs_model=gs_run.model, cfg=cfg)
 
-    import json
     atomic_write(outdir / "report.csv",
                  evaluation.render_table(report, list(settings), "csv"))
     atomic_write(outdir / "report.json",

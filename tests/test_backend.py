@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -268,3 +269,40 @@ def test_wrappers_forward_concurrency(tmp_path, oracle):
     assert bk.ReplayBackend(cache, fallback=live).max_concurrency == 6
     assert bk.ReplayBackend(cache).max_concurrency == 1
     assert bk.RecordingBackend(oracle, cache).max_concurrency == 1
+    assert bk.SingleFlight(live).max_concurrency == 6
+    assert bk.SingleFlight(bk.RecordingBackend(live, cache)).max_concurrency == 6
+    assert bk.SingleFlight(oracle).max_concurrency == 1
+
+
+class CountingStub:
+    """Answers each prompt with its own text, counting the calls per text;
+    the first ``fail_first`` calls for a text fail."""
+
+    def __init__(self, fail_first=0):
+        self.calls = Counter()
+        self.fail_first = fail_first
+
+    def complete(self, prompt, params):
+        self.calls[prompt.text] += 1
+        if self.calls[prompt.text] <= self.fail_first:
+            raise BackendError("injected failure")
+        return "answer to " + prompt.text
+
+
+def test_single_flight_repeats_get_the_stored_completion():
+    inner = CountingStub()
+    memo = bk.SingleFlight(inner)
+    for text in ("a", "b", "a", "a", "b"):
+        assert memo.complete(make_prompt(text), PARAMS) == "answer to " + text
+    assert memo.complete(make_prompt("a"), bk.CompletionParams(max_tokens=8)) == "answer to a"
+    assert inner.calls == {"a": 2, "b": 1}
+
+
+def test_single_flight_does_not_store_a_failure():
+    inner = CountingStub(fail_first=1)
+    memo = bk.SingleFlight(inner)
+    with pytest.raises(BackendError, match="injected"):
+        memo.complete(make_prompt("p"), PARAMS)
+    assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
+    assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
+    assert inner.calls == {"p": 2}

@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from pexkit import cli
 from pexkit.corpus import SHOT_IDS
 
@@ -45,6 +47,7 @@ def test_extract_oracle_and_evaluate(tmp_path, capsys):
                            "--out", str(model_path), "--dot", str(dot_path))
     assert code == 0
     assert "4 activities" in out
+    assert "0 unknown Q3 answers" in out
     assert dot_path.read_text().count("->") > 0
 
     code, out, _ = run_cli(capsys, "evaluate", "--doc", "10.1",
@@ -77,6 +80,30 @@ def test_evaluate_rejects_out_of_range_model(tmp_path, capsys):
                            "--model", str(model_path))
     assert code == 2
     assert "index 5 out of range" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["evaluate", "--doc", "3.3", "--model", "{missing}"], 2),
+    (["run-suite", "--settings", "raw", "--outdir", "{out}", "--aliases", "{missing}"], 2),
+    (["run-suite", "--settings", "raw", "--outdir", "{out}", "--aliases", "{bad_json}"], 2),
+    (["run-suite", "--settings", "raw", "--outdir", "{out}", "--aliases", "{list_json}"], 2),
+    (["prompt", "--question", "q1", "--setting", "raw", "--doc", "1.2",
+      "--corpus", "{directory}"], 2),
+    (["run-suite", "--backend", "replay", "--cache", "{directory}", "--settings", "raw",
+      "--outdir", "{out}"], 3),
+], ids=["model-missing", "aliases-missing", "aliases-bad-json", "aliases-not-a-map",
+        "corpus-directory", "cache-directory"])
+def test_unreadable_input_file_exits_cleanly(tmp_path, capsys, argv, code):
+    (tmp_path / "bad.json").write_text('{"ships": [')
+    (tmp_path / "list.json").write_text('["ships"]')
+    (tmp_path / "dir").mkdir()
+    paths = {"missing": tmp_path / "missing.json", "bad_json": tmp_path / "bad.json",
+             "list_json": tmp_path / "list.json", "directory": tmp_path / "dir",
+             "out": tmp_path / "out"}
+    got, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert got == code
+    assert err.startswith("error:" if code == 2 else "backend error:")
+    assert "Traceback" not in err
 
 
 def test_run_suite_torn_cache_tail_is_skipped(tmp_path, capsys):

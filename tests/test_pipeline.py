@@ -223,6 +223,48 @@ def test_provenance_joins_the_transcript_cache(index, oracle, shots, tmp_path):
     assert all(cache.lookup(t["digest"]) for t in run.transcripts)
 
 
+class CountingOracle:
+    """The oracle, counting its calls and the distinct prompts it is asked."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.calls = 0
+        self.asked = set()
+
+    def complete(self, prompt, params):
+        self.calls += 1
+        self.asked.add((prompt.text, params))
+        return self.oracle.complete(prompt, params)
+
+
+@pytest.mark.parametrize("settings", [prompting.SETTINGS,
+                                      (prompting.RAW, prompting.DEFS_SHOTS2)])
+def test_run_suite_asks_each_distinct_prompt_once(entries, oracle, monkeypatch,
+                                                  tmp_path, settings):
+    """The gs run asks exactly the Q2/Q3 prompts of the ex run, so a suite
+    costs 1 + n^2 completions per (document, setting), not 1 + 2n^2."""
+    from pexkit import corpus
+    from pexkit.suite import run_suite
+
+    counters = []
+    extract = pipeline.extract
+
+    def counted_extract(*args, **kwargs):
+        run = extract(*args, **kwargs)
+        counters.append(run.counters)
+        return run
+
+    monkeypatch.setattr(pipeline, "extract", counted_extract)
+    inner = CountingOracle(oracle)
+    run_suite(entries, settings, inner, tmp_path)
+    sizes = [len(gold.activity_surfaces) for _, gold in corpus.evaluation_documents(entries)]
+    assert inner.calls == len(inner.asked) == len(settings) * sum(1 + n * n for n in sizes)
+    assert inner.calls == {4: 1468, 2: 734}[len(settings)]
+    asked = sum(sum(c.values()) for c in counters)
+    assert asked == len(settings) * sum(1 + 2 * n * n for n in sizes)
+    assert asked == {4: 2908, 2: 1454}[len(settings)]
+
+
 # -- concurrent dispatch ----------------------------------------------------
 
 
