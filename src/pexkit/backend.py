@@ -1,4 +1,4 @@
-"""Completion backends: live HTTP API, transcript replay, and gold oracle.
+"""Completion backends: live HTTP API, transcript cache, and gold oracle.
 
 All backends expose ``complete(prompt, params) -> str``. The transcript
 cache is a JSON-lines file keyed by a digest of prompt text + params, so a
@@ -79,7 +79,7 @@ def _params_json(params: CompletionParams) -> str:
     return json.dumps(params.to_dict(), sort_keys=True)
 
 
-# Each layer a question passes through (the memo, the cache wrappers, the
+# Each layer a question passes through (the memo, the cache backend, the
 # pipeline's transcript) asks for its digest. On the sequential path (oracle,
 # replay) they ask back to back, so two entries make it one sha256 per prompt
 # there. Under concurrent dispatch the layers of different questions
@@ -183,12 +183,16 @@ class TranscriptCache:
                 "completion": completion,
                 "recorded_at": datetime.now(timezone.utc).isoformat(),
             }
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with self.path.open("a+b") as handle:
+                    if self._resume is not None:
+                        self._mend(handle)
+                    handle.write((json.dumps(entry) + "\n").encode("utf-8"))
+            except OSError as exc:
+                raise BackendError(
+                    f"cannot write transcript cache {self.path}: {exc.strerror}") from exc
             self._entries[digest] = entry
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a+b") as handle:
-                if self._resume is not None:
-                    self._mend(handle)
-                handle.write((json.dumps(entry) + "\n").encode("utf-8"))
 
     def _mend(self, handle) -> None:
         """Make the file end with a complete line before the first append.
@@ -303,43 +307,31 @@ class LiveBackend:
         raise BackendError(f"completion retries exhausted: {last_error}")
 
 
-class ReplayBackend:
-    """Serve completions from a transcript cache; miss fails loudly."""
+class CachedBackend:
+    """Serve completions from a transcript cache.
 
-    def __init__(self, cache: TranscriptCache, fallback=None):
+    A hit makes no request. On a miss, ``inner`` is asked and its answer
+    recorded, so re-running an interrupted recording resumes it; with no
+    ``inner`` a miss raises ``CacheMissError``.
+    """
+
+    def __init__(self, cache: TranscriptCache, inner=None):
         self.cache = cache
-        self.fallback = fallback
-
-    @property
-    def max_concurrency(self) -> int:
-        return getattr(self.fallback, "max_concurrency", 1)
-
-    def complete(self, prompt: Prompt, params: CompletionParams) -> str:
-        digest = transcript_digest(prompt.text, params)
-        entry = self.cache.lookup(digest)
-        if entry is not None:
-            return entry["completion"]
-        if self.fallback is None:
-            raise CacheMissError(
-                f"transcript cache miss for digest {digest[:12]} "
-                f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
-        completion = self.fallback.complete(prompt, params)
-        self.cache.record(prompt.text, params, completion)
-        return completion
-
-
-class RecordingBackend:
-    """Write-through wrapper persisting every completion to a cache."""
-
-    def __init__(self, inner, cache: TranscriptCache):
         self.inner = inner
-        self.cache = cache
 
     @property
     def max_concurrency(self) -> int:
         return getattr(self.inner, "max_concurrency", 1)
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
+        digest = transcript_digest(prompt.text, params)
+        entry = self.cache.lookup(digest)
+        if entry is not None:
+            return entry["completion"]
+        if self.inner is None:
+            raise CacheMissError(
+                f"transcript cache miss for digest {digest[:12]} "
+                f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
         completion = self.inner.complete(prompt, params)
         self.cache.record(prompt.text, params, completion)
         return completion

@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
-from .backend import (LiveBackend, OracleBackend, RecordingBackend,
-                      ReplayBackend, TranscriptCache)
+from .backend import CachedBackend, LiveBackend, OracleBackend, TranscriptCache
 from .errors import BackendError, CorpusError, ModelError, PexError, PromptError
 from .evaluation import MatchConfig
 from .suite import atomic_write, run_suite
@@ -58,30 +57,26 @@ def _shots(entries, setting):
 
 def _match_config(args) -> MatchConfig:
     kwargs = {}
-    if getattr(args, "threshold", None) is not None:
+    if args.threshold is not None:
         kwargs["jaccard_threshold"] = args.threshold
-    if getattr(args, "aliases", None):
+    if args.aliases:
         return MatchConfig.with_aliases(args.aliases, **kwargs)
     return MatchConfig(**kwargs)
 
 
 def _make_backend(args, entries):
-    kind = args.backend
-    if kind == "oracle":
-        backend = OracleBackend(corpus.corpus_index(entries))
-    elif kind == "replay":
+    if args.backend == "replay":
         if not args.cache:
             raise UsageError("replay backend requires --cache")
-        fallback = None
-        if getattr(args, "allow_live_fallback", False):
-            fallback = LiveBackend(args.endpoint, args.model_name)
-        return ReplayBackend(TranscriptCache(args.cache), fallback=fallback)
-    elif kind == "live":
-        backend = LiveBackend(args.endpoint, args.model_name)
+        return CachedBackend(TranscriptCache(args.cache))
+    if args.record and not args.cache:
+        raise UsageError("--record requires --cache")
+    if args.backend == "oracle":
+        backend = OracleBackend(corpus.corpus_index(entries))
     else:
-        raise UsageError(f"unknown backend kind: {kind}")
-    if getattr(args, "cache", None) and getattr(args, "record", False):
-        backend = RecordingBackend(backend, TranscriptCache(args.cache))
+        backend = LiveBackend(args.endpoint, args.model_name)
+    if args.record:
+        backend = CachedBackend(TranscriptCache(args.cache), backend)
     return backend
 
 
@@ -90,9 +85,7 @@ def _add_backend_flags(parser):
                         choices=["oracle", "replay", "live"])
     parser.add_argument("--cache", help="transcript cache path (JSON lines)")
     parser.add_argument("--record", action="store_true",
-                        help="write completions through to the cache")
-    parser.add_argument("--allow-live-fallback", action="store_true",
-                        help="on replay cache miss, query the live backend")
+                        help="serve hits from --cache and record the misses")
     parser.add_argument("--endpoint", default="https://api.openai.com/v1",
                         help="live backend base URL")
     parser.add_argument("--model-name", default="davinci",

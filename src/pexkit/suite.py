@@ -3,19 +3,26 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
 from .backend import SingleFlight
+from .errors import PexError
 from .evaluation import MatchConfig
 
 
 def atomic_write(path, text: str) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        raise PexError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def run_suite(entries, settings, backend, outdir,

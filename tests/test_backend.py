@@ -124,42 +124,41 @@ def test_cache_corrupt_line_mid_file(tmp_path, bad):
         bk.TranscriptCache(path)
 
 
-def test_replay_hit_and_miss(tmp_path):
+def test_cached_backend_without_inner_replays(tmp_path):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
     prompt = make_prompt("the prompt")
     cache.record(prompt.text, PARAMS, "recorded")
-    replay = bk.ReplayBackend(cache)
+    replay = bk.CachedBackend(cache)
     assert replay.complete(prompt, PARAMS) == "recorded"
     assert replay.complete(prompt, PARAMS) == "recorded"
-    with pytest.raises(CacheMissError):
+    with pytest.raises(CacheMissError, match=r"doc 10\.1, q1, raw"):
         replay.complete(make_prompt("unseen"), PARAMS)
 
 
-def test_replay_fallback_records(tmp_path):
-    cache = bk.TranscriptCache(tmp_path / "c.jsonl")
+def test_cached_backend_reads_through(tmp_path):
+    """A recorded prompt makes no inner call; a miss makes one and is recorded."""
+    path = tmp_path / "c.jsonl"
+    cache = bk.TranscriptCache(path)
+    cache.record("recorded", PARAMS, "answer to recorded")
+    inner = CountingStub()
+    cached = bk.CachedBackend(cache, inner)
+    assert cached.complete(make_prompt("recorded"), PARAMS) == "answer to recorded"
+    assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
+    assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
+    assert inner.calls == {"unseen": 1}
+    # the miss is on disk: a replay without an inner backend serves it
+    replay = bk.CachedBackend(bk.TranscriptCache(path))
+    assert replay.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
+    assert len(path.read_text().splitlines()) == 2
 
-    class Stub:
-        def complete(self, prompt, params):
-            return "live answer"
 
-    replay = bk.ReplayBackend(cache, fallback=Stub())
-    prompt = make_prompt("unseen")
-    assert replay.complete(prompt, PARAMS) == "live answer"
-    # now cached: replay without fallback succeeds
-    assert bk.ReplayBackend(cache).complete(prompt, PARAMS) == "live answer"
-
-
-def test_recording_backend_write_through(tmp_path):
-    cache = bk.TranscriptCache(tmp_path / "c.jsonl")
-
-    class Stub:
-        def complete(self, prompt, params):
-            return "answer"
-
-    recording = bk.RecordingBackend(Stub(), cache)
-    prompt = make_prompt()
-    assert recording.complete(prompt, PARAMS) == "answer"
-    assert bk.ReplayBackend(cache).complete(prompt, PARAMS) == "answer"
+def test_cache_write_failure_is_a_backend_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache = bk.TranscriptCache(blocker / "c.jsonl")
+    with pytest.raises(BackendError, match="cannot write transcript cache"):
+        cache.record("p", PARAMS, "a")
+    assert cache.lookup(bk.transcript_digest("p", PARAMS)) is None
 
 
 def test_truncate_at_stop():
@@ -265,13 +264,11 @@ def test_wrappers_forward_concurrency(tmp_path, oracle):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
     live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
                           max_concurrency=6)
-    assert bk.RecordingBackend(live, cache).max_concurrency == 6
-    assert bk.ReplayBackend(cache, fallback=live).max_concurrency == 6
-    assert bk.ReplayBackend(cache).max_concurrency == 1
-    assert bk.RecordingBackend(oracle, cache).max_concurrency == 1
-    assert bk.SingleFlight(live).max_concurrency == 6
-    assert bk.SingleFlight(bk.RecordingBackend(live, cache)).max_concurrency == 6
-    assert bk.SingleFlight(oracle).max_concurrency == 1
+    assert bk.CachedBackend(cache).max_concurrency == 1
+    for wrapper in (bk.SingleFlight, lambda inner: bk.CachedBackend(cache, inner)):
+        assert wrapper(live).max_concurrency == 6
+        assert wrapper(oracle).max_concurrency == 1
+    assert bk.SingleFlight(bk.CachedBackend(cache, live)).max_concurrency == 6
 
 
 class CountingStub:

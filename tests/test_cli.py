@@ -141,6 +141,34 @@ def test_run_suite_replay_requires_cache(tmp_path, capsys):
                            "--outdir", str(tmp_path / "out"))
     assert code == 1
     assert "--cache" in err
+    code, _, err = run_cli(capsys, "extract", "--doc", "10.1", "--setting", "raw",
+                           "--backend", "oracle", "--record",
+                           "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    assert "--record requires --cache" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_unwritable_cache_exits_3(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code, _, err = run_cli(capsys, "extract", "--doc", "10.1", "--setting", "raw",
+                           "--backend", "oracle", "--record",
+                           "--cache", str(tmp_path / "file" / "c.jsonl"),
+                           "--out", str(tmp_path / "m.json"))
+    assert code == 3
+    assert err.startswith("backend error: cannot write transcript cache")
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, err = run_cli(capsys, "extract", "--doc", "10.1", "--setting", "raw",
+                           "--backend", "oracle", "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 def test_run_suite_oracle_single_setting(tmp_path, capsys):

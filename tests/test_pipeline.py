@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pexkit import pipeline, prompting
-from pexkit.backend import RecordingBackend, TranscriptCache
+from pexkit.backend import CachedBackend, TranscriptCache
 from pexkit.corpus import Document
 from pexkit.errors import BackendError
 from pexkit.pipeline import (EXTRACTED, GOLD_INJECTED, ExtractionAborted,
@@ -194,14 +194,12 @@ def test_gold_injected_requires_gold(index, oracle):
 
 def test_replay_pair_order_independence(index, oracle, tmp_path):
     """Permuting Q3 pair order does not change the follows set under replay."""
-    from pexkit.backend import RecordingBackend, ReplayBackend, TranscriptCache
-
     doc, gold = index["10.6"]
     cache_path = tmp_path / "c.jsonl"
-    recording = RecordingBackend(oracle, TranscriptCache(cache_path))
+    recording = CachedBackend(TranscriptCache(cache_path), oracle)
     first = pipeline.extract(doc, prompting.RAW, recording, gold=gold,
                              activity_source=GOLD_INJECTED)
-    replay = ReplayBackend(TranscriptCache(cache_path))
+    replay = CachedBackend(TranscriptCache(cache_path))
     second = pipeline.extract(doc, prompting.RAW, replay, gold=gold,
                               activity_source=GOLD_INJECTED)
     assert first.model.follows == second.model.follows == set(gold.follows)
@@ -209,12 +207,10 @@ def test_replay_pair_order_independence(index, oracle, tmp_path):
 
 def test_provenance_joins_the_transcript_cache(index, oracle, shots, tmp_path):
     """Every Q1/Q2/Q3 provenance digest is the key of its cache entry."""
-    from pexkit.backend import RecordingBackend, TranscriptCache
-
     doc, gold = index["10.1"]
     cache = TranscriptCache(tmp_path / "c.jsonl")
     run = pipeline.extract(doc, prompting.DEFS_SHOTS2,
-                           RecordingBackend(oracle, cache), gold=gold,
+                           CachedBackend(cache, oracle), gold=gold,
                            activity_source=EXTRACTED, shots=shots)
     provenance = list(run.model.provenance.values())
     assert {q for q, _ in provenance} == set(prompting.QUESTION_KINDS)
@@ -361,7 +357,7 @@ def test_concurrent_recording_keeps_every_entry(index, oracle, tmp_path):
         recorded = {}
         for width in (1, 8):
             path = tmp_path / f"w{width}.jsonl"
-            backend = RecordingBackend(JitteryBackend(oracle, width), TranscriptCache(path))
+            backend = CachedBackend(TranscriptCache(path), JitteryBackend(oracle, width))
             for doc_id in ("1.2", "1.3"):
                 doc, gold = index[doc_id]
                 pipeline.extract(doc, prompting.RAW, backend, gold=gold)
@@ -372,4 +368,20 @@ def test_concurrent_recording_keeps_every_entry(index, oracle, tmp_path):
         sys.setswitchinterval(switch)
     assert recorded[8] == recorded[1]
     assert len(recorded[1]) == 2 * 1 + 10 + 11 + 90 + 110
+    assert not dispatch_threads()
+
+
+def test_unwritable_cache_aborts_a_concurrent_extract(index, oracle, tmp_path):
+    """A cache write that fails on a dispatch worker thread stops the run
+    with ``ExtractionAborted``, like any other backend failure."""
+    (tmp_path / "file").write_text("")
+    cache = TranscriptCache(tmp_path / "file" / "c.jsonl")
+    doc, gold = index["1.3"]
+    backend = CachedBackend(cache, JitteryBackend(oracle, 4))
+    with pytest.raises(ExtractionAborted, match="cannot write transcript cache") as excinfo:
+        pipeline.extract(doc, prompting.RAW, backend, gold=gold,
+                         activity_source=GOLD_INJECTED)
+    assert excinfo.value.run.counters["q2"] == 0
+    assert backend.inner.threads and all(
+        name.startswith("pex-ask") for name in backend.inner.threads)
     assert not dispatch_threads()
