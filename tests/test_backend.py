@@ -135,8 +135,22 @@ def test_cached_backend_without_inner_replays(tmp_path):
         replay.complete(make_prompt("unseen"), PARAMS)
 
 
-def test_cached_backend_reads_through(tmp_path):
-    """A recorded prompt makes no inner call; a miss makes one and is recorded."""
+def test_replay_fallback_records(tmp_path):
+    """A miss is asked of the inner backend, recorded, and replays from a
+    fresh load of the cache without an inner backend."""
+    path = tmp_path / "c.jsonl"
+    inner = CountingStub()
+    cached = bk.CachedBackend(bk.TranscriptCache(path), inner)
+    assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
+    assert inner.calls == {"unseen": 1}
+    replay = bk.CachedBackend(bk.TranscriptCache(path))
+    assert replay.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
+    assert len(path.read_text().splitlines()) == 1
+
+
+def test_recording_backend_write_through(tmp_path):
+    """A recorded prompt makes no inner call; a miss makes one, and a repeat
+    of it is served from the cache."""
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
     cache.record("recorded", PARAMS, "answer to recorded")
@@ -146,9 +160,6 @@ def test_cached_backend_reads_through(tmp_path):
     assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
     assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
     assert inner.calls == {"unseen": 1}
-    # the miss is on disk: a replay without an inner backend serves it
-    replay = bk.CachedBackend(bk.TranscriptCache(path))
-    assert replay.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
     assert len(path.read_text().splitlines()) == 2
 
 
