@@ -3,6 +3,10 @@
 All backends expose ``complete(prompt, params) -> str``. The transcript
 cache is a JSON-lines file keyed by a digest of prompt text + params, so a
 recorded run can be replayed byte-identically.
+
+The live backend speaks HTTP through the standard library's ``http.client``,
+imported only when one is built, so commands that send no request do not
+load an HTTP client at all.
 """
 from __future__ import annotations
 
@@ -11,13 +15,13 @@ import hashlib
 import json
 import logging
 import os
+import queue
 import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 from . import worldmodel
 from .corpus import Document, GoldStandard
@@ -229,41 +233,115 @@ def _retry_after(resp, default: float) -> float:
         return default
 
 
-class LiveBackend:
-    """Completions-style HTTP API client with retry/backoff and rate limiting.
+@dataclass(frozen=True)
+class _Response:
+    """An HTTP response read in full: what ``LiveBackend`` reads of one."""
+    status_code: int
+    headers: object  # an http.client.HTTPMessage
+    body: bytes
 
-    ``max_concurrency`` caps the requests in flight at once; callers that can
-    ask independent questions together (``pipeline.extract``) send that many.
+    def json(self):
+        return json.loads(self.body)
+
+
+def _json_body(obj) -> bytes:
+    # At module level, where ``json`` is the module and not ``post``'s argument.
+    return json.dumps(obj).encode("utf-8")
+
+
+class _ConnectionPool:
+    """``LiveBackend``'s session: ``post`` over at most ``size`` keep-alive
+    connections to one host, each idle one serving whichever thread posts next.
+
+    Proxy variables are not read; TLS is verified against the system trust
+    store (``ssl.create_default_context``).
+    """
+
+    def __init__(self, scheme: str, host: str, port: int | None, size: int):
+        import http.client  # here, so that other backends never load it
+        if scheme == "https":
+            import ssl
+            kind, options = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
+        else:
+            kind, options = http.client.HTTPConnection, {}
+        # An explicit port: http.client would take the end of an IPv6 host for one.
+        self._connections = [kind(host, port or kind.default_port, **options)
+                             for _ in range(size)]
+        self._idle = queue.LifoQueue()
+        for conn in self._connections:
+            self._idle.put(conn)
+
+    def post(self, url: str, json, headers: dict, timeout: float) -> _Response:
+        target = urlsplit(url).path
+        body = _json_body(json)
+        headers = {"Content-Type": "application/json", **headers}
+        conn = self._idle.get()
+        try:
+            conn.timeout = timeout
+            if conn.sock is not None:  # open since an earlier request
+                conn.sock.settimeout(timeout)
+                try:
+                    return self._exchange(conn, target, body, headers)
+                except (BrokenPipeError, ConnectionResetError):
+                    # The server closed it while it sat idle, before answering
+                    # (RemoteDisconnected is a ConnectionResetError): send again
+                    # at once on a fresh connection.
+                    conn.close()
+            return self._exchange(conn, target, body, headers)
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            self._idle.put(conn)
+
+    @staticmethod
+    def _exchange(conn, target: str, body: bytes, headers: dict) -> _Response:
+        conn.request("POST", target, body, headers)
+        resp = conn.getresponse()
+        return _Response(resp.status, resp.headers, resp.read())
+
+    def close(self) -> None:
+        """Close every connection; a later ``post`` opens a fresh one."""
+        for conn in self._connections:
+            conn.close()
+
+
+class LiveBackend:
+    """Completions-style HTTP API client with retry and backoff.
+
+    ``max_concurrency`` caps the calls in flight at once; callers that can
+    ask independent questions together (``pipeline.extract``) send that many,
+    over as many keep-alive connections. ``session`` replaces the connections
+    with any object whose ``post(url, json=, headers=, timeout=)`` returns a
+    response with ``status_code``, ``headers.get`` and ``json()``.
     """
 
     def __init__(self, base_url: str, model: str, api_key: str | None = None,
-                 max_retries: int = 5, backoff: float = 1.0,
-                 min_interval: float = 0.0, max_concurrency: int = 4,
+                 max_retries: int = 5, backoff: float = 1.0, max_concurrency: int = 4,
                  session=None):
         if max_concurrency < 1:
             raise BackendError(f"max_concurrency must be >= 1, got {max_concurrency}")
         self.base_url = base_url.rstrip("/")
+        import http.client  # here, so that other backends never load it
+        self._transport_errors = (OSError, http.client.HTTPException)
+        try:
+            endpoint = urlsplit(self.base_url)
+            if endpoint.scheme not in ("http", "https") or not endpoint.hostname:
+                raise ValueError("not an http:// or https:// URL")
+            if session is None:
+                session = _ConnectionPool(endpoint.scheme, endpoint.hostname,
+                                          endpoint.port, max_concurrency)
+        except (ValueError, http.client.InvalidURL) as exc:  # also a bad port or host
+            raise BackendError(f"bad live endpoint {base_url!r}: {exc}") from exc
+        self._session = session
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not self.api_key:
             raise BackendError(f"live backend requires an API key ({API_KEY_ENV})")
         self.max_retries = max_retries
         self.backoff = backoff
-        self.min_interval = min_interval
         self.max_concurrency = max_concurrency
-        self._session = session or requests.Session()
         self._sem = threading.Semaphore(max_concurrency)
-        self._rate_lock = threading.Lock()
-        self._last_request = 0.0
-
-    def _throttle(self) -> None:
-        if self.min_interval <= 0:
-            return
-        with self._rate_lock:
-            wait = self._last_request + self.min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         if not prompt.text:
@@ -284,12 +362,11 @@ class LiveBackend:
                 time.sleep(min(wait, MAX_RETRY_WAIT))
             wait = self.backoff * 2 ** attempt
             with self._sem:
-                self._throttle()
                 try:
                     resp = self._session.post(f"{self.base_url}/completions",
                                               json=payload, headers=headers,
                                               timeout=REQUEST_TIMEOUT)
-                except requests.RequestException as exc:
+                except self._transport_errors as exc:
                     last_error = f"transport failure: {exc}"
                     continue
             if resp.status_code == 429:
@@ -368,32 +445,36 @@ class OracleBackend:
 
     def __init__(self, entries: dict[str, tuple[Document, GoldStandard]]):
         self._entries = entries
+        # doc id -> normalized activity surface -> activity index; reversed,
+        # so that the first of two surfaces with one key wins.
+        self._activity_keys = {
+            doc_id: {worldmodel.normalize_key(surface): i for i, surface
+                     in reversed(list(enumerate(gold.activity_surfaces)))}
+            for doc_id, (_, gold) in entries.items()}
 
     def _gold(self, doc_id: str) -> GoldStandard:
         if doc_id not in self._entries:
             raise BackendError(f"oracle has no gold standard for document {doc_id}")
         return self._entries[doc_id][1]
 
-    def _activity_index(self, gold: GoldStandard, phrase: str) -> int:
-        key = worldmodel.normalize_key(phrase)
-        for i, surface in enumerate(gold.activity_surfaces):
-            if worldmodel.normalize_key(surface) == key:
-                return i
-        raise BackendError(
-            f"oracle for {gold.doc_id} knows no activity {phrase!r}")
+    def _activity_index(self, doc_id: str, phrase: str) -> int:
+        index = self._activity_keys[doc_id].get(worldmodel.normalize_key(phrase))
+        if index is None:
+            raise BackendError(f"oracle for {doc_id} knows no activity {phrase!r}")
+        return index
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         gold = self._gold(prompt.doc_id)
         if prompt.question == Q1:
             return "\n".join(gold.activity_surfaces)
         if prompt.question == Q2:
-            idx = self._activity_index(gold, prompt.x)
+            idx = self._activity_index(prompt.doc_id, prompt.x)
             performers = [gold.participants[p] for p, a in sorted(gold.performs)
                           if a == idx]
             return " and ".join(performers)
         if prompt.question == Q3:
-            x = self._activity_index(gold, prompt.x)
-            y = self._activity_index(gold, prompt.y)
+            x = self._activity_index(prompt.doc_id, prompt.x)
+            y = self._activity_index(prompt.doc_id, prompt.y)
             # "does X immediately follow Y" asks for the gold edge Y -> X
             return "Yes" if (y, x) in gold.follows else "No"
         raise BackendError(f"unknown question kind: {prompt.question}")

@@ -71,6 +71,8 @@ def _make_backend(args, entries):
         return CachedBackend(TranscriptCache(args.cache))
     if args.record and not args.cache:
         raise UsageError("--record requires --cache")
+    if args.cache and not args.record:
+        raise UsageError(f"--cache with the {args.backend} backend requires --record")
     if args.backend == "oracle":
         backend = OracleBackend(corpus.corpus_index(entries))
     else:

@@ -30,10 +30,6 @@ class Document:
     id: str
     body: str
 
-    @property
-    def word_count(self) -> int:
-        return len(self.body.split())
-
 
 @dataclass(frozen=True)
 class ActivityPhrase:

@@ -69,9 +69,14 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
 def match_phrase(extracted: str, gold: str,
                  cfg: MatchConfig = MatchConfig()) -> tuple[bool, float]:
     """Semantic match verdict and score for one extracted/gold phrase pair."""
+    return _judge(extracted, gold, normalize(extracted, cfg), normalize(gold, cfg), cfg)
+
+
+def _judge(extracted: str, gold: str, ea: frozenset, ga: frozenset,
+           cfg: MatchConfig) -> tuple[bool, float]:
+    """``match_phrase``'s verdict, given both phrases' normalized token sets."""
     if gold in cfg.aliases.get(extracted, ()):
         return True, 1.0
-    ea, ga = normalize(extracted, cfg), normalize(gold, cfg)
     score = _jaccard(ea, ga)
     if ea and ga and (ea <= ga or ga <= ea):
         return True, score
@@ -80,11 +85,17 @@ def match_phrase(extracted: str, gold: str,
 
 def align(extracted: list, gold: list,
           cfg: MatchConfig = MatchConfig()) -> dict[int, int]:
-    """Greedy highest-score-first one-to-one pairing, extracted index -> gold index."""
+    """Greedy highest-score-first one-to-one pairing, extracted index -> gold index.
+
+    Each pair is judged as ``match_phrase`` judges it; each phrase is
+    normalized once.
+    """
+    extracted_tokens = [normalize(e, cfg) for e in extracted]
     candidates = []
     for gi, g in enumerate(gold):
+        ga = normalize(g, cfg)
         for ei, e in enumerate(extracted):
-            matched, score = match_phrase(e, g, cfg)
+            matched, score = _judge(e, g, extracted_tokens[ei], ga, cfg)
             if matched:
                 candidates.append((-score, gi, ei))
     candidates.sort()

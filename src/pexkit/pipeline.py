@@ -133,7 +133,6 @@ def _in_order(call, items, width: int):
 def extract(doc: Document, setting: str, backend,
             gold: GoldStandard | None = None,
             activity_source: str = EXTRACTED,
-            params_by_question: dict | None = None,
             shots: list | None = None) -> ExtractionRun:
     """Run the full question dialogue for one document and setting.
 
@@ -146,7 +145,6 @@ def extract(doc: Document, setting: str, backend,
         raise ValueError(f"unknown activity source: {activity_source}")
     if activity_source == GOLD_INJECTED and gold is None:
         raise ValueError("gold-injected extraction requires a gold standard")
-    params_by_question = params_by_question or {}
     width = getattr(backend, "max_concurrency", 1)
 
     run = ExtractionRun(doc.id, setting, activity_source, WorldModel(doc.id))
@@ -155,7 +153,7 @@ def extract(doc: Document, setting: str, backend,
     def ask(question: str, bindings: list):
         """Ask ``question`` for each (x, y) binding; yield (completion, digest)
         in binding order."""
-        params = params_by_question.get(question) or backend_mod.default_params(question)
+        params = backend_mod.default_params(question)
         prompts = (prompting.render(question, setting, doc, x=x, y=y, shots=shots)
                    for x, y in bindings)
         answers = _in_order(lambda prompt: backend.complete(prompt, params),

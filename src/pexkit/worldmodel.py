@@ -121,13 +121,6 @@ class WorldModel:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def export(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "dot":
-            return self.to_dot()
-        raise ModelError(f"unknown export format: {fmt}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WorldModel):
             return NotImplemented

@@ -1,5 +1,9 @@
+import http.server
 import json
+import socket
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -269,6 +273,116 @@ def test_live_backend_honours_retry_after(monkeypatch):
     # numeric 429 header; capped at the 30 s ceiling; 5xx and an HTTP date
     # fall back to exponential backoff (1 * 2**2, 1 * 2**3)
     assert sleeps == [7, 30.0, 4.0, 8.0]
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://x", "localhost:8080/v1", "http:///v1",
+                                      "http://x:port/v1", "http://[::1/v1",
+                                      "http://two words/v1"])
+def test_live_backend_rejects_a_non_http_endpoint(endpoint):
+    with pytest.raises(BackendError, match="endpoint"):
+        bk.LiveBackend(endpoint, "engine", api_key="k")
+
+
+class EchoHandler(http.server.BaseHTTPRequestHandler):
+    """Answers a completion request with ``re: <prompt>``, over HTTP/1.1."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        # Headers and body go out in two writes; without it the body waits
+        # for the client's delayed ACK of the headers.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = json.dumps({"choices": [{"text": "re: " + payload["prompt"]}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.server.peers.add(self.client_address)
+        # Close without saying so: the client finds out on its next request.
+        self.close_connection = self.server.close_after_response
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def loopback():
+    """Start an echo server on a free loopback port; ``peers`` collects the
+    client address of each connection a request came on."""
+    servers = []
+
+    def start(close_after_response=False):
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), EchoHandler)
+        server.peers = set()
+        server.close_after_response = close_after_response
+        server.url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def ask_all(live, texts, width):
+    with ThreadPoolExecutor(width) as pool:
+        return list(pool.map(lambda t: live.complete(make_prompt(t), PARAMS), texts))
+
+
+def test_live_backend_reuses_keep_alive_connections(loopback):
+    server = loopback()
+    live = bk.LiveBackend(server.url, "engine", api_key="k", max_concurrency=4)
+    try:
+        texts = [f"s{i}" for i in range(5)]
+        assert [live.complete(make_prompt(t), PARAMS) for t in texts] == \
+            ["re: " + t for t in texts]
+        assert len(server.peers) == 1
+        # each batch on a new executor, as pipeline.extract sends them
+        for batch in ("a", "b"):
+            texts = [f"{batch}{i}" for i in range(8)]
+            assert ask_all(live, texts, 4) == ["re: " + t for t in texts]
+        assert len(server.peers) <= 4
+    finally:
+        live._session.close()
+
+
+def test_live_backend_resends_at_once_on_a_connection_closed_while_idle(loopback,
+                                                                         monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(bk.time, "sleep", sleeps.append)
+    server = loopback(close_after_response=True)
+    # one attempt only: the resend on a fresh connection is not a retry
+    live = bk.LiveBackend(server.url, "engine", api_key="k", max_retries=1,
+                          max_concurrency=2)
+    try:
+        texts = [f"s{i}" for i in range(4)]
+        assert [live.complete(make_prompt(t), PARAMS) for t in texts] == \
+            ["re: " + t for t in texts]
+        assert ask_all(live, ["a", "b", "c", "d"], 2) == ["re: a", "re: b", "re: c", "re: d"]
+        assert len(server.peers) == 8
+        assert sleeps == []
+    finally:
+        live._session.close()
+
+
+def test_live_backend_refused_connection_is_a_transport_failure():
+    with socket.socket() as unlistened:  # bound, so no other server takes the port
+        unlistened.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{unlistened.getsockname()[1]}/v1"
+        live = bk.LiveBackend(url, "engine", api_key="k", max_retries=2, backoff=0.0)
+        with pytest.raises(BackendError,
+                           match="completion retries exhausted: transport failure"):
+            live.complete(make_prompt("p"), PARAMS)
 
 
 def test_wrappers_forward_concurrency(tmp_path, oracle):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,23 @@ def test_run_suite_replay_requires_cache(tmp_path, capsys):
     assert code == 1
     assert "--record requires --cache" in err
     assert not (tmp_path / "m.json").exists()
+    for kind in ("oracle", "live"):
+        code, _, err = run_cli(capsys, "extract", "--doc", "10.1", "--setting", "raw",
+                               "--backend", kind, "--cache", str(tmp_path / "c.jsonl"),
+                               "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert f"--cache with the {kind} backend requires --record" in err
+        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_cli_import_loads_no_http_client():
+    src = Path(cli.__file__).parents[1]
+    probe = ("import pexkit.cli, sys; "
+             "print(sorted({'requests', 'urllib3', 'http.client'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
 
 
 def test_unwritable_cache_exits_3(tmp_path, capsys):

@@ -103,11 +103,6 @@ def test_export_deterministic():
     assert a.to_dot() == b.to_dot()
 
 
-def test_unknown_export_format():
-    with pytest.raises(ModelError):
-        WorldModel("t").export("bpmn")
-
-
 phrases = st.text(
     alphabet=st.characters(whitelist_categories=["Ll", "Lu", "Zs"]),
     min_size=1).filter(lambda s: s.strip())
