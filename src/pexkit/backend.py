@@ -39,6 +39,11 @@ MAX_RETRY_WAIT = 30.0
 # Seconds one live request may take before it counts as a transport failure.
 REQUEST_TIMEOUT = 60.0
 
+# Attempts one live request gets; the wait after the first failed one, in
+# seconds, which doubles after each further failure.
+MAX_ATTEMPTS = 5
+BACKOFF = 1.0
+
 DEFAULT_STOP = ("\n\n", "Q:")
 
 # Reproducible-run defaults: greedy sampling, answer-shaped token budgets.
@@ -225,163 +230,139 @@ def truncate_at_stop(text: str, stop: tuple[str, ...]) -> str:
     return text
 
 
-def _retry_after(resp, default: float) -> float:
+def _retry_after(headers, default: float) -> float:
     """Seconds a 429 response's numeric ``Retry-After`` asks for, else ``default``."""
     try:
-        return max(0, int(resp.headers.get("Retry-After", "")))
+        return max(0, int(headers.get("Retry-After", "")))
     except ValueError:
         return default
 
 
-@dataclass(frozen=True)
-class _Response:
-    """An HTTP response read in full: what ``LiveBackend`` reads of one."""
-    status_code: int
-    headers: object  # an http.client.HTTPMessage
-    body: bytes
-
-    def json(self):
-        return json.loads(self.body)
-
-
-def _json_body(obj) -> bytes:
-    # At module level, where ``json`` is the module and not ``post``'s argument.
-    return json.dumps(obj).encode("utf-8")
-
-
-class _ConnectionPool:
-    """``LiveBackend``'s session: ``post`` over at most ``size`` keep-alive
-    connections to one host, each idle one serving whichever thread posts next.
-
-    Proxy variables are not read; TLS is verified against the system trust
-    store (``ssl.create_default_context``).
-    """
-
-    def __init__(self, scheme: str, host: str, port: int | None, size: int):
-        import http.client  # here, so that other backends never load it
-        if scheme == "https":
-            import ssl
-            kind, options = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
-        else:
-            kind, options = http.client.HTTPConnection, {}
-        # An explicit port: http.client would take the end of an IPv6 host for one.
-        self._connections = [kind(host, port or kind.default_port, **options)
-                             for _ in range(size)]
-        self._idle = queue.LifoQueue()
-        for conn in self._connections:
-            self._idle.put(conn)
-
-    def post(self, url: str, json, headers: dict, timeout: float) -> _Response:
-        target = urlsplit(url).path
-        body = _json_body(json)
-        headers = {"Content-Type": "application/json", **headers}
-        conn = self._idle.get()
-        try:
-            conn.timeout = timeout
-            if conn.sock is not None:  # open since an earlier request
-                conn.sock.settimeout(timeout)
-                try:
-                    return self._exchange(conn, target, body, headers)
-                except (BrokenPipeError, ConnectionResetError):
-                    # The server closed it while it sat idle, before answering
-                    # (RemoteDisconnected is a ConnectionResetError): send again
-                    # at once on a fresh connection.
-                    conn.close()
-            return self._exchange(conn, target, body, headers)
-        except BaseException:
-            conn.close()
-            raise
-        finally:
-            self._idle.put(conn)
-
-    @staticmethod
-    def _exchange(conn, target: str, body: bytes, headers: dict) -> _Response:
-        conn.request("POST", target, body, headers)
-        resp = conn.getresponse()
-        return _Response(resp.status, resp.headers, resp.read())
-
-    def close(self) -> None:
-        """Close every connection; a later ``post`` opens a fresh one."""
-        for conn in self._connections:
-            conn.close()
+def _cannot_heal(exc: OSError) -> bool:
+    """Whether a transport failure would recur however long one waits: a host
+    name that does not resolve, other than a "try again", or a certificate
+    that does not verify."""
+    import socket  # both loaded with http.client already
+    import ssl
+    if isinstance(exc, socket.gaierror):
+        return exc.errno != socket.EAI_AGAIN
+    return isinstance(exc, ssl.SSLCertVerificationError)
 
 
 class LiveBackend:
     """Completions-style HTTP API client with retry and backoff.
 
-    ``max_concurrency`` caps the calls in flight at once; callers that can
-    ask independent questions together (``pipeline.extract``) send that many,
-    over as many keep-alive connections. ``session`` replaces the connections
-    with any object whose ``post(url, json=, headers=, timeout=)`` returns a
-    response with ``status_code``, ``headers.get`` and ``json()``.
+    It holds ``max_concurrency`` keep-alive connections to the endpoint's
+    host, each idle one serving whichever thread asks next, so that at most
+    that many calls are in flight at once; callers that can ask independent
+    questions together (``pipeline.extract``) send that many. The API key is
+    read from ``PEX_API_KEY``. Proxy variables are not read; TLS is verified
+    against the system trust store (``ssl.create_default_context``).
     """
 
-    def __init__(self, base_url: str, model: str, api_key: str | None = None,
-                 max_retries: int = 5, backoff: float = 1.0, max_concurrency: int = 4,
-                 session=None):
+    def __init__(self, base_url: str, model: str, max_concurrency: int = 4):
         if max_concurrency < 1:
             raise BackendError(f"max_concurrency must be >= 1, got {max_concurrency}")
-        self.base_url = base_url.rstrip("/")
         import http.client  # here, so that other backends never load it
         self._transport_errors = (OSError, http.client.HTTPException)
         try:
-            endpoint = urlsplit(self.base_url)
+            endpoint = urlsplit(base_url.rstrip("/"))
             if endpoint.scheme not in ("http", "https") or not endpoint.hostname:
                 raise ValueError("not an http:// or https:// URL")
-            if session is None:
-                session = _ConnectionPool(endpoint.scheme, endpoint.hostname,
-                                          endpoint.port, max_concurrency)
+            if endpoint.scheme == "https":
+                import ssl
+                kind, options = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
+            else:
+                kind, options = http.client.HTTPConnection, {}
+            # An explicit port: http.client would take the end of an IPv6 host for one.
+            connections = [kind(endpoint.hostname, endpoint.port or kind.default_port,
+                                timeout=REQUEST_TIMEOUT, **options)
+                           for _ in range(max_concurrency)]
         except (ValueError, http.client.InvalidURL) as exc:  # also a bad port or host
             raise BackendError(f"bad live endpoint {base_url!r}: {exc}") from exc
-        self._session = session
+        self._path = endpoint.path + "/completions"
+        self._connections = connections
+        self._idle = queue.LifoQueue()
+        for conn in connections:
+            self._idle.put(conn)
         self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        if not self.api_key:
+        api_key = os.environ.get(API_KEY_ENV)
+        if not api_key:
             raise BackendError(f"live backend requires an API key ({API_KEY_ENV})")
-        self.max_retries = max_retries
-        self.backoff = backoff
+        self._headers = {"Content-Type": "application/json",
+                         "Authorization": f"Bearer {api_key}"}
         self.max_concurrency = max_concurrency
-        self._sem = threading.Semaphore(max_concurrency)
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         if not prompt.text:
             raise BackendError("empty prompt")
-        payload = {
+        body = json.dumps({
             "model": self.model,
             "prompt": prompt.text,
             "temperature": params.temperature,
             "top_p": params.nucleus,
             "max_tokens": params.max_tokens,
             "stop": list(params.stop),
-        }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+        }).encode("utf-8")
         last_error = None
         wait = 0.0
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 time.sleep(min(wait, MAX_RETRY_WAIT))
-            wait = self.backoff * 2 ** attempt
-            with self._sem:
-                try:
-                    resp = self._session.post(f"{self.base_url}/completions",
-                                              json=payload, headers=headers,
-                                              timeout=REQUEST_TIMEOUT)
-                except self._transport_errors as exc:
-                    last_error = f"transport failure: {exc}"
-                    continue
-            if resp.status_code == 429:
-                wait = _retry_after(resp, wait)
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
-                continue
-            if resp.status_code != 200:
-                raise BackendError(f"completion request failed: HTTP {resp.status_code}")
+            wait = BACKOFF * 2 ** attempt
             try:
-                text = resp.json()["choices"][0]["text"]
-            except (ValueError, KeyError, IndexError) as exc:
+                status, headers, data = self._post(body)
+            except self._transport_errors as exc:
+                if _cannot_heal(exc):
+                    raise BackendError(
+                        f"completion request failed: transport failure: {exc}") from exc
+                last_error = f"transport failure: {exc}"
+                continue
+            if status == 429:
+                wait = _retry_after(headers, wait)
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
+                continue
+            if status != 200:
+                raise BackendError(f"completion request failed: HTTP {status}")
+            try:
+                text = json.loads(data)["choices"][0]["text"]
+                if not isinstance(text, str):
+                    raise TypeError(f"text is {text!r}")
+            except (ValueError, LookupError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
             return truncate_at_stop(text, params.stop)
         raise BackendError(f"completion retries exhausted: {last_error}")
+
+    def _post(self, body: bytes):
+        """Send ``body`` on an idle connection, waiting for one if all are in
+        use; the answer's status, headers and body."""
+        conn = self._idle.get()
+        try:
+            if conn.sock is not None:  # open since an earlier request
+                try:
+                    return self._exchange(conn, body)
+                except (BrokenPipeError, ConnectionResetError):
+                    # The server closed it while it sat idle, before answering
+                    # (RemoteDisconnected is a ConnectionResetError): send again
+                    # at once on a fresh connection.
+                    conn.close()
+            return self._exchange(conn, body)
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            self._idle.put(conn)
+
+    def _exchange(self, conn, body: bytes):
+        conn.request("POST", self._path, body, self._headers)
+        resp = conn.getresponse()
+        return resp.status, resp.headers, resp.read()
+
+    def close(self) -> None:
+        """Close every connection; a later call opens a fresh one."""
+        for conn in self._connections:
+            conn.close()
 
 
 class CachedBackend:

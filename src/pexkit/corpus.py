@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import CorpusError
+from .errors import CorpusError, ModelError
+from .worldmodel import index_pairs
 
 EVALUATION_IDS = ("1.2", "1.3", "3.3", "5.2", "10.1", "10.6", "10.13")
 SHOT_IDS = ("2.2", "10.9")
@@ -50,23 +51,19 @@ class GoldStandard:
         return [a.surface for a in self.activities]
 
     def validate(self) -> None:
-        na, np_ = len(self.activities), len(self.participants)
         for a in self.activities:
             if not a.surface:
                 raise CorpusError(f"document {self.doc_id}: empty activity surface")
         for p in self.participants:
             if not p:
                 raise CorpusError(f"document {self.doc_id}: empty participant phrase")
-        for p, a in self.performs:
-            if not (0 <= p < np_ and 0 <= a < na):
-                raise CorpusError(
-                    f"document {self.doc_id}: performs pair ({p}, {a}) references "
-                    f"an undeclared element")
+        na, np_ = len(self.activities), len(self.participants)
+        try:
+            index_pairs(self.performs, "performs", ("participant", np_), ("activity", na))
+            index_pairs(self.follows, "follows", ("activity", na), ("activity", na))
+        except ModelError as exc:
+            raise CorpusError(f"document {self.doc_id}: {exc}") from exc
         for src, dst in self.follows:
-            if not (0 <= src < na and 0 <= dst < na):
-                raise CorpusError(
-                    f"document {self.doc_id}: follows pair ({src}, {dst}) references "
-                    f"an undeclared activity")
             if src == dst:
                 raise CorpusError(
                     f"document {self.doc_id}: follows pair ({src}, {dst}) is reflexive")
@@ -123,10 +120,13 @@ def _parse_record(rec: dict) -> tuple[Document, GoldStandard]:
         activities = tuple(
             ActivityPhrase(a["surface"], a["index"]) for a in gold["activities"])
         participants = tuple(gold["participants"])
-        performs = frozenset((p, a) for p, a in gold["performs"])
-        follows = frozenset((s, d) for s, d in gold["follows"])
+        performs = frozenset(map(tuple, gold["performs"]))
+        follows = frozenset(map(tuple, gold["follows"]))
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"malformed corpus record: {exc}") from exc
+    for text in (doc_id, body, *participants, *(a.surface for a in activities)):
+        if not isinstance(text, str):
+            raise CorpusError(f"malformed corpus record: {text!r} is not a string")
     if not body:
         raise CorpusError(f"document {doc_id}: empty body")
     gs = GoldStandard(doc_id, activities, participants, performs, follows)
@@ -207,6 +207,8 @@ def import_raw(path) -> list[dict]:
     The directly-follows relation is derived by eliding non-activity nodes.
     """
     records = _read_json(path, "raw annotation file")
+    if not isinstance(records, list):
+        raise CorpusError("raw annotation file must hold a JSON list of records")
     out = []
     for rec in records:
         try:
@@ -214,16 +216,15 @@ def import_raw(path) -> list[dict]:
             kinds = {n["id"]: n["kind"] for n in graph_spec["nodes"]}
             act_index = {n["id"]: n["activity"] for n in graph_spec["nodes"]
                          if n["kind"] == "activity"}
-            edges = tuple((s, d) for s, d in graph_spec["edges"])
-        except (KeyError, TypeError) as exc:
+            graph = RawBehaviorGraph(kinds, tuple((s, d) for s, d in graph_spec["edges"]))
+            follows = sorted((act_index[a], act_index[b]) for a, b in derive_follows(graph))
+            canonical = {
+                "id": rec["id"],
+                "body": rec["body"],
+                "gold": {**rec["gold"], "follows": [list(p) for p in follows]},
+            }
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"malformed raw record: {exc}") from exc
-        graph = RawBehaviorGraph(kinds, edges)
-        follows = sorted((act_index[a], act_index[b]) for a, b in derive_follows(graph))
-        canonical = {
-            "id": rec["id"],
-            "body": rec["body"],
-            "gold": {**rec["gold"], "follows": [list(p) for p in follows]},
-        }
         _parse_record(canonical)  # validate before emitting
         out.append(canonical)
     return out

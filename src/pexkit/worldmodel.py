@@ -85,12 +85,12 @@ class WorldModel:
             model.activities = list(data["activities"])
             model.participants = list(data["participants"])
             n_activities, n_participants = len(model.activities), len(model.participants)
-            model.performs = _index_pairs(data["performs"], "performs",
-                                          ("participant", n_participants),
-                                          ("activity", n_activities))
-            model.follows = _index_pairs(data["follows"], "follows",
-                                         ("activity", n_activities),
+            model.performs = index_pairs(data["performs"], "performs",
+                                         ("participant", n_participants),
                                          ("activity", n_activities))
+            model.follows = index_pairs(data["follows"], "follows",
+                                        ("activity", n_activities),
+                                        ("activity", n_activities))
             model.provenance = {k: tuple(v) for k, v in data["provenance"].items()}
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed world-model JSON: {exc}") from exc
@@ -127,8 +127,9 @@ class WorldModel:
         return self.to_dict() == other.to_dict()
 
 
-def _index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:
-    """Loaded ``kind`` edges as index pairs; ``first`` and ``second`` give
+def index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:
+    """``kind`` edges as a set of pairs of in-range ``int`` indices, the rule
+    for world models and gold standards alike; ``first`` and ``second`` give
     each position's element name and element count, which bounds its index."""
     out = set()
     for pair in pairs:
@@ -136,7 +137,8 @@ def _index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:
             raise ModelError(f"{kind} entry {pair!r} is not a pair of indices")
         for idx, (name, count) in zip(pair, (first, second)):
             if type(idx) is not int or not 0 <= idx < count:
-                raise ModelError(f"{kind} {name} index {idx!r} out of range")
+                raise ModelError(f"{kind} {name} index {idx!r} out of range "
+                                 f"(undeclared {name})")
         out.add(tuple(pair))
     return out
 

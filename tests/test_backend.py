@@ -1,6 +1,7 @@
 import http.server
 import json
 import socket
+import ssl
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -202,90 +203,7 @@ def test_oracle_unknown_document(oracle):
         oracle.complete(make_prompt(doc_id="99.9"), PARAMS)
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, headers=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.headers = headers or {}
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def post(self, url, **kwargs):
-        self.calls.append((url, kwargs))
-        return self.responses.pop(0)
-
-
-def test_live_backend_retries_then_succeeds(monkeypatch):
-    session = FakeSession([
-        FakeResponse(429),
-        FakeResponse(200, {"choices": [{"text": " the answer\n\nQ: junk"}]}),
-    ])
-    live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
-                          backoff=0.0, session=session)
-    prompt = make_prompt("p")
-    assert live.complete(prompt, PARAMS) == " the answer"
-    assert len(session.calls) == 2
-    # params identical across retries
-    assert session.calls[0][1]["json"] == session.calls[1][1]["json"]
-
-
-def test_live_backend_exhausts_retries():
-    session = FakeSession([FakeResponse(500)] * 3)
-    live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
-                          max_retries=3, backoff=0.0, session=session)
-    with pytest.raises(BackendError, match="retries exhausted"):
-        live.complete(make_prompt("p"), PARAMS)
-
-
-def test_live_backend_requires_key(monkeypatch):
-    monkeypatch.delenv(bk.API_KEY_ENV, raising=False)
-    with pytest.raises(BackendError, match="API key"):
-        bk.LiveBackend("https://api.example/v1", "engine")
-
-
-@pytest.mark.parametrize("width", [0, -1])
-def test_live_backend_rejects_concurrency_below_one(width):
-    with pytest.raises(BackendError, match="max_concurrency"):
-        bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
-                       max_concurrency=width)
-
-
-def test_live_backend_honours_retry_after(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(bk.time, "sleep", sleeps.append)
-    session = FakeSession([
-        FakeResponse(429, headers={"Retry-After": "7"}),
-        FakeResponse(429, headers={"Retry-After": "120"}),
-        FakeResponse(503, headers={"Retry-After": "9"}),
-        FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
-        FakeResponse(200, {"choices": [{"text": "ok"}]}),
-    ])
-    live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
-                          backoff=1.0, session=session)
-    assert live.complete(make_prompt("p"), PARAMS) == "ok"
-    # numeric 429 header; capped at the 30 s ceiling; 5xx and an HTTP date
-    # fall back to exponential backoff (1 * 2**2, 1 * 2**3)
-    assert sleeps == [7, 30.0, 4.0, 8.0]
-
-
-@pytest.mark.parametrize("endpoint", ["ftp://x", "localhost:8080/v1", "http:///v1",
-                                      "http://x:port/v1", "http://[::1/v1",
-                                      "http://two words/v1"])
-def test_live_backend_rejects_a_non_http_endpoint(endpoint):
-    with pytest.raises(BackendError, match="endpoint"):
-        bk.LiveBackend(endpoint, "engine", api_key="k")
-
-
-class EchoHandler(http.server.BaseHTTPRequestHandler):
-    """Answers a completion request with ``re: <prompt>``, over HTTP/1.1."""
-
+class LoopbackHandler(http.server.BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def setup(self):
@@ -294,32 +212,58 @@ class EchoHandler(http.server.BaseHTTPRequestHandler):
         # for the client's delayed ACK of the headers.
         self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def do_POST(self):
-        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        body = json.dumps({"choices": [{"text": "re: " + payload["prompt"]}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
+    def read_payload(self):
+        return json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+
+    def answer(self, status, headers, payload):
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        for name, value in {"Content-Type": "application/json", **headers}.items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-        self.server.peers.add(self.client_address)
-        # Close without saying so: the client finds out on its next request.
-        self.close_connection = self.server.close_after_response
 
     def log_message(self, *args):
         pass
 
 
+class EchoHandler(LoopbackHandler):
+    """Answers a completion request with ``re: <prompt>``, over HTTP/1.1."""
+
+    def do_POST(self):
+        payload = self.read_payload()
+        # Before answering, so that the client sees every peer it was answered on.
+        self.server.peers.add(self.client_address)
+        self.answer(200, {}, {"choices": [{"text": "re: " + payload["prompt"]}]})
+        # Close without saying so: the client finds out on its next request.
+        self.close_connection = self.server.close_after_response
+
+
+class ScriptedHandler(LoopbackHandler):
+    """Answers each request with the next ``(status, headers, payload)`` of
+    the server's ``script``, and records its path, ``Authorization`` header
+    and payload in the server's ``requests``."""
+
+    def do_POST(self):
+        self.server.requests.append(
+            (self.path, self.headers["Authorization"], self.read_payload()))
+        self.answer(*self.server.script.pop(0))
+
+
 @pytest.fixture()
 def loopback():
-    """Start an echo server on a free loopback port; ``peers`` collects the
-    client address of each connection a request came on."""
+    """Start a server on a free loopback port: an echo server whose ``peers``
+    collects the client address of each connection a request came on, or,
+    given a ``script``, a scripted one."""
     servers = []
 
-    def start(close_after_response=False):
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), EchoHandler)
+    def start(close_after_response=False, script=None):
+        handler = EchoHandler if script is None else ScriptedHandler
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.peers = set()
         server.close_after_response = close_after_response
+        server.script, server.requests = list(script or ()), []
         server.url = f"http://127.0.0.1:{server.server_address[1]}/v1"
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
@@ -334,14 +278,109 @@ def loopback():
         assert not thread.is_alive()
 
 
+@pytest.fixture()
+def api_key(monkeypatch):
+    monkeypatch.setenv(bk.API_KEY_ENV, "k")
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The waits between attempts, which are recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr(bk.time, "sleep", waits.append)
+    return waits
+
+
+def completion(text):
+    return (200, {}, {"choices": [{"text": text}]})
+
+
+def assert_on_the_wire(server):
+    for path, authorization, _ in server.requests:
+        assert path == "/v1/completions"
+        assert authorization == "Bearer k"
+
+
+def test_live_backend_retries_then_succeeds(loopback, api_key, sleeps):
+    server = loopback(script=[(429, {}, {}), completion(" the answer\n\nQ: junk")])
+    live = bk.LiveBackend(server.url, "engine")
+    prompt = make_prompt("p")
+    assert live.complete(prompt, PARAMS) == " the answer"
+    assert len(server.requests) == 2
+    assert_on_the_wire(server)
+    # params identical across retries
+    assert server.requests[0][2] == server.requests[1][2]
+    live.close()
+
+
+def test_live_backend_exhausts_retries(loopback, api_key, sleeps):
+    server = loopback(script=[(500, {}, {})] * bk.MAX_ATTEMPTS)
+    live = bk.LiveBackend(server.url, "engine")
+    with pytest.raises(BackendError, match="retries exhausted"):
+        live.complete(make_prompt("p"), PARAMS)
+    assert len(server.requests) == bk.MAX_ATTEMPTS
+    assert_on_the_wire(server)
+    live.close()
+
+
+def test_live_backend_requires_key(monkeypatch):
+    monkeypatch.delenv(bk.API_KEY_ENV, raising=False)
+    with pytest.raises(BackendError, match="API key"):
+        bk.LiveBackend("https://api.example/v1", "engine")
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_live_backend_rejects_concurrency_below_one(api_key, width):
+    with pytest.raises(BackendError, match="max_concurrency"):
+        bk.LiveBackend("https://api.example/v1", "engine", max_concurrency=width)
+
+
+def test_live_backend_honours_retry_after(loopback, api_key, sleeps):
+    server = loopback(script=[
+        (429, {"Retry-After": "7"}, {}),
+        (429, {"Retry-After": "120"}, {}),
+        (503, {"Retry-After": "9"}, {}),
+        (429, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, {}),
+        completion("ok"),
+    ])
+    live = bk.LiveBackend(server.url, "engine")
+    assert live.complete(make_prompt("p"), PARAMS) == "ok"
+    assert_on_the_wire(server)
+    # numeric 429 header; capped at the 30 s ceiling; 5xx and an HTTP date
+    # fall back to exponential backoff (1 * 2**2, 1 * 2**3)
+    assert sleeps == [7, 30.0, 4.0, 8.0]
+    live.close()
+
+
+@pytest.mark.parametrize("payload", [[], {"choices": "x"}, {"choices": [{"text": None}]},
+                                     {"choices": [{"text": 5}]}])
+def test_live_backend_malformed_response_is_a_backend_error(loopback, api_key, sleeps,
+                                                            payload):
+    server = loopback(script=[(200, {}, payload)])
+    live = bk.LiveBackend(server.url, "engine")
+    with pytest.raises(BackendError, match="malformed completion response"):
+        live.complete(make_prompt("p"), PARAMS)
+    assert len(server.requests) == 1
+    assert sleeps == []
+    live.close()
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://x", "localhost:8080/v1", "http:///v1",
+                                      "http://x:port/v1", "http://[::1/v1",
+                                      "http://two words/v1"])
+def test_live_backend_rejects_a_non_http_endpoint(api_key, endpoint):
+    with pytest.raises(BackendError, match="endpoint"):
+        bk.LiveBackend(endpoint, "engine")
+
+
 def ask_all(live, texts, width):
     with ThreadPoolExecutor(width) as pool:
         return list(pool.map(lambda t: live.complete(make_prompt(t), PARAMS), texts))
 
 
-def test_live_backend_reuses_keep_alive_connections(loopback):
+def test_live_backend_reuses_keep_alive_connections(loopback, api_key):
     server = loopback()
-    live = bk.LiveBackend(server.url, "engine", api_key="k", max_concurrency=4)
+    live = bk.LiveBackend(server.url, "engine", max_concurrency=4)
     try:
         texts = [f"s{i}" for i in range(5)]
         assert [live.complete(make_prompt(t), PARAMS) for t in texts] == \
@@ -353,42 +392,76 @@ def test_live_backend_reuses_keep_alive_connections(loopback):
             assert ask_all(live, texts, 4) == ["re: " + t for t in texts]
         assert len(server.peers) <= 4
     finally:
-        live._session.close()
+        live.close()
 
 
-def test_live_backend_resends_at_once_on_a_connection_closed_while_idle(loopback,
-                                                                         monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(bk.time, "sleep", sleeps.append)
+def test_live_backend_resends_at_once_on_a_connection_closed_while_idle(loopback, api_key,
+                                                                         sleeps):
     server = loopback(close_after_response=True)
-    # one attempt only: the resend on a fresh connection is not a retry
-    live = bk.LiveBackend(server.url, "engine", api_key="k", max_retries=1,
-                          max_concurrency=2)
+    live = bk.LiveBackend(server.url, "engine", max_concurrency=2)
     try:
         texts = [f"s{i}" for i in range(4)]
         assert [live.complete(make_prompt(t), PARAMS) for t in texts] == \
             ["re: " + t for t in texts]
         assert ask_all(live, ["a", "b", "c", "d"], 2) == ["re: a", "re: b", "re: c", "re: d"]
         assert len(server.peers) == 8
+        # no wait: the resend on a fresh connection is not a retry
         assert sleeps == []
     finally:
-        live._session.close()
+        live.close()
 
 
-def test_live_backend_refused_connection_is_a_transport_failure():
+def test_live_backend_refused_connection_is_a_transport_failure(api_key, sleeps):
     with socket.socket() as unlistened:  # bound, so no other server takes the port
         unlistened.bind(("127.0.0.1", 0))
         url = f"http://127.0.0.1:{unlistened.getsockname()[1]}/v1"
-        live = bk.LiveBackend(url, "engine", api_key="k", max_retries=2, backoff=0.0)
+        live = bk.LiveBackend(url, "engine")
         with pytest.raises(BackendError,
                            match="completion retries exhausted: transport failure"):
             live.complete(make_prompt("p"), PARAMS)
+    assert len(sleeps) == bk.MAX_ATTEMPTS - 1
 
 
-def test_wrappers_forward_concurrency(tmp_path, oracle):
+@pytest.mark.parametrize("error, attempts", [(socket.EAI_NONAME, 1),
+                                             (socket.EAI_AGAIN, bk.MAX_ATTEMPTS)])
+def test_live_backend_gives_up_at_once_on_a_host_that_cannot_resolve(monkeypatch, api_key,
+                                                                     sleeps, error,
+                                                                     attempts):
+    lookups = []
+
+    def getaddrinfo(host, *args, **kwargs):
+        lookups.append(host)
+        raise socket.gaierror(error, "scripted lookup failure")
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    live = bk.LiveBackend("http://api.example/v1", "engine")
+    with pytest.raises(BackendError, match="transport failure: .*scripted lookup failure"):
+        live.complete(make_prompt("p"), PARAMS)
+    assert lookups == ["api.example"] * attempts
+    assert sleeps == [bk.BACKOFF * 2 ** i for i in range(attempts - 1)]
+
+
+def test_live_backend_gives_up_at_once_on_a_certificate_that_does_not_verify(
+        loopback, monkeypatch, api_key, sleeps):
+    handshakes = []
+
+    def wrap_socket(self, sock, **kwargs):
+        handshakes.append(kwargs.get("server_hostname"))
+        raise ssl.SSLCertVerificationError(1, "scripted verify failure")
+
+    monkeypatch.setattr(ssl.SSLContext, "wrap_socket", wrap_socket)
+    server = loopback(script=[])
+    live = bk.LiveBackend(server.url.replace("http:", "https:"), "engine")
+    with pytest.raises(BackendError, match="request failed: transport failure"):
+        live.complete(make_prompt("p"), PARAMS)
+    assert handshakes == ["127.0.0.1"]
+    assert sleeps == []
+    assert server.requests == []
+
+
+def test_wrappers_forward_concurrency(tmp_path, oracle, api_key):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
-    live = bk.LiveBackend("https://api.example/v1", "engine", api_key="k",
-                          max_concurrency=6)
+    live = bk.LiveBackend("https://api.example/v1", "engine", max_concurrency=6)
     assert bk.CachedBackend(cache).max_concurrency == 1
     for wrapper in (bk.SingleFlight, lambda inner: bk.CachedBackend(cache, inner)):
         assert wrapper(live).max_concurrency == 6

@@ -263,3 +263,45 @@ def test_prompt_uses_the_given_corpus_shots(tmp_path, capsys):
                            "--corpus", str(corpus_path))
     assert code == 0
     assert changed in out
+
+
+RECORD = {"id": "x", "body": "a clerk stamps the form then files it",
+          "gold": {"activities": [{"surface": "stamps the form", "index": 8},
+                                  {"surface": "files it", "index": 29}],
+                   "participants": ["a clerk"], "performs": [[0, 0]], "follows": [[0, 1]]}}
+RAW_RECORD = {**RECORD, "gold": {k: v for k, v in RECORD["gold"].items() if k != "follows"},
+              "graph": {"nodes": [{"id": 0, "kind": "activity", "activity": 0},
+                                  {"id": 1, "kind": "activity", "activity": 1}],
+                        "edges": [[0, 1]]}}
+
+
+def _gold(**changes):
+    return [{**RECORD, "gold": {**RECORD["gold"], **changes}}]
+
+
+@pytest.mark.parametrize("command, content, code", [
+    ("extract", [RECORD], 0),
+    ("import", [RAW_RECORD], 0),
+    ("extract", _gold(performs=[["x", 0]]), 2),
+    ("extract", _gold(performs=[[0, 0, 0]]), 2),
+    ("extract", _gold(follows=[[0, 1.0]]), 2),
+    ("extract", [{**RECORD, "body": 5}], 2),
+    ("extract", _gold(activities=[{"surface": 5, "index": 8}, RECORD["gold"]["activities"][1]]),
+     2),
+    ("import", 5, 2),
+    ("import", [{k: v for k, v in RAW_RECORD.items() if k != "id"}], 2),
+], ids=["valid-corpus", "valid-raw", "performs-str-index", "performs-triple",
+        "follows-float-index", "numeric-body", "numeric-surface", "raw-not-a-list",
+        "raw-without-id"])
+def test_malformed_corpus_file_exits_2(tmp_path, capsys, command, content, code):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    if command == "extract":  # render and the oracle read the body and surfaces
+        argv = ["extract", "--doc", "x", "--setting", "raw", "--corpus", str(path),
+                "--out", str(tmp_path / "m.json")]
+    else:
+        argv = ["import", "--raw", str(path), "--out", str(tmp_path / "out.json")]
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code
+    assert err.startswith("error:") == bool(code)
+    assert "Traceback" not in err
