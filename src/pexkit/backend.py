@@ -88,12 +88,13 @@ def _params_json(params: CompletionParams) -> str:
     return json.dumps(params.to_dict(), sort_keys=True)
 
 
-# Each layer a question passes through (the memo, the cache backend, the
-# pipeline's transcript) asks for its digest. On the sequential path (oracle,
-# replay) they ask back to back, so two entries make it one sha256 per prompt
-# there. Under concurrent dispatch the layers of different questions
-# interleave and some digests are computed again, beside a network call. A
-# larger memo would keep more whole prompt texts alive for no sequential gain.
+# Two layers ask for each question's digest: the caching layer
+# (``CachedBackend`` and the cache it records in) and the pipeline's
+# transcript. On the sequential path (oracle, replay) they ask back to back,
+# so two entries make it one sha256 per prompt there. Under concurrent
+# dispatch the layers of different questions interleave and some digests are
+# computed again, beside a network call. A larger memo would keep more whole
+# prompt texts alive for no sequential gain.
 @functools.lru_cache(maxsize=2)
 def transcript_digest(prompt_text: str, params: CompletionParams) -> str:
     """Cache key of a prompt text and its params; also what provenance records."""
@@ -159,7 +160,9 @@ class TranscriptCache:
             # Uncached: each entry is hashed once, and a load must not churn
             # the memo that in-run lookups share.
             expected = transcript_digest.__wrapped__(entry["prompt"], params)
-            digest, _ = entry["digest"], entry["completion"]
+            digest, completion = entry["digest"], entry["completion"]
+            if not isinstance(completion, str):
+                raise TypeError(f"completion is {completion!r}")
         except (KeyError, TypeError) as exc:
             raise CacheCorruptError(
                 f"{self.path}:{number}: malformed cache entry: {exc!r}") from exc
@@ -366,46 +369,20 @@ class LiveBackend:
 
 
 class CachedBackend:
-    """Serve completions from a transcript cache.
+    """Ask each distinct prompt text and params once, through ``cache`` if any.
 
-    A hit makes no request. On a miss, ``inner`` is asked and its answer
-    recorded, so re-running an interrupted recording resumes it; with no
-    ``inner`` a miss raises ``CacheMissError``.
+    A repeat gets the remembered completion; a failed call is not
+    remembered. A first ask is served from ``cache`` when it holds the
+    prompt; otherwise ``inner`` is asked and its answer recorded in
+    ``cache``, so re-running an interrupted recording resumes it. With no
+    ``inner`` that miss raises ``CacheMissError``. No caller has two calls
+    for one prompt in flight at once (``pipeline.extract`` asks distinct
+    prompts within a batch and finishes a batch before the next), so a
+    repeat never waits for a running call.
     """
 
-    def __init__(self, cache: TranscriptCache, inner=None):
+    def __init__(self, cache: TranscriptCache | None, inner=None):
         self.cache = cache
-        self.inner = inner
-
-    @property
-    def max_concurrency(self) -> int:
-        return getattr(self.inner, "max_concurrency", 1)
-
-    def complete(self, prompt: Prompt, params: CompletionParams) -> str:
-        digest = transcript_digest(prompt.text, params)
-        entry = self.cache.lookup(digest)
-        if entry is not None:
-            return entry["completion"]
-        if self.inner is None:
-            raise CacheMissError(
-                f"transcript cache miss for digest {digest[:12]} "
-                f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
-        completion = self.inner.complete(prompt, params)
-        self.cache.record(prompt.text, params, completion)
-        return completion
-
-
-class SingleFlight:
-    """Ask ``inner`` once per distinct prompt text and params.
-
-    A repeat gets the stored completion; a failed call stores nothing, so
-    the next caller asks again. This is a plain memo: no caller has two
-    calls for one prompt in flight at once (``pipeline.extract`` asks
-    distinct prompts within a batch and finishes a batch before the next),
-    so a repeat never has to wait for a call still running.
-    """
-
-    def __init__(self, inner):
         self.inner = inner
         self._done: dict[str, str] = {}
 
@@ -416,8 +393,20 @@ class SingleFlight:
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         digest = transcript_digest(prompt.text, params)
         completion = self._done.get(digest)
-        if completion is None:
-            completion = self._done[digest] = self.inner.complete(prompt, params)
+        if completion is not None:
+            return completion
+        entry = self.cache.lookup(digest) if self.cache is not None else None
+        if entry is not None:
+            completion = entry["completion"]
+        elif self.inner is None:
+            raise CacheMissError(
+                f"transcript cache miss for digest {digest[:12]} "
+                f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
+        else:
+            completion = self.inner.complete(prompt, params)
+            if self.cache is not None:
+                self.cache.record(prompt.text, params, completion)
+        self._done[digest] = completion
         return completion
 
 
@@ -430,7 +419,7 @@ class OracleBackend:
         # so that the first of two surfaces with one key wins.
         self._activity_keys = {
             doc_id: {worldmodel.normalize_key(surface): i for i, surface
-                     in reversed(list(enumerate(gold.activity_surfaces)))}
+                     in reversed(list(enumerate(gold.activities)))}
             for doc_id, (_, gold) in entries.items()}
 
     def _gold(self, doc_id: str) -> GoldStandard:
@@ -447,7 +436,7 @@ class OracleBackend:
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         gold = self._gold(prompt.doc_id)
         if prompt.question == Q1:
-            return "\n".join(gold.activity_surfaces)
+            return "\n".join(gold.activities)
         if prompt.question == Q2:
             idx = self._activity_index(prompt.doc_id, prompt.x)
             performers = [gold.participants[p] for p, a in sorted(gold.performs)

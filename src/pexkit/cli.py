@@ -74,12 +74,10 @@ def _make_backend(args, entries):
     if args.cache and not args.record:
         raise UsageError(f"--cache with the {args.backend} backend requires --record")
     if args.backend == "oracle":
-        backend = OracleBackend(corpus.corpus_index(entries))
+        inner = OracleBackend(corpus.corpus_index(entries))
     else:
-        backend = LiveBackend(args.endpoint, args.model_name)
-    if args.record:
-        backend = CachedBackend(TranscriptCache(args.cache), backend)
-    return backend
+        inner = LiveBackend(args.endpoint, args.model_name)
+    return CachedBackend(TranscriptCache(args.cache) if args.record else None, inner)
 
 
 def _add_backend_flags(parser):
@@ -210,9 +208,11 @@ def cmd_run_suite(args) -> int:
     entries = _load_entries(args.corpus)
     settings = (list(prompting.SETTINGS) if args.settings == "all"
                 else [s.strip() for s in args.settings.split(",")])
-    for s in settings:
+    for i, s in enumerate(settings):
         if s not in prompting.SETTINGS:
             raise UsageError(f"unknown setting: {s}")
+        if s in settings[:i]:
+            raise UsageError(f"setting given twice: {s}")
     backend = _make_backend(args, entries)
     cfg = _match_config(args)
     report = run_suite(entries, settings, backend, args.outdir, cfg=cfg)

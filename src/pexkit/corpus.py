@@ -8,8 +8,10 @@ A corpus file is a JSON list of records::
               "performs": [[p, a]],
               "follows": [[a1, a2]]}}
 
-The bundled fixture holds the seven evaluation documents plus the two
-shot documents used for few-shot prompting.
+An activity's ``index`` is where its surface starts in the body; the
+loader reads only the ``surface``. The bundled fixture holds the seven
+evaluation documents plus the two shot documents used for few-shot
+prompting.
 """
 from __future__ import annotations
 
@@ -33,26 +35,16 @@ class Document:
 
 
 @dataclass(frozen=True)
-class ActivityPhrase:
-    surface: str
-    index: int
-
-
-@dataclass(frozen=True)
 class GoldStandard:
     doc_id: str
-    activities: tuple[ActivityPhrase, ...]
+    activities: tuple[str, ...]
     participants: tuple[str, ...]
     performs: frozenset[tuple[int, int]]
     follows: frozenset[tuple[int, int]]
 
-    @property
-    def activity_surfaces(self) -> list[str]:
-        return [a.surface for a in self.activities]
-
     def validate(self) -> None:
         for a in self.activities:
-            if not a.surface:
+            if not a:
                 raise CorpusError(f"document {self.doc_id}: empty activity surface")
         for p in self.participants:
             if not p:
@@ -117,14 +109,13 @@ def _parse_record(rec: dict) -> tuple[Document, GoldStandard]:
         doc_id = rec["id"]
         body = rec["body"]
         gold = rec["gold"]
-        activities = tuple(
-            ActivityPhrase(a["surface"], a["index"]) for a in gold["activities"])
+        activities = tuple(a["surface"] for a in gold["activities"])
         participants = tuple(gold["participants"])
         performs = frozenset(map(tuple, gold["performs"]))
         follows = frozenset(map(tuple, gold["follows"]))
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"malformed corpus record: {exc}") from exc
-    for text in (doc_id, body, *participants, *(a.surface for a in activities)):
+    for text in (doc_id, body, *participants, *activities):
         if not isinstance(text, str):
             raise CorpusError(f"malformed corpus record: {text!r} is not a string")
     if not body:

@@ -172,7 +172,7 @@ def _activity_map(model: WorldModel, gold: GoldStandard, mode: str,
                 f"{len(gold.activities)} gold)")
         return {i: i for i in range(len(gold.activities))}
     if mode == EX:
-        return align(model.activities, gold.activity_surfaces, cfg)
+        return align(model.activities, gold.activities, cfg)
     raise PexError(f"unknown relation mode: {mode}")
 
 
@@ -201,7 +201,7 @@ def evaluate_document(gold: GoldStandard, ex_model: WorldModel | None = None,
     rows: dict[str, ElementScores] = {}
     if ex_model is not None:
         rows["Activity"] = score_elements(
-            ex_model.activities, gold.activity_surfaces, cfg)
+            ex_model.activities, gold.activities, cfg)
         rows["Participant"] = score_elements(
             ex_model.participants, list(gold.participants), cfg)
         rows["Follows (ex)"] = score_follows(ex_model, gold, EX, cfg)

@@ -177,7 +177,7 @@ def extract(doc: Document, setting: str, backend,
                 raise ExtractionAborted(str(exc), run) from exc
 
     if activity_source == GOLD_INJECTED:
-        for surface in gold.activity_surfaces:
+        for surface in gold.activities:
             model.add_activity(surface, (GOLD_INJECTED, "-"))
     else:
         [(completion, digest)] = ask(prompting.Q1, [(None, None)])

@@ -120,7 +120,7 @@ def build_shot(doc: corpus.Document, gold: corpus.GoldStandard) -> ShotExample:
     Q3 shows a Yes per gold directly-follows pair ("does X follow Y" reads
     X-after-Y, so X is the pair's target and Y its source).
     """
-    surfaces = gold.activity_surfaces
+    surfaces = gold.activities
     qa = {Q1: [(instantiate(Q1), ", ".join(surfaces))]}
     q2 = []
     for a, surface in enumerate(surfaces):

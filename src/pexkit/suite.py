@@ -7,7 +7,6 @@ from contextlib import suppress
 from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
-from .backend import SingleFlight
 from .errors import PexError
 from .evaluation import MatchConfig
 
@@ -30,10 +29,9 @@ def run_suite(entries, settings, backend, outdir,
     """Extract every document under every setting (both activity sources),
     score the six report rows, and write models plus CSV/JSON reports.
 
-    Each distinct prompt is asked once per (document, setting): the gs run
-    reuses the ex run's answers wherever their questions agree. Prompts of
-    different jobs never coincide (each holds its document's text and its
-    setting's template), so the memo lives for one job only.
+    Deduplication comes from ``backend``: the CLI's ``CachedBackend`` asks
+    each distinct prompt once, so the gs run reuses the ex run's answers
+    wherever their questions agree.
 
     Returns the report mapping setting -> doc_id -> row -> ElementScores.
     """
@@ -48,9 +46,8 @@ def run_suite(entries, settings, backend, outdir,
     for setting in settings:
         report[setting] = {}
         for doc, gold in docs:
-            memo = SingleFlight(backend)
             ex_run, gs_run = (
-                pipeline.extract(doc, setting, memo, gold=gold,
+                pipeline.extract(doc, setting, backend, gold=gold,
                                  activity_source=source, shots=shots)
                 for source in (pipeline.EXTRACTED, pipeline.GOLD_INJECTED))
             for run in (ex_run, gs_run):

@@ -82,8 +82,8 @@ class WorldModel:
     def from_dict(cls, data: dict) -> "WorldModel":
         try:
             model = cls(data["doc_id"])
-            model.activities = list(data["activities"])
-            model.participants = list(data["participants"])
+            model.activities = _phrases(data["activities"], "activity")
+            model.participants = _phrases(data["participants"], "participant")
             n_activities, n_participants = len(model.activities), len(model.participants)
             model.performs = index_pairs(data["performs"], "performs",
                                          ("participant", n_participants),
@@ -125,6 +125,22 @@ class WorldModel:
         if not isinstance(other, WorldModel):
             return NotImplemented
         return self.to_dict() == other.to_dict()
+
+
+def _phrases(items, kind: str) -> list[str]:
+    """``kind`` surfaces as loaded: a list of non-empty strings with distinct
+    ``normalize_key``s, the rule ``add_activity`` and ``add_participant`` keep."""
+    if not isinstance(items, list):
+        raise ModelError(f"{kind} phrases must be a list, not {items!r}")
+    keys = set()
+    for surface in items:
+        if not isinstance(surface, str) or not surface.strip():
+            raise ModelError(f"{kind} phrase {surface!r} is not a non-empty string")
+        key = normalize_key(surface)
+        if key in keys:
+            raise ModelError(f"duplicate {kind} phrase {surface!r}")
+        keys.add(key)
+    return list(items)
 
 
 def index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:

@@ -82,9 +82,9 @@ def test_criterion_4_prompt_golden_files(index, shots):
     doc, gold = index["10.1"]
     bindings = {
         prompting.Q1: {},
-        prompting.Q2: {"x": gold.activity_surfaces[0]},
-        prompting.Q3: {"x": gold.activity_surfaces[1],
-                       "y": gold.activity_surfaces[0]},
+        prompting.Q2: {"x": gold.activities[0]},
+        prompting.Q3: {"x": gold.activities[1],
+                       "y": gold.activities[0]},
     }
     ok = True
     for question in prompting.QUESTION_KINDS:
@@ -182,7 +182,7 @@ def test_criterion_8_degradation_sanity(index):
     ok = True
     for k in range(0, 7):
         kept_idx = sorted(rng.sample(range(11), 11 - k))
-        kept = [gold.activity_surfaces[i] for i in kept_idx]
+        kept = [gold.activities[i] for i in kept_idx]
 
         class Degraded:
             def complete(self, prompt, params):
@@ -192,7 +192,7 @@ def test_criterion_8_degradation_sanity(index):
 
         run = pipeline.extract(doc, prompting.RAW, Degraded())
         s = evaluation.score_elements(run.model.activities,
-                                      gold.activity_surfaces)
+                                      gold.activities)
         ok &= s.precision == 1.0
         ok &= s.recall == pytest.approx((11 - k) / 11)
     report("criterion 8: k deletions -> recall (11-k)/11, precision 1.00", ok)

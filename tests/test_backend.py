@@ -117,7 +117,10 @@ def test_cache_mend_keeps_lines_appended_since_load(tmp_path, tear):
     assert len(bk.TranscriptCache(path)) == 3
 
 
-@pytest.mark.parametrize("bad", ['{"digest": "ab', "[1, 2]", '{"digest": "ab"}'])
+@pytest.mark.parametrize("bad", [
+    '{"digest": "ab', "[1, 2]", '{"digest": "ab"}',
+    '{"digest": "ab", "prompt": "p", "params": {"temperature": 0.0, "nucleus": 1.0, '
+    '"max_tokens": 8, "stop": []}, "completion": 5}'])
 def test_cache_corrupt_line_mid_file(tmp_path, bad):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
@@ -155,7 +158,8 @@ def test_replay_fallback_records(tmp_path):
 
 def test_recording_backend_write_through(tmp_path):
     """A recorded prompt makes no inner call; a miss makes one, and a repeat
-    of it is served from the cache."""
+    of it is served from the cache. Recording again over the complete cache
+    makes no inner call and leaves the file as it was."""
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
     cache.record("recorded", PARAMS, "answer to recorded")
@@ -166,6 +170,13 @@ def test_recording_backend_write_through(tmp_path):
     assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
     assert inner.calls == {"unseen": 1}
     assert len(path.read_text().splitlines()) == 2
+    recorded = path.read_bytes()
+    again = CountingStub()
+    rerun = bk.CachedBackend(bk.TranscriptCache(path), again)
+    for text in ("recorded", "unseen", "recorded"):
+        assert rerun.complete(make_prompt(text), PARAMS) == "answer to " + text
+    assert again.calls == {}
+    assert path.read_bytes() == recorded
 
 
 def test_cache_write_failure_is_a_backend_error(tmp_path):
@@ -185,7 +196,7 @@ def test_truncate_at_stop():
 def test_oracle_answers(oracle, index):
     _, gold = index["10.1"]
     q1 = oracle.complete(make_prompt(question=Q1), PARAMS)
-    assert q1.splitlines() == gold.activity_surfaces
+    assert q1.splitlines() == list(gold.activities)
     q2 = oracle.complete(
         make_prompt(question=Q2, x="submits a purchase order"), PARAMS)
     assert q2 == "the customer"
@@ -463,10 +474,9 @@ def test_wrappers_forward_concurrency(tmp_path, oracle, api_key):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
     live = bk.LiveBackend("https://api.example/v1", "engine", max_concurrency=6)
     assert bk.CachedBackend(cache).max_concurrency == 1
-    for wrapper in (bk.SingleFlight, lambda inner: bk.CachedBackend(cache, inner)):
-        assert wrapper(live).max_concurrency == 6
-        assert wrapper(oracle).max_concurrency == 1
-    assert bk.SingleFlight(bk.CachedBackend(cache, live)).max_concurrency == 6
+    for c in (cache, None):
+        assert bk.CachedBackend(c, live).max_concurrency == 6
+        assert bk.CachedBackend(c, oracle).max_concurrency == 1
 
 
 class CountingStub:
@@ -484,18 +494,18 @@ class CountingStub:
         return "answer to " + prompt.text
 
 
-def test_single_flight_repeats_get_the_stored_completion():
+def test_cached_backend_repeats_get_the_stored_completion():
     inner = CountingStub()
-    memo = bk.SingleFlight(inner)
+    memo = bk.CachedBackend(None, inner)
     for text in ("a", "b", "a", "a", "b"):
         assert memo.complete(make_prompt(text), PARAMS) == "answer to " + text
     assert memo.complete(make_prompt("a"), bk.CompletionParams(max_tokens=8)) == "answer to a"
     assert inner.calls == {"a": 2, "b": 1}
 
 
-def test_single_flight_does_not_store_a_failure():
+def test_cached_backend_does_not_store_a_failure():
     inner = CountingStub(fail_first=1)
-    memo = bk.SingleFlight(inner)
+    memo = bk.CachedBackend(None, inner)
     with pytest.raises(BackendError, match="injected"):
         memo.complete(make_prompt("p"), PARAMS)
     assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"

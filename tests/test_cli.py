@@ -86,6 +86,33 @@ def test_evaluate_rejects_out_of_range_model(tmp_path, capsys):
     assert "index 5 out of range" in err
 
 
+@pytest.mark.parametrize("mode, activities", [
+    ("gs", "abcd"), ("ex", [5, "x"]), ("ex", ["check stock", "Check  stock"])])
+def test_evaluate_rejects_malformed_phrase_list(tmp_path, capsys, mode, activities):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({
+        "doc_id": "10.1", "activities": activities, "participants": [],
+        "performs": [], "follows": [], "provenance": {}}))
+    code, out, err = run_cli(capsys, "evaluate", "--doc", "10.1", "--mode", mode,
+                             "--model", str(model_path))
+    assert code == 2
+    assert "activity phrase" in err
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("settings, message", [
+    ("raw,raw", "setting given twice: raw"), ("raw,defs,raw", "setting given twice: raw"),
+    ("raw,nope", "unknown setting: nope")])
+def test_run_suite_rejects_a_repeated_or_unknown_setting(tmp_path, capsys, settings, message):
+    outdir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run-suite", "--settings", settings,
+                           "--outdir", str(outdir))
+    assert code == 1
+    assert message in err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["evaluate", "--doc", "3.3", "--model", "{missing}"], 2),
     (["run-suite", "--settings", "raw", "--outdir", "{out}", "--aliases", "{missing}"], 2),

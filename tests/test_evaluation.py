@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import table2
 from pexkit import evaluation as ev
-from pexkit.corpus import ActivityPhrase, GoldStandard
+from pexkit.corpus import GoldStandard
 from pexkit.evaluation import (ElementScores, MatchConfig, align, f1_score,
                                macro_average, match_phrase, normalize, round2,
                                score_elements)
@@ -142,7 +142,7 @@ def test_score_monotonicity(tp, fp, fn):
 def small_gold():
     return GoldStandard(
         "t",
-        tuple(ActivityPhrase(s, 0) for s in ("alpha step", "beta step", "gamma step")),
+        ("alpha step", "beta step", "gamma step"),
         ("the worker",),
         frozenset({(0, 0), (0, 1)}),
         frozenset({(0, 1), (1, 2)}),

@@ -152,7 +152,7 @@ def test_oracle_closure_every_document(index, oracle):
             (run.model.participants[p], run.model.activities[a])
             for p, a in run.model.performs}
         want_performs = {
-            (gold.participants[p], gold.activity_surfaces[a])
+            (gold.participants[p], gold.activities[a])
             for p, a in gold.performs}
         assert got_performs == want_performs, doc_id
         assert run.model.follows == set(gold.follows), doc_id
@@ -219,28 +219,13 @@ def test_provenance_joins_the_transcript_cache(index, oracle, shots, tmp_path):
     assert all(cache.lookup(t["digest"]) for t in run.transcripts)
 
 
-class CountingOracle:
-    """The oracle, counting its calls and the distinct prompts it is asked."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.calls = 0
-        self.asked = set()
-
-    def complete(self, prompt, params):
-        self.calls += 1
-        self.asked.add((prompt.text, params))
-        return self.oracle.complete(prompt, params)
-
-
 @pytest.mark.parametrize("settings", [prompting.SETTINGS,
                                       (prompting.RAW, prompting.DEFS_SHOTS2)])
-def test_run_suite_asks_each_distinct_prompt_once(entries, oracle, monkeypatch,
-                                                  tmp_path, settings):
+def test_run_suite_asks_each_distinct_prompt_once(entries, monkeypatch, tmp_path, settings):
     """The gs run asks exactly the Q2/Q3 prompts of the ex run, so a suite
     costs 1 + n^2 completions per (document, setting), not 1 + 2n^2."""
-    from pexkit import corpus
-    from pexkit.suite import run_suite
+    from pexkit import cli, corpus
+    from pexkit.backend import OracleBackend
 
     counters = []
     extract = pipeline.extract
@@ -250,15 +235,23 @@ def test_run_suite_asks_each_distinct_prompt_once(entries, oracle, monkeypatch,
         counters.append(run.counters)
         return run
 
+    asked = []
+    complete = OracleBackend.complete
+
+    def counted_complete(self, prompt, params):
+        asked.append((prompt.text, params))
+        return complete(self, prompt, params)
+
     monkeypatch.setattr(pipeline, "extract", counted_extract)
-    inner = CountingOracle(oracle)
-    run_suite(entries, settings, inner, tmp_path)
-    sizes = [len(gold.activity_surfaces) for _, gold in corpus.evaluation_documents(entries)]
-    assert inner.calls == len(inner.asked) == len(settings) * sum(1 + n * n for n in sizes)
-    assert inner.calls == {4: 1468, 2: 734}[len(settings)]
-    asked = sum(sum(c.values()) for c in counters)
-    assert asked == len(settings) * sum(1 + 2 * n * n for n in sizes)
-    assert asked == {4: 2908, 2: 1454}[len(settings)]
+    monkeypatch.setattr(OracleBackend, "complete", counted_complete)
+    assert cli.main(["run-suite", "--backend", "oracle", "--settings", ",".join(settings),
+                     "--outdir", str(tmp_path)]) == 0
+    sizes = [len(gold.activities) for _, gold in corpus.evaluation_documents(entries)]
+    assert len(asked) == len(set(asked)) == len(settings) * sum(1 + n * n for n in sizes)
+    assert len(asked) == {4: 1468, 2: 734}[len(settings)]
+    questions = sum(sum(c.values()) for c in counters)
+    assert questions == len(settings) * sum(1 + 2 * n * n for n in sizes)
+    assert questions == {4: 2908, 2: 1454}[len(settings)]
 
 
 # -- concurrent dispatch ----------------------------------------------------
@@ -334,9 +327,9 @@ def test_concurrent_run_suite_equals_sequential(entries, oracle, tmp_path):
 @pytest.mark.parametrize("k", [0, 37, 109])
 def test_concurrent_abort_keeps_the_sequential_partial_run(index, oracle, k):
     doc, gold = index["1.3"]
-    n = len(gold.activity_surfaces)
+    n = len(gold.activities)
     i, j = list(permutations(range(n), 2))[k]
-    fail = (gold.activity_surfaces[j], gold.activity_surfaces[i])
+    fail = (gold.activities[j], gold.activities[i])
     aborted = {}
     for width in (1, 4):
         backend = JitteryBackend(oracle, width, fail=fail)

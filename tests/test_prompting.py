@@ -115,10 +115,10 @@ def test_golden_prompts(question, setting, index, shots):
     doc, gold = index["10.1"]
     bindings = {}
     if question in (Q2, Q3):
-        bindings["x"] = gold.activity_surfaces[1 if question == Q3 else 0]
+        bindings["x"] = gold.activities[1 if question == Q3 else 0]
     if question == Q3:
-        bindings["x"] = gold.activity_surfaces[1]
-        bindings["y"] = gold.activity_surfaces[0]
+        bindings["x"] = gold.activities[1]
+        bindings["y"] = gold.activities[0]
     rendered = render(question, setting, doc, shots=shots, **bindings).text
     name = f"{question}_{setting.replace('+', '_')}.txt"
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")

@@ -131,6 +131,13 @@ def test_roundtrip_property(surfaces):
     ("performs", [[1, 0]], "performs participant index 1 out of range"),
     ("performs", [[0, 2]], "performs activity index 2 out of range"),
     ("performs", [7], "not a pair"),
+    ("activities", "abcd", "activity phrases must be a list"),
+    ("activities", [5, "x"], "activity phrase 5 is not a non-empty string"),
+    ("activities", ["a", " "], "activity phrase ' ' is not a non-empty string"),
+    ("activities", ["Send  invoice", "send invoice"], "duplicate activity phrase"),
+    ("participants", ("p",), "participant phrases must be a list"),
+    ("participants", ["p", None], "participant phrase None is not a non-empty string"),
+    ("participants", ["the clerk", "The Clerk"], "duplicate participant phrase"),
 ])
 def test_from_dict_checks_edge_indices(key, pairs, message):
     data = model_with(["a", "b"], ["p"]).to_dict()
