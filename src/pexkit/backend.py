@@ -10,6 +10,7 @@ load an HTTP client at all.
 """
 from __future__ import annotations
 
+import fcntl
 import functools
 import hashlib
 import json
@@ -109,7 +110,9 @@ class TranscriptCache:
     append leaves behind: loading skips it with a warning, and the next
     append cuts it off, if the file still ends with it, and starts on a fresh
     line. A line that does not parse anywhere else raises
-    ``CacheCorruptError``.
+    ``CacheCorruptError``. Each append and mend holds an advisory ``flock`` on
+    the file (POSIX only), so processes recording into one path take turns;
+    a ``threading.Lock`` guards the entries held in memory.
     """
 
     def __init__(self, path):
@@ -198,6 +201,7 @@ class TranscriptCache:
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with self.path.open("a+b") as handle:
+                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)  # until closed
                     if self._resume is not None:
                         self._mend(handle)
                     handle.write((json.dumps(entry) + "\n").encode("utf-8"))
@@ -257,10 +261,10 @@ class LiveBackend:
 
     It holds ``max_concurrency`` keep-alive connections to the endpoint's
     host, each idle one serving whichever thread asks next, so that at most
-    that many calls are in flight at once; callers that can ask independent
-    questions together (``pipeline.extract``) send that many. The API key is
-    read from ``PEX_API_KEY``. Proxy variables are not read; TLS is verified
-    against the system trust store (``ssl.create_default_context``).
+    that many calls are in flight at once; ``pipeline.schedule`` sends that
+    many. The API key is read from ``PEX_API_KEY``. Proxy variables are not
+    read; TLS is verified against the system trust store
+    (``ssl.create_default_context``).
     """
 
     def __init__(self, base_url: str, model: str, max_concurrency: int = 4):
@@ -368,6 +372,18 @@ class LiveBackend:
             conn.close()
 
 
+class _Call:
+    """A call ``CachedBackend`` has in flight for one digest: ``done`` is
+    held until it ends, and ``error`` is what it raised, if anything."""
+
+    __slots__ = ("done", "error")
+
+    def __init__(self):
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.error = None
+
+
 class CachedBackend:
     """Ask each distinct prompt text and params once, through ``cache`` if any.
 
@@ -375,16 +391,18 @@ class CachedBackend:
     remembered. A first ask is served from ``cache`` when it holds the
     prompt; otherwise ``inner`` is asked and its answer recorded in
     ``cache``, so re-running an interrupted recording resumes it. With no
-    ``inner`` that miss raises ``CacheMissError``. No caller has two calls
-    for one prompt in flight at once (``pipeline.extract`` asks distinct
-    prompts within a batch and finishes a batch before the next), so a
-    repeat never waits for a running call.
+    ``inner`` that miss raises ``CacheMissError``. When ``inner`` takes more
+    than one call at once (``max_concurrency`` above 1), a caller that asks
+    while the call for the same prompt is in flight on another thread waits
+    for that call, and gets its completion or its error.
     """
 
     def __init__(self, cache: TranscriptCache | None, inner=None):
         self.cache = cache
         self.inner = inner
         self._done: dict[str, str] = {}
+        self._inflight: dict[str, _Call] = {}
+        self._lock = threading.Lock()
 
     @property
     def max_concurrency(self) -> int:
@@ -395,18 +413,46 @@ class CachedBackend:
         completion = self._done.get(digest)
         if completion is not None:
             return completion
+        if self.max_concurrency == 1:  # one call at a time: none to share
+            completion = self._done[digest] = self._ask(prompt, params, digest)
+            return completion
+        with self._lock:
+            completion = self._done.get(digest)
+            if completion is not None:
+                return completion
+            call = self._inflight.get(digest)
+            ours = call is None
+            if ours:
+                call = self._inflight[digest] = _Call()
+        if not ours:
+            with call.done:  # until the call in flight ends
+                pass
+            if call.error is not None:
+                raise call.error
+            return self._done[digest]
+        try:
+            completion = self._ask(prompt, params, digest)
+            self._done[digest] = completion
+            return completion
+        except BaseException as exc:
+            call.error = exc
+            raise
+        finally:
+            with self._lock:
+                del self._inflight[digest]
+            call.done.release()
+
+    def _ask(self, prompt: Prompt, params: CompletionParams, digest: str) -> str:
         entry = self.cache.lookup(digest) if self.cache is not None else None
         if entry is not None:
-            completion = entry["completion"]
-        elif self.inner is None:
+            return entry["completion"]
+        if self.inner is None:
             raise CacheMissError(
                 f"transcript cache miss for digest {digest[:12]} "
                 f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
-        else:
-            completion = self.inner.complete(prompt, params)
-            if self.cache is not None:
-                self.cache.record(prompt.text, params, completion)
-        self._done[digest] = completion
+        completion = self.inner.complete(prompt, params)
+        if self.cache is not None:
+            self.cache.record(prompt.text, params, completion)
         return completion
 
 

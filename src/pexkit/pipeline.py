@@ -6,9 +6,10 @@ question for every ordered pair of distinct activities.
 """
 from __future__ import annotations
 
+import queue
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -101,106 +102,242 @@ class ExtractionAborted(BackendError):
         self.run = run
 
 
-def _in_order(call, items, width: int):
-    """Yield ``(item, call(item))`` for every item, in item order.
+def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
+             activity_source: str = EXTRACTED, shots: list | None = None):
+    """The question dialogue for one document and setting, as a job for
+    ``schedule``; it returns the ``ExtractionRun``.
 
-    Up to ``width`` calls run at once on worker threads, and at most
-    ``2 * width`` items are drawn from the lazy ``items`` ahead of the one
-    being yielded. A failed call raises at its own position, after every
-    earlier result has been yielded; the calls behind it are cancelled or
-    waited for, so no worker thread outlives the generator. Width 1 calls
-    ``call`` on the caller's thread, one item at a time.
+    It yields each question batch as ``(prompts, params)``, with ``prompts``
+    rendered lazily, and is resumed with ``None``. Then it yields ``None``
+    once per question of the batch, in question order, and is resumed with
+    ``(prompt, completion)`` or has the call's exception thrown in. So each
+    answer is applied before the next one is taken.
     """
-    if width <= 1:
-        for item in items:
-            yield item, call(item)
-        return
-    pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="pex-ask")
-    window: deque = deque()
-    try:
-        for item in items:
-            window.append((item, pool.submit(call, item)))
-            if len(window) >= 2 * width:
-                item, future = window.popleft()
-                yield item, future.result()
-        while window:
-            item, future = window.popleft()
-            yield item, future.result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    if activity_source not in (EXTRACTED, GOLD_INJECTED):
+        raise ValueError(f"unknown activity source: {activity_source}")
+    if activity_source == GOLD_INJECTED and gold is None:
+        raise ValueError("gold-injected extraction requires a gold standard")
+
+    run = ExtractionRun(doc.id, setting, activity_source, WorldModel(doc.id))
+    model = run.model
+
+    def ask(question: str, bindings: list, apply):
+        """Ask ``question`` for each (x, y) binding; call ``apply(k, completion,
+        digest)`` for the k-th answer, in binding order."""
+        params = backend_mod.default_params(question)
+        yield (prompting.render(question, setting, doc, x=x, y=y, shots=shots)
+               for x, y in bindings), params
+        for k in range(len(bindings)):
+            try:
+                prompt, completion = yield
+            except BackendError as exc:
+                raise ExtractionAborted(str(exc), run) from exc
+            run.counters[question] += 1
+            digest = backend_mod.transcript_digest(prompt.text, params)
+            run.transcripts.append({
+                "question": question,
+                "doc_id": doc.id,
+                "setting": setting,
+                "x": prompt.x,
+                "y": prompt.y,
+                "digest": digest,
+                "completion": completion,
+            })
+            apply(k, completion, digest)
+
+    def listed(_, completion, digest):
+        for surface in parse_list_answer(completion):
+            model.add_activity(surface, (prompting.Q1, digest))
+
+    if activity_source == GOLD_INJECTED:
+        for surface in gold.activities:
+            model.add_activity(surface, (GOLD_INJECTED, "-"))
+    else:
+        yield from ask(prompting.Q1, [(None, None)], listed)
+
+    def performed(i, completion, digest):
+        for name in parse_participant_answer(completion):
+            p = model.add_participant(name, (prompting.Q2, digest))
+            model.add_performs(p, i, (prompting.Q2, digest))
+
+    activities = list(model.activities)
+    yield from ask(prompting.Q2, [(s, None) for s in activities], performed)
+
+    # "does X immediately follow Y": a Yes means X comes after Y,
+    # recorded as the edge Y -> X, i.e. (i, j) here.
+    pairs = list(permutations(range(len(activities)), 2))
+
+    def followed(k, completion, digest):
+        verdict = parse_yesno(completion)
+        if verdict == YES:
+            model.add_follows(*pairs[k], (prompting.Q3, digest))
+        elif verdict == UNKNOWN:
+            run.unknown_q3 += 1
+
+    yield from ask(prompting.Q3, [(activities[j], activities[i]) for i, j in pairs],
+                   followed)
+    return run
 
 
 def extract(doc: Document, setting: str, backend,
             gold: GoldStandard | None = None,
             activity_source: str = EXTRACTED,
             shots: list | None = None) -> ExtractionRun:
-    """Run the full question dialogue for one document and setting.
-
-    The Q2 questions, and then the Q3 questions, are independent of each
-    other: each batch is sent ``backend.max_concurrency`` questions at a time
-    (1 for a backend that declares none), and its answers are applied in
-    question order, so the run equals a sequential one.
-    """
-    if activity_source not in (EXTRACTED, GOLD_INJECTED):
-        raise ValueError(f"unknown activity source: {activity_source}")
-    if activity_source == GOLD_INJECTED and gold is None:
-        raise ValueError("gold-injected extraction requires a gold standard")
-    width = getattr(backend, "max_concurrency", 1)
-
-    run = ExtractionRun(doc.id, setting, activity_source, WorldModel(doc.id))
-    model = run.model
-
-    def ask(question: str, bindings: list):
-        """Ask ``question`` for each (x, y) binding; yield (completion, digest)
-        in binding order."""
-        params = backend_mod.default_params(question)
-        prompts = (prompting.render(question, setting, doc, x=x, y=y, shots=shots)
-                   for x, y in bindings)
-        answers = _in_order(lambda prompt: backend.complete(prompt, params),
-                            prompts, min(width, len(bindings)))
-        with closing(answers):
-            try:
-                for prompt, completion in answers:
-                    run.counters[question] += 1
-                    digest = backend_mod.transcript_digest(prompt.text, params)
-                    run.transcripts.append({
-                        "question": question,
-                        "doc_id": doc.id,
-                        "setting": setting,
-                        "x": prompt.x,
-                        "y": prompt.y,
-                        "digest": digest,
-                        "completion": completion,
-                    })
-                    yield completion, digest
-            except BackendError as exc:
-                raise ExtractionAborted(str(exc), run) from exc
-
-    if activity_source == GOLD_INJECTED:
-        for surface in gold.activities:
-            model.add_activity(surface, (GOLD_INJECTED, "-"))
-    else:
-        [(completion, digest)] = ask(prompting.Q1, [(None, None)])
-        for surface in parse_list_answer(completion):
-            model.add_activity(surface, (prompting.Q1, digest))
-
-    activities = list(model.activities)
-    n = len(activities)
-    with closing(ask(prompting.Q2, [(s, None) for s in activities])) as answers:
-        for i, (completion, digest) in enumerate(answers):
-            for name in parse_participant_answer(completion):
-                p = model.add_participant(name, (prompting.Q2, digest))
-                model.add_performs(p, i, (prompting.Q2, digest))
-
-    # "does X immediately follow Y": a Yes means X comes after Y,
-    # recorded as the edge Y -> X, i.e. (i, j) here.
-    pairs = list(permutations(range(n), 2))
-    bindings = [(activities[j], activities[i]) for i, j in pairs]
-    with closing(ask(prompting.Q3, bindings)) as answers:
-        for (i, j), (completion, digest) in zip(pairs, answers):
-            verdict = parse_yesno(completion)
-            if verdict == YES:
-                model.add_follows(i, j, (prompting.Q3, digest))
-            elif verdict == UNKNOWN:
-                run.unknown_q3 += 1
+    """Run the full question dialogue for one document and setting: the
+    one-job case of ``schedule``."""
+    with closing(schedule([dialogue(doc, setting, gold, activity_source, shots)],
+                          backend)) as runs:
+        [run] = runs
     return run
+
+
+def schedule(jobs, backend):
+    """Run ``jobs``, generators that ask the way ``dialogue`` does, against
+    ``backend`` and yield each one's result, in job order.
+
+    At ``backend.max_concurrency`` 1 (the default) each job runs alone and
+    each prompt is asked on this thread when its job waits for the answer.
+    At width ``W`` above 1, up to ``W`` jobs advance at once, and up to ``W``
+    calls are in flight across all of them, on ``W`` ``pex-ask`` threads that
+    only call ``backend.complete``; the earliest job draws its prompts first.
+    Rendering, answers and results stay on this thread. Each job takes its
+    answers in question order, so every result equals a sequential run's.
+    A job that fails raises at its own position, after every earlier result
+    has been yielded; no later job starts or is yielded, and the calls in
+    flight still finish before this generator ends.
+    """
+    width = getattr(backend, "max_concurrency", 1)
+    if width <= 1:
+        for job in jobs:
+            yield _answer_inline(job, backend)
+    else:
+        yield from _answer_overlapped(iter(jobs), backend, width)
+
+
+def _answer_inline(gen, backend):
+    job = _Job(gen)
+    while not job.done:
+        prompt = next(job.prompts)
+        try:
+            reply = prompt, backend.complete(prompt, job.params)
+        except Exception as exc:
+            job.resume(job.gen.throw, exc)
+        else:
+            job.resume(job.gen.send, reply)
+    if job.error is not None:
+        raise job.error
+    return job.result
+
+
+class _Job:
+    """One job as ``schedule`` runs it: its generator, the prompts of its
+    batch not drawn yet and, at width above 1, the drawn ones whose answers
+    it has not taken."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.prompts = iter(())
+        self.params = None
+        self.window: deque = deque()  # (prompt, future), in question order
+        self.done = False
+        self.result = self.error = None
+        self.resume(gen.send, None)
+
+    def resume(self, resume, value) -> None:
+        """Resume the job with ``resume(value)`` until it waits for an answer."""
+        try:
+            step = resume(value)
+            while step is not None:  # a new batch
+                self.prompts, self.params = step
+                step = self.gen.send(None)
+        except StopIteration as stop:
+            self.done, self.result = True, stop.value
+        except Exception as exc:
+            self.done, self.error = True, exc
+
+    def draw(self, submit):
+        """The future of the next prompt's call, from ``submit(prompt,
+        params)``, or ``None`` when the job has no prompt to draw."""
+        if self.done:
+            return None
+        try:
+            prompt = next(self.prompts, None)
+        except Exception as exc:  # a prompt that does not render fails in its place
+            prompt, future = None, Future()
+            future.set_exception(exc)
+        else:
+            if prompt is None:
+                return None
+            future = submit(prompt, self.params)
+        self.window.append((prompt, future))
+        return future
+
+    def ready(self) -> bool:
+        return not self.done and bool(self.window) and self.window[0][1].done()
+
+    def take(self) -> None:
+        """Give the job the answer, or the error, of its oldest drawn prompt."""
+        prompt, future = self.window.popleft()
+        error = future.exception()
+        if error is None:
+            self.resume(self.gen.send, (prompt, future.result()))
+        else:
+            self.resume(self.gen.throw, error)
+
+    def stop(self) -> None:
+        for _, future in self.window:
+            future.cancel()
+        self.gen.close()
+
+
+def _answer_overlapped(jobs, backend, width: int):
+    active: list[_Job] = []  # started and not yet yielded, in job order
+    ended = queue.SimpleQueue()  # futures whose call has ended
+    pending = 0  # futures drawn and not yet taken from ``ended``
+    pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="pex-ask")
+
+    def submit(prompt, params):
+        return pool.submit(backend.complete, prompt, params)
+
+    try:
+        while True:
+            failed = next((k for k, job in enumerate(active) if job.error is not None), None)
+            if failed is not None:  # no job after a failed one runs
+                for job in active[failed + 1:]:
+                    job.stop()
+                del active[failed + 1:]
+                jobs = iter(())
+            while sum(not job.done for job in active) < width:
+                gen = next(jobs, None)
+                if gen is None:
+                    break
+                active.append(_Job(gen))
+            while active and active[0].done:
+                job = active.pop(0)
+                if job.error is not None:
+                    raise job.error
+                yield job.result
+            if not active:
+                return
+            # The earliest job draws first. Up to ``width`` drawn calls wait in
+            # the pool's queue, so a thread whose call ends starts the next at once.
+            for job in active:
+                while pending < 2 * width and len(job.window) < 2 * width:
+                    future = job.draw(submit)
+                    if future is None:
+                        break
+                    future.add_done_callback(ended.put)
+                    pending += 1
+            if not any(job.ready() for job in active):
+                ended.get()
+                pending -= 1
+            while not ended.empty():
+                ended.get()
+                pending -= 1
+            for job in active:
+                while job.ready():
+                    job.take()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        for job in active:
+            job.stop()

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import suppress
+from contextlib import closing, suppress
 from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
@@ -29,9 +29,12 @@ def run_suite(entries, settings, backend, outdir,
     """Extract every document under every setting (both activity sources),
     score the six report rows, and write models plus CSV/JSON reports.
 
-    Deduplication comes from ``backend``: the CLI's ``CachedBackend`` asks
-    each distinct prompt once, so the gs run reuses the ex run's answers
-    wherever their questions agree.
+    Each (setting, document) pair is one job of ``pipeline.schedule``: its
+    ex run, then its gs run. Jobs overlap up to ``backend.max_concurrency``,
+    and their results are scored and written in job order, so every file
+    equals a sequential run's. Deduplication comes from ``backend``: the
+    CLI's ``CachedBackend`` asks each distinct prompt once, so the gs run
+    reuses the ex run's answers wherever their questions agree.
 
     Returns the report mapping setting -> doc_id -> row -> ElementScores.
     """
@@ -42,14 +45,17 @@ def run_suite(entries, settings, backend, outdir,
     outdir = Path(outdir)
     models_dir = outdir / "models"
 
-    report: dict = {}
-    for setting in settings:
-        report[setting] = {}
-        for doc, gold in docs:
-            ex_run, gs_run = (
-                pipeline.extract(doc, setting, backend, gold=gold,
-                                 activity_source=source, shots=shots)
-                for source in (pipeline.EXTRACTED, pipeline.GOLD_INJECTED))
+    def both_runs(doc, setting, gold):
+        ex_run = yield from pipeline.dialogue(doc, setting, gold, pipeline.EXTRACTED, shots)
+        gs_run = yield from pipeline.dialogue(doc, setting, gold, pipeline.GOLD_INJECTED, shots)
+        return ex_run, gs_run
+
+    jobs = [(setting, doc, gold) for setting in settings for doc, gold in docs]
+    report: dict = {setting: {} for setting in settings}
+    results = pipeline.schedule((both_runs(doc, setting, gold) for setting, doc, gold in jobs),
+                                backend)
+    with closing(results):
+        for (setting, doc, gold), (ex_run, gs_run) in zip(jobs, results):
             for run in (ex_run, gs_run):
                 name = f"{doc.id}_{setting}_{run.activity_source}.json"
                 atomic_write(models_dir / name, run.model.to_json())

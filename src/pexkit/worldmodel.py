@@ -91,7 +91,7 @@ class WorldModel:
             model.follows = index_pairs(data["follows"], "follows",
                                         ("activity", n_activities),
                                         ("activity", n_activities))
-            model.provenance = {k: tuple(v) for k, v in data["provenance"].items()}
+            model.provenance = _provenance(data["provenance"])
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed world-model JSON: {exc}") from exc
         for s, d in model.follows:
@@ -141,6 +141,16 @@ def _phrases(items, kind: str) -> list[str]:
             raise ModelError(f"duplicate {kind} phrase {surface!r}")
         keys.add(key)
     return list(items)
+
+
+def _provenance(items) -> dict[str, tuple[str, ...]]:
+    """Provenance as loaded: an object whose values are lists of strings."""
+    if not isinstance(items, dict):
+        raise ModelError(f"provenance must be an object, not {items!r}")
+    for key, value in items.items():
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise ModelError(f"provenance of {key} must be a list of strings, not {value!r}")
+    return {key: tuple(value) for key, value in items.items()}
 
 
 def index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:

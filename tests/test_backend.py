@@ -1,8 +1,12 @@
+import contextlib
 import http.server
 import json
+import os
 import socket
 import ssl
+import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -115,6 +119,43 @@ def test_cache_mend_keeps_lines_appended_since_load(tmp_path, tear):
     second.record("p2", PARAMS, "b")
     first.record("p3", PARAMS, "c")
     assert len(bk.TranscriptCache(path)) == 3
+
+
+def test_cache_appends_from_two_caches_on_one_path_keep_every_entry(tmp_path, monkeypatch):
+    """Two caches on one path, as two processes would hold them, each mend
+    the torn tail they loaded and append from four threads: every line
+    parses, and no entry is lost."""
+    path = tmp_path / "c.jsonl"
+    bk.TranscriptCache(path).record("p0", PARAMS, "a")
+    path.write_text(path.read_text() + '{"digest": "ab')
+    caches = [bk.TranscriptCache(path), bk.TranscriptCache(path)]
+    pread = os.pread
+    waits = [0.1, 0.02]  # popped from the end
+
+    def slow_pread(fd, n, offset):
+        # Between reading the torn tail and cutting it off, the first cache
+        # to read it waits less than the second.
+        data = pread(fd, n, offset)
+        if n > 1:
+            with contextlib.suppress(IndexError):
+                time.sleep(waits.pop())
+        return data
+
+    monkeypatch.setattr(os, "pread", slow_pread)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def record(k):
+            for i in range(5):
+                caches[k % 2].record(f"p{k}.{i}", PARAMS, f"c{k}.{i}")
+        with ThreadPoolExecutor(8) as pool:
+            list(pool.map(record, range(8), timeout=30))
+    finally:
+        sys.setswitchinterval(switch)
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    assert sorted(e["prompt"] for e in entries) == sorted(
+        ["p0"] + [f"p{k}.{i}" for k in range(8) for i in range(5)])
+    assert len(bk.TranscriptCache(path)) == 41
 
 
 @pytest.mark.parametrize("bad", [
@@ -511,3 +552,58 @@ def test_cached_backend_does_not_store_a_failure():
     assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
     assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
     assert inner.calls == {"p": 2}
+
+
+class HeldStub:
+    """Holds every call until ``release`` is set; the first ``fail_first``
+    calls then fail."""
+
+    max_concurrency = 4
+
+    def __init__(self, fail_first=0):
+        self.calls = 0
+        self.fail_first = fail_first
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        assert self.release.wait(timeout=10)
+        if call <= self.fail_first:
+            raise BackendError("injected failure")
+        return "answer to " + prompt.text
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_cached_backend_callers_of_one_prompt_share_the_call_in_flight(fail):
+    """Four threads ask one prompt at once: one inner call, whose completion
+    or error each of them gets; a failure is asked again on the next call."""
+    inner = HeldStub(fail_first=1 if fail else 0)
+    memo = bk.CachedBackend(None, inner)
+    barrier = threading.Barrier(4)
+
+    def ask():
+        barrier.wait(timeout=10)
+        try:
+            return memo.complete(make_prompt("p"), PARAMS)
+        except BackendError as exc:
+            return exc
+
+    with ThreadPoolExecutor(4) as pool:
+        futures = [pool.submit(ask) for _ in range(4)]
+        deadline = time.monotonic() + 10
+        while inner.calls == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.2)  # the other three reach the call in flight
+        inner.release.set()
+        answers = [f.result(timeout=10) for f in futures]
+    assert inner.calls == 1
+    if fail:
+        assert all(isinstance(a, BackendError) for a in answers)
+        assert len({id(a) for a in answers}) == 1
+        assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
+        assert inner.calls == 2
+    else:
+        assert answers == ["answer to p"] * 4

@@ -86,17 +86,25 @@ def test_evaluate_rejects_out_of_range_model(tmp_path, capsys):
     assert "index 5 out of range" in err
 
 
-@pytest.mark.parametrize("mode, activities", [
-    ("gs", "abcd"), ("ex", [5, "x"]), ("ex", ["check stock", "Check  stock"])])
-def test_evaluate_rejects_malformed_phrase_list(tmp_path, capsys, mode, activities):
+@pytest.mark.parametrize("mode, activities, provenance, message", [
+    pytest.param("gs", "abcd", {}, "activity phrase", id="gs-abcd"),
+    pytest.param("ex", [5, "x"], {}, "activity phrase", id="ex-activities1"),
+    pytest.param("ex", ["check stock", "Check  stock"], {}, "activity phrase",
+                 id="ex-activities2"),
+    pytest.param("ex", ["check stock"], [], "provenance must be an object",
+                 id="ex-provenance-list"),
+    pytest.param("gs", ["check stock"], {"activity:0": "ab"}, "must be a list of strings",
+                 id="gs-provenance-string")])
+def test_evaluate_rejects_malformed_phrase_list(tmp_path, capsys, mode, activities,
+                                                provenance, message):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps({
         "doc_id": "10.1", "activities": activities, "participants": [],
-        "performs": [], "follows": [], "provenance": {}}))
+        "performs": [], "follows": [], "provenance": provenance}))
     code, out, err = run_cli(capsys, "evaluate", "--doc", "10.1", "--mode", mode,
                              "--model", str(model_path))
     assert code == 2
-    assert "activity phrase" in err
+    assert message in err
     assert out == ""
     assert "Traceback" not in err
 

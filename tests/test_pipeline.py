@@ -4,6 +4,8 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -228,10 +230,10 @@ def test_run_suite_asks_each_distinct_prompt_once(entries, monkeypatch, tmp_path
     from pexkit.backend import OracleBackend
 
     counters = []
-    extract = pipeline.extract
+    dialogue = pipeline.dialogue
 
-    def counted_extract(*args, **kwargs):
-        run = extract(*args, **kwargs)
+    def counted_dialogue(*args, **kwargs):
+        run = yield from dialogue(*args, **kwargs)
         counters.append(run.counters)
         return run
 
@@ -242,7 +244,7 @@ def test_run_suite_asks_each_distinct_prompt_once(entries, monkeypatch, tmp_path
         asked.append((prompt.text, params))
         return complete(self, prompt, params)
 
-    monkeypatch.setattr(pipeline, "extract", counted_extract)
+    monkeypatch.setattr(pipeline, "dialogue", counted_dialogue)
     monkeypatch.setattr(OracleBackend, "complete", counted_complete)
     assert cli.main(["run-suite", "--backend", "oracle", "--settings", ",".join(settings),
                      "--outdir", str(tmp_path)]) == 0
@@ -268,6 +270,7 @@ class JitteryBackend:
         self.max_concurrency = max_concurrency
         self.fail = fail  # (x, y) of the Q3 that raises
         self.finished = []
+        self.asked = Counter()  # prompt text -> calls
         self.threads = set()
         self._lock = threading.Lock()
 
@@ -281,6 +284,7 @@ class JitteryBackend:
             answer = ("It depends.", "Yes", "No")[key[1] % 3]
         with self._lock:
             self.finished.append((prompt.x, prompt.y))
+            self.asked[prompt.text] += 1
             self.threads.add(threading.current_thread().name)
         return answer
 
@@ -377,4 +381,128 @@ def test_unwritable_cache_aborts_a_concurrent_extract(index, oracle, tmp_path):
     assert excinfo.value.run.counters["q2"] == 0
     assert backend.inner.threads and all(
         name.startswith("pex-ask") for name in backend.inner.threads)
+    assert not dispatch_threads()
+
+
+def test_concurrent_run_suite_asks_each_distinct_prompt_once(entries, oracle, tmp_path):
+    """Jobs that overlap still reach the inner backend once per distinct prompt."""
+    from pexkit.suite import run_suite
+
+    backend = CachedBackend(None, JitteryBackend(oracle, 4))
+    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path)
+    asked = backend.inner.asked
+    assert len(asked) == sum(asked.values()) == 734
+    assert set(asked.values()) == {1}
+
+
+def test_duplicate_documents_share_calls_in_flight(entries, tmp_path):
+    """Two documents with one body ask the same prompts, at the same time
+    when their jobs overlap: each distinct prompt still reaches the inner
+    backend once."""
+    from pexkit.backend import OracleBackend
+    from pexkit.corpus import corpus_index
+    from pexkit.suite import run_suite
+
+    index = corpus_index(entries)
+    doc, gold = index["1.2"]
+    twin = (replace(doc, id="1.3"), replace(gold, doc_id="1.3"))
+    entries = [twin if d.id == "1.3" else (d, g) for d, g in entries]
+    inner = JitteryBackend(OracleBackend(corpus_index(entries)), 4)
+    run_suite(entries, [prompting.RAW], CachedBackend(None, inner), tmp_path)
+    sizes = {d.body: len(g.activities) for d, g in
+             (index[doc_id] for doc_id in ("1.2", "3.3", "5.2", "10.1", "10.6", "10.13"))}
+    assert sum(inner.asked.values()) == len(inner.asked) == \
+        sum(1 + n * n for n in sizes.values()) == 245
+
+
+def test_run_suite_overlaps_jobs(entries, oracle, tmp_path):
+    """The second job's Q1 is asked while the first job still waits for its
+    last Q3 answer."""
+    from pexkit import corpus
+    from pexkit.suite import run_suite
+
+    (first, gold), (second, _) = corpus.evaluation_documents(entries)[:2]
+    n = len(gold.activities)
+    last_q3 = (gold.activities[n - 2], gold.activities[n - 1])
+    second_q1_asked = threading.Event()
+    overlapped = []
+
+    class Held:
+        max_concurrency = 4
+
+        def complete(self, prompt, params):
+            if prompt.doc_id == second.id and prompt.question == prompting.Q1:
+                second_q1_asked.set()
+            if (prompt.doc_id == first.id and prompt.question == prompting.Q3
+                    and (prompt.x, prompt.y) == last_q3 and not overlapped):
+                overlapped.append(second_q1_asked.wait(timeout=5))
+            return oracle.complete(prompt, params)
+
+    run_suite(entries, [prompting.RAW], Held(), tmp_path)
+    assert overlapped == [True]
+    assert not dispatch_threads()
+
+
+def test_run_suite_keeps_cpu_work_on_the_calling_thread(entries, oracle, monkeypatch, tmp_path):
+    """Rendering and parsing run on the calling thread; the pex-ask threads,
+    at most ``max_concurrency`` of them, only call the backend and are gone
+    afterwards."""
+    from pexkit.suite import run_suite
+
+    seen = {"render": set(), "parse_yesno": set()}
+    most = []
+
+    def on_thread(name, fn):
+        def wrapped(*args, **kwargs):
+            seen[name].add(threading.current_thread().name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(prompting, "render", on_thread("render", prompting.render))
+    monkeypatch.setattr(pipeline, "parse_yesno", on_thread("parse_yesno", pipeline.parse_yesno))
+
+    class Counting(JitteryBackend):
+        def complete(self, prompt, params):
+            most.append(len(dispatch_threads()))
+            return super().complete(prompt, params)
+
+    backend = Counting(oracle, 4)
+    run_suite(entries, [prompting.RAW], backend, tmp_path)
+    caller = threading.current_thread().name
+    assert seen == {"render": {caller}, "parse_yesno": {caller}}
+    assert backend.threads and all(name.startswith("pex-ask") for name in backend.threads)
+    assert max(most) <= 4
+    assert not dispatch_threads()
+
+
+def test_run_suite_abort_in_a_middle_job_keeps_the_sequential_partial_run(entries, oracle,
+                                                                          tmp_path):
+    """A failing Q3 in the fourth job raises the same ``ExtractionAborted``
+    at widths 1 and 4, and leaves the same files: the first three jobs'
+    models, and no report."""
+    from pexkit import corpus
+    from pexkit.suite import run_suite
+
+    doc, gold = corpus.evaluation_documents(entries)[3]
+    i, j = list(permutations(range(len(gold.activities)), 2))[5]
+    fail = (gold.activities[j], gold.activities[i])
+    aborted, written = {}, {}
+    for width in (1, 4):
+        outdir = tmp_path / f"w{width}"
+        with pytest.raises(ExtractionAborted, match="injected failure") as excinfo:
+            run_suite(entries, [prompting.RAW], JitteryBackend(oracle, width, fail=fail),
+                      outdir)
+        aborted[width] = excinfo.value.run
+        written[width] = {p.relative_to(outdir): p.read_bytes()
+                          for p in outdir.rglob("*") if p.is_file()}
+    assert aborted[4].doc_id == aborted[1].doc_id == doc.id
+    assert aborted[4].activity_source == aborted[1].activity_source == EXTRACTED
+    assert aborted[4].transcripts == aborted[1].transcripts
+    assert aborted[4].counters == aborted[1].counters == \
+        {"q1": 1, "q2": len(gold.activities), "q3": 5}
+    assert aborted[4].model.to_json() == aborted[1].model.to_json()
+    assert written[4] == written[1]
+    assert sorted(p.name for p in written[1]) == sorted(
+        f"{d.id}_raw_{source}.json" for d, _ in corpus.evaluation_documents(entries)[:3]
+        for source in (EXTRACTED, GOLD_INJECTED))
     assert not dispatch_threads()

@@ -138,6 +138,10 @@ def test_roundtrip_property(surfaces):
     ("participants", ("p",), "participant phrases must be a list"),
     ("participants", ["p", None], "participant phrase None is not a non-empty string"),
     ("participants", ["the clerk", "The Clerk"], "duplicate participant phrase"),
+    ("provenance", [], "provenance must be an object"),
+    ("provenance", None, "provenance must be an object"),
+    ("provenance", {"activity:0": "ab"}, "provenance of activity:0 must be a list of strings"),
+    ("provenance", {"activity:0": ["q1", 5]}, "must be a list of strings"),
 ])
 def test_from_dict_checks_edge_indices(key, pairs, message):
     data = model_with(["a", "b"], ["p"]).to_dict()
