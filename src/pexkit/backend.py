@@ -89,18 +89,23 @@ def _params_json(params: CompletionParams) -> str:
     return json.dumps(params.to_dict(), sort_keys=True)
 
 
-# Two layers ask for each question's digest: the caching layer
-# (``CachedBackend`` and the cache it records in) and the pipeline's
-# transcript. On the sequential path (oracle, replay) they ask back to back,
-# so two entries make it one sha256 per prompt there. Under concurrent
-# dispatch the layers of different questions interleave and some digests are
-# computed again, beside a network call. A larger memo would keep more whole
-# prompt texts alive for no sequential gain.
-@functools.lru_cache(maxsize=2)
 def transcript_digest(prompt_text: str, params: CompletionParams) -> str:
     """Cache key of a prompt text and its params; also what provenance records."""
     payload = prompt_text + "\x00" + _params_json(params)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def prompt_digest(prompt: Prompt, params: CompletionParams) -> str:
+    """``transcript_digest`` of a rendered prompt, computed once and kept on it.
+
+    ``CachedBackend`` asks for it, often on a ``pex-ask`` thread, and the
+    dialogue's transcript asks again for the same prompt object when it takes
+    the answer, so each question is hashed once at any width.
+    """
+    digest = prompt.digests.get(params)
+    if digest is None:
+        digest = prompt.digests[params] = transcript_digest(prompt.text, params)
+    return digest
 
 
 class TranscriptCache:
@@ -160,9 +165,7 @@ class TranscriptCache:
     def _check_entry(self, entry: dict, number: int) -> None:
         try:
             params = CompletionParams.from_dict(entry["params"])
-            # Uncached: each entry is hashed once, and a load must not churn
-            # the memo that in-run lookups share.
-            expected = transcript_digest.__wrapped__(entry["prompt"], params)
+            expected = transcript_digest(entry["prompt"], params)
             digest, completion = entry["digest"], entry["completion"]
             if not isinstance(completion, str):
                 raise TypeError(f"completion is {completion!r}")
@@ -181,8 +184,11 @@ class TranscriptCache:
         return self._entries.get(digest)
 
     def record(self, prompt_text: str, params: CompletionParams,
-               completion: str) -> None:
-        digest = transcript_digest(prompt_text, params)
+               completion: str, digest: str | None = None) -> None:
+        """Append an entry; ``digest``, when given, is the caller's
+        ``transcript_digest(prompt_text, params)``, so it is not hashed again."""
+        if digest is None:
+            digest = transcript_digest(prompt_text, params)
         with self._lock:
             existing = self._entries.get(digest)
             if existing is not None:
@@ -259,15 +265,17 @@ def _cannot_heal(exc: OSError) -> bool:
 class LiveBackend:
     """Completions-style HTTP API client with retry and backoff.
 
-    It holds ``max_concurrency`` keep-alive connections to the endpoint's
-    host, each idle one serving whichever thread asks next, so that at most
-    that many calls are in flight at once; ``pipeline.schedule`` sends that
-    many. The API key is read from ``PEX_API_KEY``. Proxy variables are not
-    read; TLS is verified against the system trust store
-    (``ssl.create_default_context``).
+    It holds ``max_concurrency`` (by default 8) keep-alive connections to
+    the endpoint's host, each idle one serving whichever thread asks next, so
+    that at most that many calls are in flight at once; ``pipeline.schedule``
+    sends that many. A run's wall time is about its distinct calls times the
+    round trip, divided by that width, and each doubling of the width also
+    doubles the request rate that a provider's per-minute limits see. The
+    API key is read from ``PEX_API_KEY``. Proxy variables are not read; TLS
+    is verified against the system trust store (``ssl.create_default_context``).
     """
 
-    def __init__(self, base_url: str, model: str, max_concurrency: int = 4):
+    def __init__(self, base_url: str, model: str, max_concurrency: int = 8):
         if max_concurrency < 1:
             raise BackendError(f"max_concurrency must be >= 1, got {max_concurrency}")
         import http.client  # here, so that other backends never load it
@@ -409,7 +417,7 @@ class CachedBackend:
         return getattr(self.inner, "max_concurrency", 1)
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
-        digest = transcript_digest(prompt.text, params)
+        digest = prompt_digest(prompt, params)
         completion = self._done.get(digest)
         if completion is not None:
             return completion
@@ -452,7 +460,7 @@ class CachedBackend:
                 f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
         completion = self.inner.complete(prompt, params)
         if self.cache is not None:
-            self.cache.record(prompt.text, params, completion)
+            self.cache.record(prompt.text, params, completion, digest)
         return completion
 
 

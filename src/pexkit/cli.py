@@ -92,9 +92,21 @@ def _add_backend_flags(parser):
                         help="live backend model name")
 
 
+def _threshold(text: str) -> float:
+    """A Jaccard match threshold: a number in (0, 1]. At 0 or below every
+    pair of phrases would match, since a pair matches at ``score >= threshold``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 < value <= 1:  # also NaN
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+    return value
+
+
 def _add_match_flags(parser):
-    parser.add_argument("--threshold", type=float,
-                        help="Jaccard match threshold (default 0.5)")
+    parser.add_argument("--threshold", type=_threshold,
+                        help="Jaccard match threshold in (0, 1] (default 0.5)")
     parser.add_argument("--aliases", help="reviewed alias map (JSON file)")
 
 

@@ -12,7 +12,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import groupby, permutations
 
 from . import backend as backend_mod
 from . import prompting
@@ -71,15 +71,11 @@ def parse_participant_answer(completion: str) -> list[str]:
 
 
 def parse_yesno(completion: str) -> str:
-    """Classify a Q3 completion by its first alphabetic token."""
-    match = re.search(r"[A-Za-z]+", completion)
-    if not match:
-        return UNKNOWN
-    token = match.group(0).lower()
-    if token == "yes":
-        return YES
-    if token == "no":
-        return NO
+    """Classify a Q3 completion by its first alphabetic run (``str.isalpha``),
+    case-folded: ``"Àno"`` is neither yes nor no."""
+    for alphabetic, run in groupby(completion, str.isalpha):
+        if alphabetic:
+            return {"yes": YES, "no": NO}.get("".join(run).casefold(), UNKNOWN)
     return UNKNOWN
 
 
@@ -133,7 +129,7 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
             except BackendError as exc:
                 raise ExtractionAborted(str(exc), run) from exc
             run.counters[question] += 1
-            digest = backend_mod.transcript_digest(prompt.text, params)
+            digest = backend_mod.prompt_digest(prompt, params)
             run.transcripts.append({
                 "question": question,
                 "doc_id": doc.id,

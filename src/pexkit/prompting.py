@@ -8,7 +8,7 @@ then the two shot blocks (if any), then the target block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import corpus
 from .errors import PromptError
@@ -147,6 +147,8 @@ class Prompt:
     doc_id: str
     x: str | None
     y: str | None
+    # params -> transcript digest of this text, filled by ``backend.prompt_digest``
+    digests: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def render(question: str, setting: str, doc: corpus.Document,

@@ -303,17 +303,34 @@ class ScriptedHandler(LoopbackHandler):
         self.answer(*self.server.script.pop(0))
 
 
+class BarrierHandler(EchoHandler):
+    """Echoes a request only once ``server.barrier`` has as many requests
+    waiting as it has parties, so that they are all open at once; a broken
+    barrier is answered with a 500."""
+
+    def do_POST(self):
+        payload = self.read_payload()
+        self.server.peers.add(self.client_address)
+        try:
+            self.server.barrier.wait()
+        except threading.BrokenBarrierError:
+            self.answer(500, {}, {})
+        else:
+            self.answer(200, {}, {"choices": [{"text": "re: " + payload["prompt"]}]})
+
+
 @pytest.fixture()
 def loopback():
     """Start a server on a free loopback port: an echo server whose ``peers``
     collects the client address of each connection a request came on, or,
-    given a ``script``, a scripted one."""
+    given a ``script``, a scripted one, or one of the given ``handler``."""
     servers = []
 
-    def start(close_after_response=False, script=None):
-        handler = EchoHandler if script is None else ScriptedHandler
+    def start(close_after_response=False, script=None, handler=None):
+        handler = handler or (EchoHandler if script is None else ScriptedHandler)
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.peers = set()
+        server.barrier = threading.Barrier(8, timeout=5)
         server.close_after_response = close_after_response
         server.script, server.requests = list(script or ()), []
         server.url = f"http://127.0.0.1:{server.server_address[1]}/v1"
@@ -443,6 +460,21 @@ def test_live_backend_reuses_keep_alive_connections(loopback, api_key):
             texts = [f"{batch}{i}" for i in range(8)]
             assert ask_all(live, texts, 4) == ["re: " + t for t in texts]
         assert len(server.peers) <= 4
+    finally:
+        live.close()
+
+
+def test_live_backend_holds_8_requests_open_by_default(loopback, api_key, sleeps):
+    """The default width: 8 requests reach the server at once, on at most 8
+    connections; a narrower client leaves the server's barrier waiting."""
+    server = loopback(handler=BarrierHandler)
+    live = bk.LiveBackend(server.url, "engine")
+    try:
+        assert live.max_concurrency == 8
+        texts = [f"s{i}" for i in range(16)]
+        assert ask_all(live, texts, 16) == ["re: " + t for t in texts]
+        assert len(server.peers) <= 8
+        assert sleeps == []
     finally:
         live.close()
 

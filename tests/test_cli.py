@@ -196,6 +196,49 @@ def test_run_suite_replay_requires_cache(tmp_path, capsys):
         assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_live_backend_runs_8_calls_in_flight(monkeypatch, entries):
+    monkeypatch.setenv("PEX_API_KEY", "k")
+    args = cli.build_parser().parse_args(
+        ["run-suite", "--backend", "live", "--endpoint", "http://127.0.0.1:9/v1",
+         "--outdir", "out"])
+    backend = cli._make_backend(args, entries)
+    assert backend.max_concurrency == 8
+    backend.inner.close()
+
+
+@pytest.mark.parametrize("threshold, activity", [
+    (None, "0.75"), ("0.5", "0.75"), ("1", "0.75"),
+    ("-1", None), ("0", None), ("nan", None), ("1.5", None), ("inf", None), ("half", None)])
+def test_threshold_must_be_in_zero_one(tmp_path, capsys, threshold, activity):
+    """At a threshold of 0 or below every phrase pair would match, so a
+    model whose first activity is renamed would score Activity 1.00."""
+    model_path = tmp_path / "model.json"
+    assert cli.main(["extract", "--doc", "10.1", "--setting", "raw", "--backend", "oracle",
+                     "--out", str(model_path)]) == 0
+    model = json.loads(model_path.read_text())
+    model["activities"][0] = "zzz qqq"
+    model_path.write_text(json.dumps(model))
+    capsys.readouterr()
+    flag = [] if threshold is None else ["--threshold", threshold]
+    scores = tmp_path / "scores.json"
+    code, out, err = run_cli(capsys, "evaluate", "--doc", "10.1", "--model", str(model_path),
+                             "--out-json", str(scores), *flag)
+    if activity is not None:
+        assert code == 0
+        assert f"{json.loads(scores.read_text())['-']['10.1']['Activity']['f1']:.2f}" == activity
+        return
+    assert code == 1
+    assert "--threshold: must be a number in (0, 1]" in err
+    assert out == ""
+    assert not scores.exists()
+    outdir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run-suite", "--settings", "raw", "--outdir", str(outdir),
+                           *flag)
+    assert code == 1
+    assert "--threshold: must be a number in (0, 1]" in err
+    assert not outdir.exists()
+
+
 def test_cli_import_loads_no_http_client():
     src = Path(cli.__file__).parents[1]
     probe = ("import pexkit.cli, sys; "

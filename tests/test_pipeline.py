@@ -7,9 +7,10 @@ import time
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pexkit import pipeline, prompting
@@ -19,6 +20,7 @@ from pexkit.errors import BackendError
 from pexkit.pipeline import (EXTRACTED, GOLD_INJECTED, ExtractionAborted,
                              parse_list_answer, parse_participant_answer,
                              parse_yesno)
+from pexkit.worldmodel import normalize_key
 
 # -- answer parsers ---------------------------------------------------------
 
@@ -77,6 +79,46 @@ def test_parse_yesno():
     assert parse_yesno("It depends.") == pipeline.UNKNOWN
     assert parse_yesno("") == pipeline.UNKNOWN
     assert parse_yesno("  YES.") == pipeline.YES
+
+
+# Completion-like text: letters, digits, bullets, punctuation and spacing,
+# plus any other character.
+_answer_text = st.text(st.one_of(st.sampled_from(list("yesnoYESNOſ-*•.),;:!? \t\n12")),
+                                 st.characters()), max_size=40)
+
+
+def _first_alphabetic_run(text):
+    start = next((k for k, ch in enumerate(text) if ch.isalpha()), len(text))
+    end = next((k for k in range(start, len(text)) if not text[k].isalpha()), len(text))
+    return text[start:end]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_answer_text)
+@example("Àno")  # the first run is "Àno", not "no"
+@example("²yes")
+@example("yeſ")  # case-folds to "yes"
+def test_parse_yesno_reads_the_first_alphabetic_run(completion):
+    verdict = parse_yesno(completion)
+    assert verdict in (pipeline.YES, pipeline.NO, pipeline.UNKNOWN)
+    word = _first_alphabetic_run(completion).casefold()
+    assert (verdict == pipeline.YES) == (word == "yes")
+    assert (verdict == pipeline.NO) == (word == "no")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_answer_text)
+def test_parse_list_answer_items_are_stripped_and_distinct(completion):
+    items = parse_list_answer(completion)
+    assert all(item and item == item.strip() for item in items)
+    keys = [normalize_key(item) for item in items]
+    assert len(set(keys)) == len(keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_answer_text)
+def test_parse_participant_answer_items_are_stripped(completion):
+    assert all(item and item == item.strip() for item in parse_participant_answer(completion))
 
 
 # -- extraction runs --------------------------------------------------------
@@ -393,6 +435,27 @@ def test_concurrent_run_suite_asks_each_distinct_prompt_once(entries, oracle, tm
     asked = backend.inner.asked
     assert len(asked) == sum(asked.values()) == 734
     assert set(asked.values()) == {1}
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_path, width):
+    """The memo, the cache it records in and the transcript share one digest
+    per question, also when the calls run on other threads."""
+    from pexkit import backend as bk
+    from pexkit.suite import run_suite
+
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(bk, "hashlib", SimpleNamespace(sha256=sha256))
+    cache = TranscriptCache(tmp_path / "c.jsonl")
+    backend = CachedBackend(cache, oracle if width == 1 else JitteryBackend(oracle, width))
+    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path / "out")
+    assert len(cache) == len(set(hashed)) == 734
+    assert len(hashed) <= 1454
 
 
 def test_duplicate_documents_share_calls_in_flight(entries, tmp_path):
