@@ -127,6 +127,7 @@ class TranscriptCache:
         # (end of the last good line, bytes after it) as loaded, when the
         # file does not end with a complete line; the next append mends it.
         self._resume: tuple[int, bytes] | None = None
+        self._dir_made = False  # the file's directory, made by the first append
         if self.path.exists():
             try:
                 self._load()
@@ -205,7 +206,9 @@ class TranscriptCache:
                 "recorded_at": datetime.now(timezone.utc).isoformat(),
             }
             try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
+                if not self._dir_made:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._dir_made = True
                 with self.path.open("a+b") as handle:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_EX)  # until closed
                     if self._resume is not None:
@@ -269,10 +272,17 @@ class LiveBackend:
     the endpoint's host, each idle one serving whichever thread asks next, so
     that at most that many calls are in flight at once; ``pipeline.schedule``
     sends that many. A run's wall time is about its distinct calls times the
-    round trip, divided by that width, and each doubling of the width also
-    doubles the request rate that a provider's per-minute limits see. The
-    API key is read from ``PEX_API_KEY``. Proxy variables are not read; TLS
-    is verified against the system trust store (``ssl.create_default_context``).
+    round trip, divided by the width. The API key is read from
+    ``PEX_API_KEY``. Proxy variables are not read; TLS is verified against
+    the system trust store (``ssl.create_default_context``).
+
+    The width in use, ``width``, adapts between 1 and ``max_concurrency`` by
+    additive increase, multiplicative decrease: a 429 halves it, once per
+    round (a 429 on a request sent before the last halving does not halve it
+    again), and ``width`` successes in a row add 1. Only ``width``
+    connections circulate through the idle queue; the others are parked, so
+    callers beyond the width wait for a connection. The request that got
+    the 429 still waits its ``Retry-After`` before its next attempt.
     """
 
     def __init__(self, base_url: str, model: str, max_concurrency: int = 8):
@@ -300,6 +310,14 @@ class LiveBackend:
         self._idle = queue.LifoQueue()
         for conn in connections:
             self._idle.put(conn)
+        # The width rule's state, guarded by ``_width_lock``: connections in
+        # circulation (idle or in use) number ``width + _to_park``.
+        self._width_lock = threading.Lock()
+        self.width = max_concurrency
+        self._round = 0  # halvings so far
+        self._streak = 0  # successes in a row since the last change of width
+        self._parked: list = []
+        self._to_park = 0  # connections in use, parked when they come back
         self.model = model
         api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
@@ -350,24 +368,68 @@ class LiveBackend:
         raise BackendError(f"completion retries exhausted: {last_error}")
 
     def _post(self, body: bytes):
-        """Send ``body`` on an idle connection, waiting for one if all are in
-        use; the answer's status, headers and body."""
+        """Send ``body`` on an idle connection, waiting for one if all that
+        circulate are in use; the answer's status, headers and body."""
         conn = self._idle.get()
+        sent_in = self._round
+        answer = None
         try:
             if conn.sock is not None:  # open since an earlier request
                 try:
-                    return self._exchange(conn, body)
+                    answer = self._exchange(conn, body)
                 except (BrokenPipeError, ConnectionResetError):
                     # The server closed it while it sat idle, before answering
                     # (RemoteDisconnected is a ConnectionResetError): send again
                     # at once on a fresh connection.
                     conn.close()
-            return self._exchange(conn, body)
+            if answer is None:
+                answer = self._exchange(conn, body)
+            return answer
         except BaseException:
             conn.close()
             raise
         finally:
-            self._idle.put(conn)
+            self._release(conn, sent_in, None if answer is None else answer[0])
+
+    def _release(self, conn, sent_in: int, status: int | None) -> None:
+        """Apply the width rule to the ``status`` answered on ``conn`` (None
+        when there was no answer) for a request sent in round ``sent_in``,
+        then park ``conn`` or put it back on the idle queue."""
+        with self._width_lock:
+            if status != 200:
+                self._streak = 0
+                if status == 429 and sent_in == self._round and self.width > 1:
+                    self._round += 1
+                    self._resize(self.width // 2, "HTTP 429")
+            elif self.width < self.max_concurrency:
+                self._streak += 1
+                if self._streak == self.width:
+                    self._resize(self.width + 1, f"{self.width} x HTTP 200")
+            if self._to_park:
+                self._to_park -= 1
+                self._parked.append(conn)
+            else:
+                self._idle.put(conn)
+
+    def _resize(self, width: int, reason: str) -> None:
+        """Set the width, parking or returning connections to match; called
+        with ``_width_lock`` held."""
+        log.debug("live width %d -> %d (%s)", self.width, width, reason)
+        self._streak = 0
+        if width > self.width:
+            if self._to_park:
+                self._to_park -= 1
+            else:
+                self._idle.put(self._parked.pop())
+        else:
+            self._to_park += self.width - width
+            while self._to_park:
+                try:
+                    self._parked.append(self._idle.get_nowait())
+                except queue.Empty:
+                    break
+                self._to_park -= 1
+        self.width = width
 
     def _exchange(self, conn, body: bytes):
         conn.request("POST", self._path, body, self._headers)

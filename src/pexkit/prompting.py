@@ -88,18 +88,19 @@ def setting_has_shots(setting: str) -> bool:
 
 
 def instantiate(question: str, x: str | None = None, y: str | None = None) -> str:
-    """Replace the X / Y placeholders of a question template, verbatim."""
+    """Replace the X / Y placeholders of a question template, verbatim; a
+    binding the question needs must be given and not be blank."""
     if question not in QUESTION_TEMPLATES:
         raise PromptError(f"unknown question kind: {question}")
     text = QUESTION_TEMPLATES[question]
     if question == Q1:
         return text
-    if x is None:
-        raise PromptError(f"question {question} requires binding X")
+    if x is None or not x.strip():
+        raise PromptError(f"question {question} requires a non-blank binding X")
     text = re.sub(r"\bX\b", lambda _: x, text)
     if question == Q3:
-        if y is None:
-            raise PromptError("question q3 requires binding Y")
+        if y is None or not y.strip():
+            raise PromptError("question q3 requires a non-blank binding Y")
         text = re.sub(r"\bY\b", lambda _: y, text)
     return text
 

@@ -479,6 +479,129 @@ def test_live_backend_holds_8_requests_open_by_default(loopback, api_key, sleeps
         live.close()
 
 
+def test_live_backend_width_rule(api_key, caplog):
+    """A 429 halves the width once per round, down to 1; ``width``
+    successes in a row add 1, up to ``max_concurrency``. Once every request
+    has come back, the idle queue holds as many connections as the width."""
+    caplog.set_level("DEBUG", logger=bk.__name__)
+    live = bk.LiveBackend("http://127.0.0.1:9/v1", "engine", max_concurrency=16)
+
+    def send(k):
+        return [(live._idle.get_nowait(), live._round) for _ in range(k)]
+
+    def answer(sent, status):
+        for conn, sent_in in sent:
+            live._release(conn, sent_in, status)
+
+    def succeed(k):
+        for _ in range(k):
+            answer(send(1), 200)
+
+    assert live.width == 16
+    burst = send(16)
+    answer(burst[:1], 429)
+    assert live.width == 8
+    answer(burst[1:], 429)  # sent before the halving: no further halving
+    assert (live.width, live._idle.qsize()) == (8, 8)
+    second = send(8)
+    answer(second, 429)  # one halving for the round sent at width 8
+    assert (live.width, live._idle.qsize()) == (4, 4)
+    for width in (2, 1, 1):  # the floor
+        answer(send(1), 429)
+        assert (live.width, live._idle.qsize()) == (width, width)
+    for width in range(1, 16):
+        succeed(width - 1)
+        assert live.width == width
+        succeed(1)
+        assert (live.width, live._idle.qsize()) == (width + 1, width + 1)
+    succeed(40)  # the ceiling
+    assert (live.width, live._idle.qsize()) == (16, 16)
+    resized = [r.getMessage() for r in caplog.records if r.getMessage().startswith("live width")]
+    assert resized[:5] == ["live width 16 -> 8 (HTTP 429)", "live width 8 -> 4 (HTTP 429)",
+                           "live width 4 -> 2 (HTTP 429)", "live width 2 -> 1 (HTTP 429)",
+                           "live width 1 -> 2 (1 x HTTP 200)"]
+    assert len(resized) == 4 + 15
+    live.close()
+
+
+def test_live_backend_width_rule_parks_connections_in_use(api_key):
+    """A halving while every connection is in use parks the surplus as it
+    comes back; an increase before it has all come back parks one fewer."""
+    live = bk.LiveBackend("http://127.0.0.1:9/v1", "engine", max_concurrency=5)
+    sent = [(live._idle.get_nowait(), live._round) for _ in range(5)]
+    live._release(*sent[0], 429)
+    assert (live.width, live._idle.qsize()) == (2, 0)
+    live._release(*sent[1], 200)  # parked
+    assert (live.width, live._idle.qsize()) == (2, 0)
+    live._release(*sent[2], 200)  # the second success in a row: kept
+    assert (live.width, live._idle.qsize()) == (3, 1)
+    for conn, sent_in in sent[3:]:
+        live._release(conn, sent_in, 500)
+    assert (live.width, live._idle.qsize()) == (3, 3)
+    assert len(live._parked) == 2
+    live.close()
+
+
+class RateLimitedHandler(EchoHandler):
+    """Echoes a request after a short wait, unless more than ``server.limit``
+    requests are in flight when it arrives: then it answers 429 with
+    ``Retry-After: 0``. Each request leaves the count before it is answered,
+    so the client can never see more in flight than the server counts."""
+
+    def do_POST(self):
+        payload = self.read_payload()
+        server = self.server
+        with server.lock:
+            server.inflight += 1
+            limited = server.inflight > server.limit
+            server.attempts[payload["prompt"]] += 1
+        if not limited:
+            server.wait(0.005)
+        with server.lock:
+            server.inflight -= 1
+        if limited:
+            self.answer(429, {"Retry-After": "0"}, {})
+        else:
+            self.answer(200, {}, {"choices": [{"text": "re: " + payload["prompt"]}]})
+
+
+def test_live_backend_backs_off_on_429_then_recovers(loopback, api_key, caplog):
+    """A default ``LiveBackend``, driven by ``pipeline.schedule``, against a
+    server that answers 429 above 5 requests in flight: every answer comes
+    back, no request uses up its attempts, and the width falls to 5 or
+    less, then climbs again."""
+    from pexkit import pipeline
+
+    caplog.set_level("DEBUG", logger=bk.__name__)
+    server = loopback(handler=RateLimitedHandler)
+    server.lock, server.inflight, server.limit = threading.Lock(), 0, 5
+    server.attempts, server.wait = Counter(), time.sleep
+    live = bk.LiveBackend(server.url, "engine")
+
+    def job(texts):
+        yield (make_prompt(t) for t in texts), PARAMS
+        answers = []
+        for _ in texts:
+            _, completion = yield
+            answers.append(completion)
+        return answers
+
+    batches = [[f"j{j}.{i}" for i in range(30)] for j in range(8)]
+    try:
+        assert list(pipeline.schedule([job(b) for b in batches], live)) == \
+            [["re: " + t for t in b] for b in batches]
+    finally:
+        live.close()
+    assert len(server.attempts) == 240
+    assert max(server.attempts.values()) < bk.MAX_ATTEMPTS
+    assert sum(server.attempts.values()) > 240  # some 429s
+    widths = [int(r.getMessage().split()[4]) for r in caplog.records
+              if r.getMessage().startswith("live width")]
+    assert widths and min(widths) <= 5
+    lowest = widths.index(min(widths))
+    assert max(widths[lowest:]) > min(widths)
+
+
 def test_live_backend_resends_at_once_on_a_connection_closed_while_idle(loopback, api_key,
                                                                          sleeps):
     server = loopback(close_after_response=True)

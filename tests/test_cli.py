@@ -32,6 +32,17 @@ def test_prompt_unknown_doc(capsys):
     assert "not in corpus" in err
 
 
+@pytest.mark.parametrize("question, bindings, missing", [
+    ("q2", ["--x", ""], "X"), ("q2", ["--x", "  "], "X"),
+    ("q3", ["--x", "receives the order", "--y", ""], "Y")])
+def test_prompt_rejects_a_blank_binding(capsys, question, bindings, missing):
+    code, out, err = run_cli(capsys, "prompt", "--question", question,
+                             "--setting", "raw", "--doc", "10.1", *bindings)
+    assert code == 2
+    assert out == ""
+    assert f"requires a non-blank binding {missing}" in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1

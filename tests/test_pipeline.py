@@ -6,6 +6,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from datetime import timedelta
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pexkit import pipeline, prompting
-from pexkit.backend import CachedBackend, TranscriptCache
+from pexkit.backend import CachedBackend, OracleBackend, TranscriptCache
 from pexkit.corpus import Document
 from pexkit.errors import BackendError
 from pexkit.pipeline import (EXTRACTED, GOLD_INJECTED, ExtractionAborted,
@@ -303,23 +304,26 @@ def test_run_suite_asks_each_distinct_prompt_once(entries, monkeypatch, tmp_path
 
 class JitteryBackend:
     """Oracle answers, some Q3 answers replaced by a hash of the prompt, each
-    after a wait drawn from a generator seeded by the prompt. At width > 1
-    calls finish out of question order; every answer is still a function of
-    its prompt alone."""
+    after a wait in ``latency`` drawn from a generator seeded by the prompt
+    and ``salt``. At width > 1 calls finish out of question order; every
+    answer is still a function of its prompt alone."""
 
-    def __init__(self, oracle, max_concurrency, fail=None):
+    def __init__(self, oracle, max_concurrency, fail=None, salt=b"",
+                 latency=(0.0002, 0.002)):
         self.oracle = oracle
         self.max_concurrency = max_concurrency
-        self.fail = fail  # (x, y) of the Q3 that raises
+        self.fail = fail  # (x, y) of the questions that raise
+        self.salt = salt
+        self.latency = latency
         self.finished = []
         self.asked = Counter()  # prompt text -> calls
         self.threads = set()
         self._lock = threading.Lock()
 
     def complete(self, prompt, params):
-        key = hashlib.sha256(prompt.text.encode("utf-8")).digest()
-        time.sleep(random.Random(key).uniform(0.0002, 0.002))
-        if prompt.question == prompting.Q3 and (prompt.x, prompt.y) == self.fail:
+        key = hashlib.sha256(self.salt + prompt.text.encode("utf-8")).digest()
+        time.sleep(random.Random(key).uniform(*self.latency))
+        if (prompt.x, prompt.y) == self.fail:
             raise BackendError("injected failure")
         answer = self.oracle.complete(prompt, params)
         if prompt.question == prompting.Q3 and key[0] % 4 == 0:
@@ -384,6 +388,48 @@ def test_concurrent_abort_keeps_the_sequential_partial_run(index, oracle, k):
         aborted[width] = excinfo.value.run
     assert aborted[4].transcripts == aborted[1].transcripts
     assert aborted[4].counters == aborted[1].counters == {"q1": 1, "q2": n, "q3": k}
+    assert not dispatch_threads()
+
+
+@settings(max_examples=20, deadline=timedelta(seconds=5))
+@given(st.data())
+def test_schedule_at_any_width_equals_width_1(index, shots, data):
+    """Random jobs, a width from 1 to 16, random call latencies and maybe
+    one failing question: the results, transcripts, counters and the
+    position of an ``ExtractionAborted`` equal those at width 1."""
+    doc_ids = sorted(index)
+    jobs = data.draw(st.lists(st.tuples(
+        st.sampled_from(doc_ids), st.sampled_from([prompting.RAW, prompting.DEFS_SHOTS2]),
+        st.sampled_from([EXTRACTED, GOLD_INJECTED])), min_size=1, max_size=4), label="jobs")
+    width = data.draw(st.integers(1, 16), label="width")
+    salt = data.draw(st.binary(max_size=4), label="salt")
+    fail = None
+    if data.draw(st.booleans(), label="fails"):
+        activities = index[data.draw(st.sampled_from(jobs))[0]][1].activities
+        i = data.draw(st.integers(0, len(activities) - 1))
+        j = data.draw(st.integers(0, len(activities) - 2))
+        j += j >= i
+        fail = data.draw(st.sampled_from([(None, None), (activities[i], None),
+                                          (activities[j], activities[i])]), label="fail")
+
+    def fields(run):
+        return (run.doc_id, run.setting, run.activity_source, run.model.to_json(),
+                run.transcripts, run.counters, run.unknown_q3)
+
+    def outcome(width):
+        backend = JitteryBackend(OracleBackend(index), width, fail=fail, salt=salt,
+                                 latency=(0, 0.0005))
+        dialogues = (pipeline.dialogue(index[doc_id][0], setting, index[doc_id][1], source,
+                                       shots) for doc_id, setting, source in jobs)
+        results = []
+        try:
+            for run in pipeline.schedule(dialogues, backend):
+                results.append(fields(run))
+        except ExtractionAborted as exc:
+            return results, fields(exc.run)
+        return results, None
+
+    assert outcome(width) == outcome(1)
     assert not dispatch_threads()
 
 
