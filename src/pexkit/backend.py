@@ -268,7 +268,7 @@ def _cannot_heal(exc: OSError) -> bool:
 class LiveBackend:
     """Completions-style HTTP API client with retry and backoff.
 
-    It holds ``max_concurrency`` (by default 8) keep-alive connections to
+    It holds ``max_concurrency`` (by default 16) keep-alive connections to
     the endpoint's host, each idle one serving whichever thread asks next, so
     that at most that many calls are in flight at once; ``pipeline.schedule``
     sends that many. A run's wall time is about its distinct calls times the
@@ -285,7 +285,7 @@ class LiveBackend:
     the 429 still waits its ``Retry-After`` before its next attempt.
     """
 
-    def __init__(self, base_url: str, model: str, max_concurrency: int = 8):
+    def __init__(self, base_url: str, model: str, max_concurrency: int = 16):
         if max_concurrency < 1:
             raise BackendError(f"max_concurrency must be >= 1, got {max_concurrency}")
         import http.client  # here, so that other backends never load it

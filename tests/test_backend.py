@@ -330,7 +330,7 @@ def loopback():
         handler = handler or (EchoHandler if script is None else ScriptedHandler)
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.peers = set()
-        server.barrier = threading.Barrier(8, timeout=5)
+        server.barrier = threading.Barrier(16, timeout=5)
         server.close_after_response = close_after_response
         server.script, server.requests = list(script or ()), []
         server.url = f"http://127.0.0.1:{server.server_address[1]}/v1"
@@ -464,16 +464,16 @@ def test_live_backend_reuses_keep_alive_connections(loopback, api_key):
         live.close()
 
 
-def test_live_backend_holds_8_requests_open_by_default(loopback, api_key, sleeps):
-    """The default width: 8 requests reach the server at once, on at most 8
+def test_live_backend_holds_16_requests_open_by_default(loopback, api_key, sleeps):
+    """The default width: 16 requests reach the server at once, on 16
     connections; a narrower client leaves the server's barrier waiting."""
     server = loopback(handler=BarrierHandler)
     live = bk.LiveBackend(server.url, "engine")
     try:
-        assert live.max_concurrency == 8
-        texts = [f"s{i}" for i in range(16)]
-        assert ask_all(live, texts, 16) == ["re: " + t for t in texts]
-        assert len(server.peers) <= 8
+        assert live.max_concurrency == 16
+        texts = [f"s{i}" for i in range(32)]
+        assert ask_all(live, texts, 32) == ["re: " + t for t in texts]
+        assert len(server.peers) == 16
         assert sleeps == []
     finally:
         live.close()

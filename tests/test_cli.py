@@ -207,13 +207,13 @@ def test_run_suite_replay_requires_cache(tmp_path, capsys):
         assert not (tmp_path / "c.jsonl").exists()
 
 
-def test_live_backend_runs_8_calls_in_flight(monkeypatch, entries):
+def test_live_backend_runs_16_calls_in_flight(monkeypatch, entries):
     monkeypatch.setenv("PEX_API_KEY", "k")
     args = cli.build_parser().parse_args(
         ["run-suite", "--backend", "live", "--endpoint", "http://127.0.0.1:9/v1",
          "--outdir", "out"])
     backend = cli._make_backend(args, entries)
-    assert backend.max_concurrency == 8
+    assert backend.max_concurrency == 16
     backend.inner.close()
 
 
