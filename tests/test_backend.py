@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from pexkit import backend as bk
+from pexkit import pipeline
 from pexkit.errors import (BackendError, CacheConflictError, CacheCorruptError,
                            CacheMissError)
 from pexkit.prompting import Q1, Q2, Q3, RAW, Prompt
@@ -542,11 +543,11 @@ def test_live_backend_width_rule_parks_connections_in_use(api_key):
     live.close()
 
 
-class RateLimitedHandler(EchoHandler):
+class RateLimitedHandler(LoopbackHandler):
     """Echoes a request after a short wait, unless more than ``server.limit``
     requests are in flight when it arrives: then it answers 429 with
-    ``Retry-After: 0``. Each request leaves the count before it is answered,
-    so the client can never see more in flight than the server counts."""
+    ``Retry-After: 0``. A request leaves the count before it is answered, so
+    the server never counts one that the client no longer waits for."""
 
     def do_POST(self):
         payload = self.read_payload()
@@ -556,7 +557,7 @@ class RateLimitedHandler(EchoHandler):
             limited = server.inflight > server.limit
             server.attempts[payload["prompt"]] += 1
         if not limited:
-            server.wait(0.005)
+            time.sleep(0.005)
         with server.lock:
             server.inflight -= 1
         if limited:
@@ -570,12 +571,10 @@ def test_live_backend_backs_off_on_429_then_recovers(loopback, api_key, caplog):
     server that answers 429 above 5 requests in flight: every answer comes
     back, no request uses up its attempts, and the width falls to 5 or
     less, then climbs again."""
-    from pexkit import pipeline
-
     caplog.set_level("DEBUG", logger=bk.__name__)
     server = loopback(handler=RateLimitedHandler)
     server.lock, server.inflight, server.limit = threading.Lock(), 0, 5
-    server.attempts, server.wait = Counter(), time.sleep
+    server.attempts = Counter()
     live = bk.LiveBackend(server.url, "engine")
 
     def job(texts):

@@ -270,7 +270,6 @@ def test_run_suite_asks_each_distinct_prompt_once(entries, monkeypatch, tmp_path
     """The gs run asks exactly the Q2/Q3 prompts of the ex run, so a suite
     costs 1 + n^2 completions per (document, setting), not 1 + 2n^2."""
     from pexkit import cli, corpus
-    from pexkit.backend import OracleBackend
 
     counters = []
     dialogue = pipeline.dialogue
@@ -508,7 +507,6 @@ def test_duplicate_documents_share_calls_in_flight(entries, tmp_path):
     """Two documents with one body ask the same prompts, at the same time
     when their jobs overlap: each distinct prompt still reaches the inner
     backend once."""
-    from pexkit.backend import OracleBackend
     from pexkit.corpus import corpus_index
     from pexkit.suite import run_suite
 
