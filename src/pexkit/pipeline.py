@@ -121,8 +121,8 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
         """Ask ``question`` for each (x, y) binding; call ``apply(k, completion,
         digest)`` for the k-th answer, in binding order."""
         params = backend_mod.default_params(question)
-        yield (prompting.render(question, setting, doc, x=x, y=y, shots=shots)
-               for x, y in bindings), params
+        fill = prompting.renderer(question, setting, doc, shots)
+        yield (fill(x, y) for x, y in bindings), params
         for k in range(len(bindings)):
             try:
                 prompt, completion = yield

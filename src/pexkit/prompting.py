@@ -87,22 +87,25 @@ def setting_has_shots(setting: str) -> bool:
     return setting in (SHOTS2, DEFS_SHOTS2)
 
 
+# Each template split around its placeholders: text, "X", text[, "Y", text].
+_TEMPLATE_PARTS = {q: re.split(r"\b([XY])\b", t) for q, t in QUESTION_TEMPLATES.items()}
+
+
 def instantiate(question: str, x: str | None = None, y: str | None = None) -> str:
-    """Replace the X / Y placeholders of a question template, verbatim; a
-    binding the question needs must be given and not be blank."""
-    if question not in QUESTION_TEMPLATES:
+    """Fill the X / Y placeholders of a question template verbatim, in one
+    pass. A binding the question takes must be given and not be blank; a
+    binding it does not take must be ``None``."""
+    if question not in _TEMPLATE_PARTS:
         raise PromptError(f"unknown question kind: {question}")
-    text = QUESTION_TEMPLATES[question]
-    if question == Q1:
-        return text
-    if x is None or not x.strip():
-        raise PromptError(f"question {question} requires a non-blank binding X")
-    text = re.sub(r"\bX\b", lambda _: x, text)
-    if question == Q3:
-        if y is None or not y.strip():
-            raise PromptError("question q3 requires a non-blank binding Y")
-        text = re.sub(r"\bY\b", lambda _: y, text)
-    return text
+    parts = _TEMPLATE_PARTS[question]
+    bindings = {"X": x, "Y": y}
+    for name, value in bindings.items():
+        if name not in parts[1::2]:
+            if value is not None:
+                raise PromptError(f"question {question} takes no binding {name}")
+        elif value is None or not value.strip():
+            raise PromptError(f"question {question} requires a non-blank binding {name}")
+    return "".join(bindings[part] if k % 2 else part for k, part in enumerate(parts))
 
 
 @dataclass(frozen=True)
@@ -152,15 +155,15 @@ class Prompt:
     digests: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def render(question: str, setting: str, doc: corpus.Document,
-           x: str | None = None, y: str | None = None,
-           shots: list[ShotExample] | None = None) -> Prompt:
-    """Render the full completion-model input for one question on one document."""
+def renderer(question: str, setting: str, doc: corpus.Document,
+             shots: list[ShotExample] | None = None):
+    """The renderer of one question batch on one document: it joins the
+    prompts' shared head, up to the target block's ``"Q: "``, once, and
+    returns the function of ``(x, y)`` that renders each prompt of the batch."""
     if question not in QUESTION_KINDS:
         raise PromptError(f"unknown question kind: {question}")
     if setting not in SETTINGS:
         raise PromptError(f"unknown setting: {setting}")
-    question_text = instantiate(question, x=x, y=y)
 
     blocks = []
     if setting_has_defs(setting):
@@ -179,7 +182,17 @@ def render(question: str, setting: str, doc: corpus.Document,
                 lines.append(f"Q: {q}")
                 lines.append(f"A: {a}")
             blocks.append(lines)
-    blocks.append([PROCESS_CUE, doc.body, f"Q: {question_text}", "A: "])
+    blocks.append([PROCESS_CUE, doc.body, "Q: "])
+    head = "\n\n".join("\n".join(lines) for lines in blocks)
 
-    text = "\n\n".join("\n".join(lines) for lines in blocks)
-    return Prompt(text, question, setting, doc.id, x, y)
+    def fill(x: str | None, y: str | None) -> Prompt:
+        return Prompt(head + instantiate(question, x, y) + "\nA: ",
+                      question, setting, doc.id, x, y)
+    return fill
+
+
+def render(question: str, setting: str, doc: corpus.Document,
+           x: str | None = None, y: str | None = None,
+           shots: list[ShotExample] | None = None) -> Prompt:
+    """Render the full completion-model input for one question on one document."""
+    return renderer(question, setting, doc, shots)(x, y)

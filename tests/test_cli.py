@@ -43,6 +43,17 @@ def test_prompt_rejects_a_blank_binding(capsys, question, bindings, missing):
     assert f"requires a non-blank binding {missing}" in err
 
 
+@pytest.mark.parametrize("question, bindings, unused", [
+    ("q1", ["--x", "foo"], "X"), ("q2", ["--x", "receives the order", "--y", "foo"], "Y")])
+def test_prompt_rejects_a_binding_the_question_does_not_take(capsys, question, bindings,
+                                                             unused):
+    code, out, err = run_cli(capsys, "prompt", "--question", question,
+                             "--setting", "raw", "--doc", "10.1", *bindings)
+    assert code == 2
+    assert out == ""
+    assert f"takes no binding {unused}" in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1

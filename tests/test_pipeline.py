@@ -565,7 +565,10 @@ def test_run_suite_keeps_cpu_work_on_the_calling_thread(entries, oracle, monkeyp
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(prompting, "render", on_thread("render", prompting.render))
+    def renderer(*args, make=prompting.renderer, **kwargs):
+        return on_thread("render", make(*args, **kwargs))  # so each prompt's fill is seen
+
+    monkeypatch.setattr(prompting, "renderer", on_thread("render", renderer))
     monkeypatch.setattr(pipeline, "parse_yesno", on_thread("parse_yesno", pipeline.parse_yesno))
 
     class Counting(JitteryBackend):

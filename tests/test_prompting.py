@@ -1,11 +1,17 @@
+import hashlib
+import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pexkit import prompting
+from pexkit import cli, prompting
 from pexkit.errors import PromptError
-from pexkit.prompting import (DEFS, DEFS_SHOTS2, PREAMBLE, PROCESS_CUE, Q1, Q2,
-                              Q3, RAW, SHOTS2, instantiate, render)
+from pexkit.prompting import (DEFINITIONS, DEFS, DEFS_SHOTS2, PREAMBLE, PROCESS_CUE,
+                              Q1, Q2, Q3, QUESTION_TEMPLATES, RAW, SHOTS2, instantiate,
+                              render, renderer)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -31,6 +37,25 @@ def test_instantiate_missing_binding():
 def test_instantiate_unknown_question():
     with pytest.raises(PromptError):
         instantiate("q9", x="a")
+
+
+def test_instantiate_does_not_rewrite_a_placeholder_inside_a_binding():
+    assert instantiate(Q3, x="fill in form Y", y="check order") == (
+        "Considering the list of process activity described in the text, does activity "
+        "fill in form Y immediately follow activity check order in the process model?")
+
+
+@pytest.mark.parametrize("binding", ["\\1", "\\g<0>", "a \\X b"])
+def test_instantiate_takes_a_binding_verbatim(binding):
+    assert instantiate(Q2, x=binding) == \
+        f"Who is the participant performing activity {binding} in the process model?"
+
+
+@pytest.mark.parametrize("question, bindings", [
+    (Q1, {"x": "a"}), (Q1, {"y": "a"}), (Q1, {"x": ""}), (Q2, {"x": "a", "y": "b"})])
+def test_instantiate_rejects_a_binding_the_question_does_not_take(question, bindings):
+    with pytest.raises(PromptError, match="takes no binding"):
+        instantiate(question, **bindings)
 
 
 def test_raw_has_no_preamble_or_shots(index):
@@ -130,3 +155,67 @@ def test_shot_setting_without_shots_is_an_error(index):
     for shots in (None, []):
         with pytest.raises(PromptError):
             render(Q1, SHOTS2, doc, shots=shots)
+
+
+def _reference_render(question, setting, doc, x, y, shots):
+    """The block join ``render`` made for every prompt before ``renderer``
+    joined each batch's head once; the placeholders are filled in one pass."""
+    question_text = re.sub(r"\b[XY]\b", lambda m: {"X": x, "Y": y}[m.group()],
+                           QUESTION_TEMPLATES[question])
+    blocks = []
+    if prompting.setting_has_defs(setting):
+        lines = [PREAMBLE]
+        for definition in DEFINITIONS:
+            if question in definition.applies_to:
+                lines.append(f"{definition.name}:")
+                lines.append(definition.text)
+        blocks.append(lines)
+    if prompting.setting_has_shots(setting):
+        for shot in shots:
+            lines = [PROCESS_CUE, shot.body]
+            for q, a in shot.qa[question]:
+                lines.append(f"Q: {q}")
+                lines.append(f"A: {a}")
+            blocks.append(lines)
+    blocks.append([PROCESS_CUE, doc.body, f"Q: {question_text}", "A: "])
+    return "\n\n".join("\n".join(lines) for lines in blocks)
+
+
+_binding = st.lists(
+    st.one_of(st.sampled_from(["X", "Y", " X ", " Y", "\\1", "\\g<0>", "\\", "é", "活動"]),
+              st.text(max_size=4)),
+    min_size=1, max_size=6).map("".join).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(question=st.sampled_from(prompting.QUESTION_KINDS),
+       setting=st.sampled_from(prompting.SETTINGS),
+       doc_id=st.sampled_from(["1.2", "10.1", "10.13"]),
+       bindings=st.lists(st.tuples(_binding, _binding), min_size=1, max_size=3))
+def test_render_equals_the_reference_block_join(index, shots, question, setting, doc_id,
+                                                 bindings):
+    doc, _ = index[doc_id]
+    fill = renderer(question, setting, doc, shots)
+    for x, y in bindings:
+        x = None if question == Q1 else x
+        y = y if question == Q3 else None
+        expected = _reference_render(question, setting, doc, x, y, shots)
+        prompt = fill(x, y)
+        assert prompt.text == expected
+        assert (prompt.question, prompt.setting, prompt.doc_id, prompt.x, prompt.y) == \
+            (question, setting, doc.id, x, y)
+        assert render(question, setting, doc, x=x, y=y, shots=shots) == prompt
+
+
+def test_recorded_oracle_suite_prompts_match_the_fingerprint(tmp_path, capsys):
+    """Every distinct prompt of an oracle run-suite over all settings, by its
+    transcript digest: a change to any prompt byte changes the fingerprint."""
+    cache = tmp_path / "c.jsonl"
+    assert cli.main(["run-suite", "--backend", "oracle", "--record", "--cache", str(cache),
+                     "--outdir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    digests = sorted(json.loads(line)["digest"]
+                     for line in cache.read_text(encoding="utf-8").splitlines())
+    assert len(digests) == 1468
+    assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == \
+        "b73efe54bcb7c4527ba3e6b1e922ac6bf6ae042b091e47f38d24e6e50bd0fa23"
