@@ -16,9 +16,9 @@ import hashlib
 import json
 import logging
 import os
-import queue
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -150,7 +150,7 @@ class TranscriptCache:
                     raise CacheCorruptError(f"{self.path}:{torn}: cache line does not parse")
                 try:
                     entry = json.loads(raw.decode("utf-8"))
-                except ValueError:  # also a UnicodeDecodeError
+                except (ValueError, RecursionError):  # also a UnicodeDecodeError
                     torn = number
                     tail.append(raw)
                     continue
@@ -279,10 +279,11 @@ class LiveBackend:
     The width in use, ``width``, adapts between 1 and ``max_concurrency`` by
     additive increase, multiplicative decrease: a 429 halves it, once per
     round (a 429 on a request sent before the last halving does not halve it
-    again), and ``width`` successes in a row add 1. Only ``width``
-    connections circulate through the idle queue; the others are parked, so
-    callers beyond the width wait for a connection. The request that got
-    the 429 still waits its ``Retry-After`` before its next attempt.
+    again), and ``width`` successes in a row add 1. A request starts only
+    while fewer than ``width`` are in flight, on the most recently used idle
+    connection; callers beyond the width wait on one condition until a
+    request ends or the width grows. The request that got the 429 still
+    waits its ``Retry-After`` before its next attempt.
     """
 
     def __init__(self, base_url: str, model: str, max_concurrency: int = 16):
@@ -307,17 +308,15 @@ class LiveBackend:
             raise BackendError(f"bad live endpoint {base_url!r}: {exc}") from exc
         self._path = endpoint.path + "/completions"
         self._connections = connections
-        self._idle = queue.LifoQueue()
-        for conn in connections:
-            self._idle.put(conn)
-        # The width rule's state, guarded by ``_width_lock``: connections in
-        # circulation (idle or in use) number ``width + _to_park``.
-        self._width_lock = threading.Lock()
+        # The width rule's state and the idle connections, most recently
+        # used last, guarded by ``_gate``: a request starts only while fewer
+        # than ``width`` are in flight (``_busy``).
+        self._gate = threading.Condition()
+        self._idle = list(connections)
+        self._busy = 0
         self.width = max_concurrency
         self._round = 0  # halvings so far
         self._streak = 0  # successes in a row since the last change of width
-        self._parked: list = []
-        self._to_park = 0  # connections in use, parked when they come back
         self.model = model
         api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
@@ -368,10 +367,9 @@ class LiveBackend:
         raise BackendError(f"completion retries exhausted: {last_error}")
 
     def _post(self, body: bytes):
-        """Send ``body`` on an idle connection, waiting for one if all that
-        circulate are in use; the answer's status, headers and body."""
-        conn = self._idle.get()
-        sent_in = self._round
+        """Send ``body`` on an idle connection, once fewer than ``width``
+        requests are in flight; the answer's status, headers and body."""
+        conn, sent_in = self._acquire()
         answer = None
         try:
             if conn.sock is not None:  # open since an earlier request
@@ -391,11 +389,22 @@ class LiveBackend:
         finally:
             self._release(conn, sent_in, None if answer is None else answer[0])
 
+    def _acquire(self):
+        """Wait until fewer than ``width`` requests are in flight, then take
+        the most recently used idle connection; it and the current round."""
+        with self._gate:
+            while self._busy >= self.width:
+                self._gate.wait()
+            self._busy += 1
+            return self._idle.pop(), self._round
+
     def _release(self, conn, sent_in: int, status: int | None) -> None:
-        """Apply the width rule to the ``status`` answered on ``conn`` (None
-        when there was no answer) for a request sent in round ``sent_in``,
-        then park ``conn`` or put it back on the idle queue."""
-        with self._width_lock:
+        """Put ``conn`` back, apply the width rule to the ``status`` answered
+        on it (None when there was no answer) for a request sent in round
+        ``sent_in``, and wake as many waiters as there are free slots."""
+        with self._gate:
+            self._busy -= 1
+            self._idle.append(conn)
             if status != 200:
                 self._streak = 0
                 if status == 429 and sent_in == self._round and self.width > 1:
@@ -405,30 +414,13 @@ class LiveBackend:
                 self._streak += 1
                 if self._streak == self.width:
                     self._resize(self.width + 1, f"{self.width} x HTTP 200")
-            if self._to_park:
-                self._to_park -= 1
-                self._parked.append(conn)
-            else:
-                self._idle.put(conn)
+            if self._busy < self.width:
+                self._gate.notify(self.width - self._busy)
 
     def _resize(self, width: int, reason: str) -> None:
-        """Set the width, parking or returning connections to match; called
-        with ``_width_lock`` held."""
+        """Set the width; called with ``_gate`` held."""
         log.debug("live width %d -> %d (%s)", self.width, width, reason)
         self._streak = 0
-        if width > self.width:
-            if self._to_park:
-                self._to_park -= 1
-            else:
-                self._idle.put(self._parked.pop())
-        else:
-            self._to_park += self.width - width
-            while self._to_park:
-                try:
-                    self._parked.append(self._idle.get_nowait())
-                except queue.Empty:
-                    break
-                self._to_park -= 1
         self.width = width
 
     def _exchange(self, conn, body: bytes):
@@ -442,18 +434,6 @@ class LiveBackend:
             conn.close()
 
 
-class _Call:
-    """A call ``CachedBackend`` has in flight for one digest: ``done`` is
-    held until it ends, and ``error`` is what it raised, if anything."""
-
-    __slots__ = ("done", "error")
-
-    def __init__(self):
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.error = None
-
-
 class CachedBackend:
     """Ask each distinct prompt text and params once, through ``cache`` if any.
 
@@ -462,16 +442,17 @@ class CachedBackend:
     prompt; otherwise ``inner`` is asked and its answer recorded in
     ``cache``, so re-running an interrupted recording resumes it. With no
     ``inner`` that miss raises ``CacheMissError``. When ``inner`` takes more
-    than one call at once (``max_concurrency`` above 1), a caller that asks
-    while the call for the same prompt is in flight on another thread waits
-    for that call, and gets its completion or its error.
+    than one call at once (``max_concurrency`` above 1), the call for a
+    prompt in flight is a ``Future``: a caller that asks for the same prompt
+    on another thread waits on it, and gets its completion or the very
+    exception it raised.
     """
 
     def __init__(self, cache: TranscriptCache | None, inner=None):
         self.cache = cache
         self.inner = inner
         self._done: dict[str, str] = {}
-        self._inflight: dict[str, _Call] = {}
+        self._inflight: dict[str, Future] = {}
         self._lock = threading.Lock()
 
     @property
@@ -493,24 +474,20 @@ class CachedBackend:
             call = self._inflight.get(digest)
             ours = call is None
             if ours:
-                call = self._inflight[digest] = _Call()
+                call = self._inflight[digest] = Future()
         if not ours:
-            with call.done:  # until the call in flight ends
-                pass
-            if call.error is not None:
-                raise call.error
-            return self._done[digest]
+            return call.result()
         try:
-            completion = self._ask(prompt, params, digest)
-            self._done[digest] = completion
-            return completion
+            completion = self._done[digest] = self._ask(prompt, params, digest)
         except BaseException as exc:
-            call.error = exc
+            call.set_exception(exc)
             raise
+        else:
+            call.set_result(completion)
+            return completion
         finally:
             with self._lock:
                 del self._inflight[digest]
-            call.done.release()
 
     def _ask(self, prompt: Prompt, params: CompletionParams, digest: str) -> str:
         entry = self.cache.lookup(digest) if self.cache is not None else None

@@ -44,11 +44,11 @@ class GoldStandard:
 
     def validate(self) -> None:
         for a in self.activities:
-            if not a:
-                raise CorpusError(f"document {self.doc_id}: empty activity surface")
+            if not a.strip():
+                raise CorpusError(f"document {self.doc_id}: blank activity surface {a!r}")
         for p in self.participants:
-            if not p:
-                raise CorpusError(f"document {self.doc_id}: empty participant phrase")
+            if not p.strip():
+                raise CorpusError(f"document {self.doc_id}: blank participant phrase {p!r}")
         na, np_ = len(self.activities), len(self.participants)
         try:
             index_pairs(self.performs, "performs", ("participant", np_), ("activity", na))
@@ -104,15 +104,23 @@ def derive_follows(graph: RawBehaviorGraph) -> set[tuple[object, object]]:
     return result
 
 
+def _gold_list(gold: dict, name: str) -> list:
+    value = gold[name]
+    if not isinstance(value, list):
+        raise CorpusError(f"malformed corpus record: gold {name} is a "
+                          f"{type(value).__name__}, not a list")
+    return value
+
+
 def _parse_record(rec: dict) -> tuple[Document, GoldStandard]:
     try:
         doc_id = rec["id"]
         body = rec["body"]
         gold = rec["gold"]
-        activities = tuple(a["surface"] for a in gold["activities"])
-        participants = tuple(gold["participants"])
-        performs = frozenset(map(tuple, gold["performs"]))
-        follows = frozenset(map(tuple, gold["follows"]))
+        activities = tuple(a["surface"] for a in _gold_list(gold, "activities"))
+        participants = tuple(_gold_list(gold, "participants"))
+        performs = frozenset(map(tuple, _gold_list(gold, "performs")))
+        follows = frozenset(map(tuple, _gold_list(gold, "follows")))
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"malformed corpus record: {exc}") from exc
     for text in (doc_id, body, *participants, *activities):
@@ -134,7 +142,7 @@ def _read_json(path, what: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CorpusError(f"cannot read {what} {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # also a UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also a UnicodeDecodeError
         raise CorpusError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

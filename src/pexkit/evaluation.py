@@ -23,15 +23,13 @@ EX = "ex"
 ROWS = ("Activity", "Participant", "Follows (gs)", "Follows (ex)",
         "Performs (gs)", "Performs (ex)")
 
-DEFAULT_STOPWORDS = frozenset({"the", "a", "an", "to", "of", "its", "their", "is", "be"})
+STOPWORDS = frozenset({"the", "a", "an", "to", "of", "its", "their", "is", "be"})
 
 _PUNCT = re.compile(r"[^\w\s]")
 
 
 @dataclass(frozen=True)
 class MatchConfig:
-    stopwords: frozenset = DEFAULT_STOPWORDS
-    strip_plural: bool = True
     jaccard_threshold: float = 0.5
     aliases: dict = field(default_factory=dict)  # extracted phrase -> [gold phrases]
 
@@ -42,7 +40,7 @@ class MatchConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise PexError(f"cannot read alias map {path}: {exc.strerror}") from exc
-        except ValueError as exc:  # also a UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also a UnicodeDecodeError
             raise PexError(f"alias map {path} is not valid JSON: {exc}") from exc
         if not (isinstance(data, dict) and all(
                 isinstance(golds, list) and all(isinstance(g, str) for g in golds)
@@ -51,13 +49,12 @@ class MatchConfig:
         return cls(aliases=data, **kwargs)
 
 
-def normalize(phrase: str, cfg: MatchConfig = MatchConfig()) -> frozenset:
-    """Token set: lowercased, punctuation-free, stopword-free, de-pluralized."""
+def normalize(phrase: str) -> frozenset:
+    """Token set: lowercased, punctuation-free, free of ``STOPWORDS``, and
+    de-pluralized (a final ``s`` cut off a token of four or more letters)."""
     tokens = _PUNCT.sub(" ", phrase.lower()).split()
-    tokens = [t for t in tokens if t not in cfg.stopwords]
-    if cfg.strip_plural:
-        tokens = [t[:-1] if len(t) > 3 and t.endswith("s") else t for t in tokens]
-    return frozenset(tokens)
+    return frozenset(t[:-1] if len(t) > 3 and t.endswith("s") else t
+                     for t in tokens if t not in STOPWORDS)
 
 
 def _jaccard(a: frozenset, b: frozenset) -> float:
@@ -69,7 +66,7 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
 def match_phrase(extracted: str, gold: str,
                  cfg: MatchConfig = MatchConfig()) -> tuple[bool, float]:
     """Semantic match verdict and score for one extracted/gold phrase pair."""
-    return _judge(extracted, gold, normalize(extracted, cfg), normalize(gold, cfg), cfg)
+    return _judge(extracted, gold, normalize(extracted), normalize(gold), cfg)
 
 
 def _judge(extracted: str, gold: str, ea: frozenset, ga: frozenset,
@@ -90,10 +87,10 @@ def align(extracted: list, gold: list,
     Each pair is judged as ``match_phrase`` judges it; each phrase is
     normalized once.
     """
-    extracted_tokens = [normalize(e, cfg) for e in extracted]
+    extracted_tokens = [normalize(e) for e in extracted]
     candidates = []
     for gi, g in enumerate(gold):
-        ga = normalize(g, cfg)
+        ga = normalize(g)
         for ei, e in enumerate(extracted):
             matched, score = _judge(e, g, extracted_tokens[ei], ga, cfg)
             if matched:

@@ -103,7 +103,7 @@ class WorldModel:
     def from_json(cls, text: str) -> "WorldModel":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelError(f"world-model file is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -480,15 +480,28 @@ def test_live_backend_holds_16_requests_open_by_default(loopback, api_key, sleep
         live.close()
 
 
-def test_live_backend_width_rule(api_key, caplog):
+class Blocked(Exception):
+    """Raised where ``LiveBackend._acquire`` would wait for a free slot."""
+
+
+def never_wait(live, monkeypatch):
+    """Make ``live``'s gate raise ``Blocked`` instead of waiting."""
+    def wait(timeout=None):
+        raise Blocked
+
+    monkeypatch.setattr(live._gate, "wait", wait)
+
+
+def test_live_backend_width_rule(api_key, caplog, monkeypatch):
     """A 429 halves the width once per round, down to 1; ``width``
     successes in a row add 1, up to ``max_concurrency``. Once every request
-    has come back, the idle queue holds as many connections as the width."""
+    has come back, none is in flight, and the gate lets ``width`` start."""
     caplog.set_level("DEBUG", logger=bk.__name__)
     live = bk.LiveBackend("http://127.0.0.1:9/v1", "engine", max_concurrency=16)
+    never_wait(live, monkeypatch)
 
     def send(k):
-        return [(live._idle.get_nowait(), live._round) for _ in range(k)]
+        return [live._acquire() for _ in range(k)]
 
     def answer(sent, status):
         for conn, sent_in in sent:
@@ -503,20 +516,22 @@ def test_live_backend_width_rule(api_key, caplog):
     answer(burst[:1], 429)
     assert live.width == 8
     answer(burst[1:], 429)  # sent before the halving: no further halving
-    assert (live.width, live._idle.qsize()) == (8, 8)
+    assert (live.width, live._busy) == (8, 0)
     second = send(8)
+    with pytest.raises(Blocked):  # the ninth waits
+        live._acquire()
     answer(second, 429)  # one halving for the round sent at width 8
-    assert (live.width, live._idle.qsize()) == (4, 4)
+    assert (live.width, live._busy) == (4, 0)
     for width in (2, 1, 1):  # the floor
         answer(send(1), 429)
-        assert (live.width, live._idle.qsize()) == (width, width)
+        assert (live.width, live._busy) == (width, 0)
     for width in range(1, 16):
         succeed(width - 1)
         assert live.width == width
         succeed(1)
-        assert (live.width, live._idle.qsize()) == (width + 1, width + 1)
+        assert (live.width, live._busy) == (width + 1, 0)
     succeed(40)  # the ceiling
-    assert (live.width, live._idle.qsize()) == (16, 16)
+    assert (live.width, live._busy) == (16, 0)
     resized = [r.getMessage() for r in caplog.records if r.getMessage().startswith("live width")]
     assert resized[:5] == ["live width 16 -> 8 (HTTP 429)", "live width 8 -> 4 (HTTP 429)",
                            "live width 4 -> 2 (HTTP 429)", "live width 2 -> 1 (HTTP 429)",
@@ -525,21 +540,99 @@ def test_live_backend_width_rule(api_key, caplog):
     live.close()
 
 
-def test_live_backend_width_rule_parks_connections_in_use(api_key):
-    """A halving while every connection is in use parks the surplus as it
-    comes back; an increase before it has all come back parks one fewer."""
+def test_live_backend_width_rule_with_every_connection_in_use(api_key, monkeypatch):
+    """A halving while every connection is in use lets no request start
+    until the requests in flight are fewer than the new width; an increase
+    before then lets one start sooner."""
     live = bk.LiveBackend("http://127.0.0.1:9/v1", "engine", max_concurrency=5)
-    sent = [(live._idle.get_nowait(), live._round) for _ in range(5)]
+    never_wait(live, monkeypatch)
+    sent = [live._acquire() for _ in range(5)]
     live._release(*sent[0], 429)
-    assert (live.width, live._idle.qsize()) == (2, 0)
-    live._release(*sent[1], 200)  # parked
-    assert (live.width, live._idle.qsize()) == (2, 0)
-    live._release(*sent[2], 200)  # the second success in a row: kept
-    assert (live.width, live._idle.qsize()) == (3, 1)
-    for conn, sent_in in sent[3:]:
+    assert (live.width, live._busy) == (2, 4)
+    live._release(*sent[1], 200)
+    assert (live.width, live._busy) == (2, 3)
+    live._release(*sent[2], 200)  # the second success in a row
+    assert (live.width, live._busy) == (3, 2)
+    taken = live._acquire()
+    with pytest.raises(Blocked):
+        live._acquire()
+    for conn, sent_in in [*sent[3:], taken]:
         live._release(conn, sent_in, 500)
-    assert (live.width, live._idle.qsize()) == (3, 3)
-    assert len(live._parked) == 2
+    assert (live.width, live._busy) == (3, 0)
+    assert len({id(conn) for conn, _ in [live._acquire() for _ in range(3)]}) == 3
+    with pytest.raises(Blocked):
+        live._acquire()
+    live.close()
+
+
+def test_live_backend_gate_waits_for_a_free_slot(api_key):
+    """A caller beyond the width waits on another thread: after a 429 cut
+    the width while every connection was busy, until enough requests have
+    come back; a growth in width wakes two waiters at once."""
+    live = bk.LiveBackend("http://127.0.0.1:9/v1", "engine", max_concurrency=4)
+    taken = []
+
+    def waiter():
+        thread = threading.Thread(target=lambda: taken.append(live._acquire()), daemon=True)
+        thread.start()
+        return thread
+
+    sent = [live._acquire() for _ in range(4)]
+    live._release(*sent[0], 429)  # width 2, 3 in flight
+    first = waiter()
+    first.join(0.1)
+    assert first.is_alive()
+    live._release(*sent[1], 500)  # 2 in flight: still full
+    first.join(0.1)
+    assert first.is_alive()
+    live._release(*sent[2], 200)  # 1 in flight: a free slot
+    first.join(5)
+    assert not first.is_alive()
+    assert (live.width, live._busy, len(taken)) == (2, 2, 1)
+
+    second, third = waiter(), waiter()
+    for thread in (second, third):
+        thread.join(0.1)
+        assert thread.is_alive()
+    live._release(*sent[3], 200)  # the second success in a row: width 3, 1 in flight
+    for thread in (second, third):
+        thread.join(5)
+        assert not thread.is_alive()
+    assert (live.width, live._busy, len(taken)) == (3, 3, 3)
+    live.close()
+
+
+def test_live_backend_gate_under_contention(api_key):
+    """Sixteen threads take and hand back slots under a 4-connection gate,
+    with answers that halve and grow the width: no connection is held twice
+    at once, and at the end every connection is idle exactly once."""
+    live = bk.LiveBackend("http://127.0.0.1:9/v1", "engine", max_concurrency=4)
+    held, lock, clashes = set(), threading.Lock(), []
+
+    def worker(k):
+        for i in range(200):
+            conn, sent_in = live._acquire()
+            with lock:
+                clashes.append(conn in held)
+                held.add(conn)
+            with lock:
+                held.remove(conn)
+            live._release(conn, sent_in, (200, 200, 200, 429, None)[(k + i) % 5])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(clashes) == 16 * 200 and not any(clashes)
+    assert live._busy == 0
+    assert sorted(map(id, live._idle)) == sorted(map(id, live._connections))
     live.close()
 
 

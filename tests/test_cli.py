@@ -152,15 +152,24 @@ def test_run_suite_rejects_a_repeated_or_unknown_setting(tmp_path, capsys, setti
       "--corpus", "{directory}"], 2),
     (["run-suite", "--backend", "replay", "--cache", "{directory}", "--settings", "raw",
       "--outdir", "{out}"], 3),
+    # Nested deeper than the JSON parser's recursion limit.
+    (["import", "--raw", "{deep}", "--out", "{out}"], 2),
+    (["run-suite", "--corpus", "{deep}", "--settings", "raw", "--outdir", "{out}"], 2),
+    (["evaluate", "--doc", "3.3", "--model", "{deep}"], 2),
+    (["run-suite", "--settings", "raw", "--outdir", "{out}", "--aliases", "{deep}"], 2),
+    (["run-suite", "--backend", "replay", "--cache", "{deep}", "--settings", "raw",
+      "--outdir", "{out}"], 3),
 ], ids=["model-missing", "aliases-missing", "aliases-bad-json", "aliases-not-a-map",
-        "corpus-directory", "cache-directory"])
+        "corpus-directory", "cache-directory", "raw-deep", "corpus-deep", "model-deep",
+        "aliases-deep", "cache-deep"])
 def test_unreadable_input_file_exits_cleanly(tmp_path, capsys, argv, code):
     (tmp_path / "bad.json").write_text('{"ships": [')
     (tmp_path / "list.json").write_text('["ships"]')
+    (tmp_path / "deep.json").write_text("[" * 200000)
     (tmp_path / "dir").mkdir()
     paths = {"missing": tmp_path / "missing.json", "bad_json": tmp_path / "bad.json",
-             "list_json": tmp_path / "list.json", "directory": tmp_path / "dir",
-             "out": tmp_path / "out"}
+             "list_json": tmp_path / "list.json", "deep": tmp_path / "deep.json",
+             "directory": tmp_path / "dir", "out": tmp_path / "out"}
     got, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert got == code
     assert err.startswith("error:" if code == 2 else "backend error:")
@@ -385,13 +394,14 @@ def _gold(**changes):
     ("extract", _gold(performs=[["x", 0]]), 2),
     ("extract", _gold(performs=[[0, 0, 0]]), 2),
     ("extract", _gold(follows=[[0, 1.0]]), 2),
+    ("extract", _gold(participants="a clerk"), 2),
     ("extract", [{**RECORD, "body": 5}], 2),
     ("extract", _gold(activities=[{"surface": 5, "index": 8}, RECORD["gold"]["activities"][1]]),
      2),
     ("import", 5, 2),
     ("import", [{k: v for k, v in RAW_RECORD.items() if k != "id"}], 2),
 ], ids=["valid-corpus", "valid-raw", "performs-str-index", "performs-triple",
-        "follows-float-index", "numeric-body", "numeric-surface", "raw-not-a-list",
+        "follows-float-index", "participants-str", "numeric-body", "numeric-surface", "raw-not-a-list",
         "raw-without-id"])
 def test_malformed_corpus_file_exits_2(tmp_path, capsys, command, content, code):
     path = tmp_path / "in.json"

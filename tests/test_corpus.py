@@ -179,3 +179,38 @@ def test_import_raw(tmp_path):
     path.write_text(json.dumps(raw))
     records = corpus.import_raw(path)
     assert records[0]["gold"]["follows"] == [[0, 1]]
+
+
+GOLD = {"activities": [{"surface": "files it", "index": 0}],
+        "participants": ["a clerk"], "performs": [[0, 0]], "follows": []}
+
+
+BAD_GOLD = {
+    "participants-str": ({"participants": "the customer"}, "participants is a str, not a list"),
+    "activities-dict": ({"activities": {}}, "activities is a dict, not a list"),
+    "performs-dict": ({"performs": {}}, "performs is a dict, not a list"),
+    "follows-dict": ({"follows": {}}, "follows is a dict, not a list"),
+    "participant-space": ({"participants": [" "]}, "blank participant"),
+    "participant-empty": ({"participants": [""]}, "blank participant"),
+    "activity-whitespace": ({"activities": [{"surface": "\t\n", "index": 0}]},
+                            "blank activity"),
+}
+
+
+# A raw record's follows come from its graph, so only the canonical one has them.
+@pytest.mark.parametrize("raw, case", [
+    pytest.param(raw, case, id=f"{'raw' if raw else 'corpus'}-{case}")
+    for raw in (False, True) for case in BAD_GOLD if not (raw and case == "follows-dict")])
+def test_gold_fields_must_be_lists_of_non_blank_phrases(tmp_path, raw, case):
+    """A gold field that is not a JSON list, or a blank phrase, is a
+    ``CorpusError``, through ``load_corpus`` and ``import_raw`` alike."""
+    changes, message = BAD_GOLD[case]
+    rec = {"id": "x", "body": "files it", "gold": {**GOLD, **changes}}
+    if raw:
+        del rec["gold"]["follows"]
+        rec["graph"] = {"nodes": [{"id": 0, "kind": "activity", "activity": 0}],
+                        "edges": []}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([rec]))
+    with pytest.raises(CorpusError, match=message):
+        (corpus.import_raw if raw else corpus.load_corpus)(path)
