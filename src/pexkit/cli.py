@@ -13,7 +13,6 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
 from .backend import CachedBackend, LiveBackend, OracleBackend, TranscriptCache
@@ -66,6 +65,8 @@ def _match_config(args) -> MatchConfig:
 
 def _make_backend(args, entries):
     if args.backend == "replay":
+        if args.record:
+            raise UsageError("--record does not apply to the replay backend")
         if not args.cache:
             raise UsageError("replay backend requires --cache")
         return CachedBackend(TranscriptCache(args.cache))
@@ -196,11 +197,10 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     entries = _load_entries(args.corpus)
     _, gold = _find_doc(entries, args.doc)
-    try:
-        text = Path(args.model).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelError(f"cannot read world model {args.model}: {exc}") from exc
-    model = WorldModel.from_json(text)
+    model = WorldModel.from_dict(corpus.read_json(args.model, "world model", ModelError))
+    if model.doc_id != args.doc:
+        raise ModelError(f"world model {args.model} is of document {model.doc_id}, "
+                         f"not {args.doc}")
     cfg = _match_config(args)
     kwargs = {"ex_model": model} if args.mode == evaluation.EX else {"gs_model": model}
     rows = evaluation.evaluate_document(gold, cfg=cfg, **kwargs)

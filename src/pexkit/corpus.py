@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import CorpusError, ModelError
+from .errors import CorpusError, ModelError, PexError
 from .worldmodel import index_pairs
 
 EVALUATION_IDS = ("1.2", "1.3", "3.3", "5.2", "10.1", "10.6", "10.13")
@@ -133,22 +133,23 @@ def _parse_record(rec: dict) -> tuple[Document, GoldStandard]:
     return Document(doc_id, body), gs
 
 
-def _read_json(path, what: str):
-    """Parse the JSON file at ``path``, named ``what`` in errors."""
+def read_json(path, what: str, error: type[PexError]):
+    """Parse the JSON file at ``path``, named ``what`` in the ``error`` raised
+    when it is missing, unreadable, not UTF-8, not JSON or nested too deep."""
     path = Path(path)
     if not path.exists():
-        raise CorpusError(f"{what} not found: {path}")
+        raise error(f"{what} not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise CorpusError(f"cannot read {what} {path}: {exc.strerror}") from exc
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # also a UnicodeDecodeError
-        raise CorpusError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_corpus(path) -> list[tuple[Document, GoldStandard]]:
     """Load and validate a canonical corpus file."""
-    return _parse_records(_read_json(path, "corpus file"))
+    return _parse_records(read_json(path, "corpus file", CorpusError))
 
 
 def _parse_records(records) -> list[tuple[Document, GoldStandard]]:
@@ -205,7 +206,7 @@ def import_raw(path) -> list[dict]:
 
     The directly-follows relation is derived by eliding non-activity nodes.
     """
-    records = _read_json(path, "raw annotation file")
+    records = read_json(path, "raw annotation file", CorpusError)
     if not isinstance(records, list):
         raise CorpusError("raw annotation file must hold a JSON list of records")
     out = []

@@ -7,13 +7,11 @@ modes, and macro averaging across documents.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
-from .corpus import GoldStandard
+from .corpus import GoldStandard, read_json
 from .errors import PexError
 from .worldmodel import WorldModel
 
@@ -36,12 +34,7 @@ class MatchConfig:
     @classmethod
     def with_aliases(cls, path, **kwargs) -> "MatchConfig":
         """Load the reviewed alias map from a JSON file."""
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise PexError(f"cannot read alias map {path}: {exc.strerror}") from exc
-        except (ValueError, RecursionError) as exc:  # also a UnicodeDecodeError
-            raise PexError(f"alias map {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "alias map", PexError)
         if not (isinstance(data, dict) and all(
                 isinstance(golds, list) and all(isinstance(g, str) for g in golds)
                 for golds in data.values())):
@@ -135,13 +128,6 @@ def f1_score(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def score_elements(extracted: list, gold: list,
-                   cfg: MatchConfig = MatchConfig()) -> ElementScores:
-    pairing = align(extracted, gold, cfg)
-    tp = len(pairing)
-    return ElementScores.from_counts(tp, len(extracted) - tp, len(gold) - tp)
-
-
 def _score_edges(predicted, gold_edges, src_map, dst_map) -> ElementScores:
     """Generic edge scorer: endpoints mapped to gold space, orientation kept."""
     matched_gold = set()
@@ -159,53 +145,39 @@ def _score_edges(predicted, gold_edges, src_map, dst_map) -> ElementScores:
     return ElementScores.from_counts(tp, fp, fn)
 
 
-def _activity_map(model: WorldModel, gold: GoldStandard, mode: str,
-                  cfg: MatchConfig) -> dict[int, int]:
-    if mode == GS:
-        if len(model.activities) != len(gold.activities):
-            raise PexError(
-                f"gs-mode scoring for {gold.doc_id} requires a gold-injected run "
-                f"({len(model.activities)} model activities, "
-                f"{len(gold.activities)} gold)")
-        return {i: i for i in range(len(gold.activities))}
-    if mode == EX:
-        return align(model.activities, gold.activities, cfg)
-    raise PexError(f"unknown relation mode: {mode}")
-
-
-def score_follows(model: WorldModel, gold: GoldStandard, mode: str,
-                  cfg: MatchConfig = MatchConfig()) -> ElementScores:
-    amap = _activity_map(model, gold, mode, cfg)
-    return _score_edges(model.follows, set(gold.follows), amap, amap)
-
-
-def score_performs(model: WorldModel, gold: GoldStandard, mode: str,
-                   cfg: MatchConfig = MatchConfig()) -> ElementScores:
-    amap = _activity_map(model, gold, mode, cfg)
-    pmap = align(model.participants, list(gold.participants), cfg)
-    return _score_edges(model.performs, set(gold.performs), pmap, amap)
-
-
 def evaluate_document(gold: GoldStandard, ex_model: WorldModel | None = None,
                       gs_model: WorldModel | None = None,
                       cfg: MatchConfig = MatchConfig()) -> dict[str, ElementScores]:
     """Score the six report rows for one document.
 
-    Activity, Participant, and the (ex) relation rows come from the
-    extracted-activities run; the (gs) rows from the gold-injected run.
-    Rows whose source model is absent are omitted.
+    Each phrase list is aligned to its gold list once, and every row is
+    built from those alignments. The extracted-activities run gives
+    Activity, Participant and the (ex) relation rows; the gold-injected
+    run, whose activities are the gold ones in gold order, gives the (gs)
+    rows. Rows whose source model is absent are omitted.
     """
+    if gs_model is not None and len(gs_model.activities) != len(gold.activities):
+        raise PexError(
+            f"gs-mode scoring for {gold.doc_id} requires a gold-injected run "
+            f"({len(gs_model.activities)} model activities, "
+            f"{len(gold.activities)} gold)")
+    follows, performs = set(gold.follows), set(gold.performs)
     rows: dict[str, ElementScores] = {}
     if ex_model is not None:
-        rows["Activity"] = score_elements(
-            ex_model.activities, gold.activities, cfg)
-        rows["Participant"] = score_elements(
-            ex_model.participants, list(gold.participants), cfg)
-        rows["Follows (ex)"] = score_follows(ex_model, gold, EX, cfg)
-        rows["Performs (ex)"] = score_performs(ex_model, gold, EX, cfg)
+        amap = align(ex_model.activities, gold.activities, cfg)
+        pmap = align(ex_model.participants, gold.participants, cfg)
+        for row, pairing, extracted, golds in (
+                ("Activity", amap, ex_model.activities, gold.activities),
+                ("Participant", pmap, ex_model.participants, gold.participants)):
+            tp = len(pairing)
+            rows[row] = ElementScores.from_counts(tp, len(extracted) - tp, len(golds) - tp)
+        rows["Follows (ex)"] = _score_edges(ex_model.follows, follows, amap, amap)
+        rows["Performs (ex)"] = _score_edges(ex_model.performs, performs, pmap, amap)
     if gs_model is not None:
-        rows["Follows (gs)"] = score_follows(gs_model, gold, GS, cfg)
-        rows["Performs (gs)"] = score_performs(gs_model, gold, GS, cfg)
+        amap = {i: i for i in range(len(gold.activities))}
+        pmap = align(gs_model.participants, gold.participants, cfg)
+        rows["Follows (gs)"] = _score_edges(gs_model.follows, follows, amap, amap)
+        rows["Performs (gs)"] = _score_edges(gs_model.performs, performs, pmap, amap)
     return rows
 
 

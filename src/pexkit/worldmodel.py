@@ -81,7 +81,10 @@ class WorldModel:
     @classmethod
     def from_dict(cls, data: dict) -> "WorldModel":
         try:
-            model = cls(data["doc_id"])
+            doc_id = data["doc_id"]
+            if not isinstance(doc_id, str) or not doc_id.strip():
+                raise ModelError(f"world-model doc_id {doc_id!r} is not a non-blank string")
+            model = cls(doc_id)
             model.activities = _phrases(data["activities"], "activity")
             model.participants = _phrases(data["participants"], "participant")
             n_activities, n_participants = len(model.activities), len(model.participants)
@@ -98,14 +101,6 @@ class WorldModel:
             if s == d:
                 raise ModelError(f"follows self-loop on activity {s}")
         return model
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorldModel":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ModelError(f"world-model file is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     def to_dot(self) -> str:
         """Digraph with activities as nodes, follows as edges, performs labeled."""

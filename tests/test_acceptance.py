@@ -191,8 +191,7 @@ def test_criterion_8_degradation_sanity(index):
                 return "" if prompt.question == prompting.Q2 else "No"
 
         run = pipeline.extract(doc, prompting.RAW, Degraded())
-        s = evaluation.score_elements(run.model.activities,
-                                      gold.activities)
+        s = evaluation.evaluate_document(gold, ex_model=run.model)["Activity"]
         ok &= s.precision == 1.0
         ok &= s.recall == pytest.approx((11 - k) / 11)
     report("criterion 8: k deletions -> recall (11-k)/11, precision 1.00", ok)

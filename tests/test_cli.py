@@ -1,14 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pexkit import cli
-from pexkit.corpus import SHOT_IDS
+from pexkit.corpus import EVALUATION_IDS, SHOT_IDS
 
 
 def run_cli(capsys, *argv):
@@ -108,27 +113,33 @@ def test_evaluate_rejects_out_of_range_model(tmp_path, capsys):
     assert "index 5 out of range" in err
 
 
-@pytest.mark.parametrize("mode, activities, provenance, message", [
-    pytest.param("gs", "abcd", {}, "activity phrase", id="gs-abcd"),
-    pytest.param("ex", [5, "x"], {}, "activity phrase", id="ex-activities1"),
-    pytest.param("ex", ["check stock", "Check  stock"], {}, "activity phrase",
+@pytest.mark.parametrize("mode, activities, provenance, message, doc_id", [
+    pytest.param("gs", "abcd", {}, "activity phrase", "10.1", id="gs-abcd"),
+    pytest.param("ex", [5, "x"], {}, "activity phrase", "10.1", id="ex-activities1"),
+    pytest.param("ex", ["check stock", "Check  stock"], {}, "activity phrase", "10.1",
                  id="ex-activities2"),
-    pytest.param("ex", ["check stock"], [], "provenance must be an object",
+    pytest.param("ex", ["check stock"], [], "provenance must be an object", "10.1",
                  id="ex-provenance-list"),
     pytest.param("gs", ["check stock"], {"activity:0": "ab"}, "must be a list of strings",
-                 id="gs-provenance-string")])
+                 "10.1", id="gs-provenance-string"),
+    pytest.param("ex", ["check stock"], {}, "is of document 1.2, not 10.1", "1.2",
+                 id="ex-other-document"),
+    pytest.param("gs", ["check stock"], {}, "doc_id 5 is not a non-blank string", 5,
+                 id="gs-numeric-doc-id")])
 def test_evaluate_rejects_malformed_phrase_list(tmp_path, capsys, mode, activities,
-                                                provenance, message):
+                                                provenance, message, doc_id):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps({
-        "doc_id": "10.1", "activities": activities, "participants": [],
+        "doc_id": doc_id, "activities": activities, "participants": [],
         "performs": [], "follows": [], "provenance": provenance}))
+    scores = tmp_path / "scores.json"
     code, out, err = run_cli(capsys, "evaluate", "--doc", "10.1", "--mode", mode,
-                             "--model", str(model_path))
+                             "--model", str(model_path), "--out-json", str(scores))
     assert code == 2
     assert message in err
     assert out == ""
     assert "Traceback" not in err
+    assert not scores.exists()
 
 
 @pytest.mark.parametrize("settings, message", [
@@ -216,6 +227,13 @@ def test_run_suite_replay_requires_cache(tmp_path, capsys):
                            "--out", str(tmp_path / "m.json"))
     assert code == 1
     assert "--record requires --cache" in err
+    assert not (tmp_path / "m.json").exists()
+    code, _, err = run_cli(capsys, "extract", "--doc", "10.1", "--setting", "raw",
+                           "--backend", "replay", "--record",
+                           "--cache", str(tmp_path / "c.jsonl"),
+                           "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    assert "--record does not apply to the replay backend" in err
     assert not (tmp_path / "m.json").exists()
     for kind in ("oracle", "live"):
         code, _, err = run_cli(capsys, "extract", "--doc", "10.1", "--setting", "raw",
@@ -415,3 +433,93 @@ def test_malformed_corpus_file_exits_2(tmp_path, capsys, command, content, code)
     assert got == code
     assert err.startswith("error:") == bool(code)
     assert "Traceback" not in err
+
+
+# -- fuzzing the input files ---------------------------------------------------
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+# input kind -> the command that reads it; "{kind}" is that kind's file.
+FUZZED_COMMANDS = [
+    ("corpus", ["run-suite", "--corpus", "{corpus}", "--settings", "raw", "--outdir", "{out}"]),
+    ("corpus", ["prompt", "--question", "q1", "--setting", "2shots", "--doc", "1.2",
+                "--corpus", "{corpus}"]),
+    ("raw", ["import", "--raw", "{raw}", "--out", "{out}"]),
+    ("model", ["evaluate", "--corpus", "{corpus}", "--doc", "1.2", "--model", "{model}",
+               "--aliases", "{aliases}", "--out-json", "{out}"]),
+    ("aliases", ["evaluate", "--corpus", "{corpus}", "--doc", "1.2", "--model", "{model}",
+                 "--aliases", "{aliases}", "--out-json", "{out}"]),
+    ("cache", ["extract", "--corpus", "{corpus}", "--doc", "1.2", "--setting", "raw",
+               "--backend", "replay", "--cache", "{cache}", "--out", "{out}"]),
+]
+
+
+def _write_inputs(directory, inputs) -> dict:
+    """Write each input where its command reads it; a cache is one JSON line
+    per entry. Returns the paths by kind, plus ``out``."""
+    paths = {"out": directory / "out"}
+    for kind, value in inputs.items():
+        paths[kind] = directory / f"{kind}.json"
+        lines = value if kind == "cache" else [value]
+        paths[kind].write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid file of each kind: a small corpus holding every evaluation
+    and shot document, a raw import, a model of 1.2, an alias map and the
+    replay cache of 1.2's raw run."""
+    directory = tmp_path_factory.mktemp("valid")
+    inputs = {"corpus": [{**RECORD, "id": doc_id} for doc_id in EVALUATION_IDS + SHOT_IDS],
+              "raw": [RAW_RECORD], "aliases": {"stamps form": ["stamps the form"]}}
+    paths = _write_inputs(directory, inputs)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["extract", "--corpus", str(paths["corpus"]), "--doc", "1.2",
+                         "--setting", "raw", "--backend", "oracle", "--record",
+                         "--cache", str(directory / "cache.json"),
+                         "--out", str(directory / "model.json")]) == 0
+    inputs["model"] = json.loads((directory / "model.json").read_text())
+    inputs["cache"] = [json.loads(line)
+                       for line in (directory / "cache.json").read_text().splitlines()]
+    return inputs
+
+
+def _json_paths(value, path=()):
+    """Every position in a JSON value, the whole value first."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, (*path, key))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(FUZZED_COMMANDS), data=st.data())
+def test_any_json_in_an_input_file_gets_an_exit_code(valid_inputs, command, data):
+    """One field of a valid input file, or the whole file (for a cache, one
+    line), replaced by any JSON value: the command exits 0-3, no traceback."""
+    kind, argv = command
+    base = valid_inputs[kind]
+    spots = [p for p in _json_paths(base) if p or kind != "cache"]
+    spot = data.draw(st.sampled_from(spots), label="spot")
+    inputs = {**valid_inputs, kind: _replaced(base, spot, data.draw(ANY_JSON, label="value"))}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        paths = _write_inputs(Path(directory), inputs)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

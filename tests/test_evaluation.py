@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 import table2
 from pexkit import evaluation as ev
 from pexkit.corpus import GoldStandard
-from pexkit.evaluation import (ElementScores, MatchConfig, align, f1_score,
-                               macro_average, match_phrase, normalize, round2,
-                               score_elements)
+from pexkit.evaluation import (ElementScores, MatchConfig, align, evaluate_document,
+                               f1_score, macro_average, match_phrase, normalize,
+                               round2)
 from pexkit.worldmodel import WorldModel
 
 CFG = MatchConfig()
@@ -109,18 +109,27 @@ def test_empty_predictions_empty_gold():
     assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
 
-def test_score_elements_end_to_end():
+def activity_row(extracted, gold):
+    """The Activity row of a model holding just the ``extracted`` activities."""
+    m = WorldModel("t")
+    for surface in extracted:
+        m.add_activity(surface, ("q1", "-"))
+    gs = GoldStandard("t", tuple(gold), (), frozenset(), frozenset())
+    return evaluate_document(gs, ex_model=m)["Activity"]
+
+
+def test_activity_row_end_to_end():
     gold = [f"gold activity {i}" for i in range(10)]
     extracted = gold[:9] + ["bogus one", "bogus two", "bogus three"]
-    s = score_elements(extracted, gold)
+    s = activity_row(extracted, gold)
     assert (s.tp, s.fp, s.fn) == (9, 3, 1)
 
 
 def test_symmetry_swapping_prediction_and_gold():
     extracted = ["send invoice", "pay bill", "unmatched thing"]
     gold = ["sends the invoice", "pay the bill"]
-    fwd = score_elements(extracted, gold)
-    rev = score_elements(gold, extracted)
+    fwd = activity_row(extracted, gold)
+    rev = activity_row(gold, extracted)
     assert fwd.precision == pytest.approx(rev.recall)
     assert fwd.recall == pytest.approx(rev.precision)
     assert fwd.f1 == pytest.approx(rev.f1)
@@ -161,20 +170,23 @@ def gs_model(follows, performs=()):
     return m
 
 
+def gs_row(row, model, gold=None):
+    return evaluate_document(gold or small_gold(), gs_model=model)[row]
+
+
 def test_follows_gs_perfect():
-    s = ev.score_follows(gs_model({(0, 1), (1, 2)}), small_gold(), ev.GS)
+    s = gs_row("Follows (gs)", gs_model({(0, 1), (1, 2)}))
     assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
 
 def test_follows_gs_orientation_matters():
-    s = ev.score_follows(gs_model({(1, 0), (2, 1)}), small_gold(), ev.GS)
+    s = gs_row("Follows (gs)", gs_model({(1, 0), (2, 1)}))
     assert s.tp == 0
 
 
 def test_follows_gs_overprediction():
     # supersets of gold: 4 predictions, 2 gold correct
-    s = ev.score_follows(gs_model({(0, 1), (1, 2), (0, 2), (2, 0)}),
-                         small_gold(), ev.GS)
+    s = gs_row("Follows (gs)", gs_model({(0, 1), (1, 2), (0, 2), (2, 0)}))
     assert s.precision == pytest.approx(0.5)
     assert s.recall == pytest.approx(1.0)
 
@@ -189,7 +201,7 @@ def test_follows_gs_published_cell(index, oracle):
     for e in extra:
         run.model.add_follows(*e, ("q3", "-"))
     assert len(run.model.follows) == 8
-    s = ev.score_follows(run.model, gold, ev.GS)
+    s = gs_row("Follows (gs)", run.model, gold)
     assert round2(s.precision) == 0.50
     assert round2(s.recall) == 1.00
     assert round2(s.f1) == 0.67
@@ -200,20 +212,19 @@ def test_follows_ex_unmatched_endpoint_is_fp():
     m.add_activity("alpha step", ("q1", "-"))
     m.add_activity("totally unrelated", ("q1", "-"))
     m.add_follows(0, 1, ("q3", "-"))
-    s = ev.score_follows(m, small_gold(), ev.EX)
+    s = evaluate_document(small_gold(), ex_model=m)["Follows (ex)"]
     assert (s.tp, s.fp) == (0, 1)
 
 
 def test_gs_mode_requires_gold_injected_run():
     m = WorldModel("t")
     m.add_activity("alpha step", ("q1", "-"))
-    with pytest.raises(ev.PexError):
-        ev.score_follows(m, small_gold(), ev.GS)
+    with pytest.raises(ev.PexError, match="requires a gold-injected run"):
+        evaluate_document(small_gold(), gs_model=m)
 
 
 def test_performs_gs():
-    s = ev.score_performs(gs_model(set(), performs=[(0, 0), (0, 1)]),
-                          small_gold(), ev.GS)
+    s = gs_row("Performs (gs)", gs_model(set(), performs=[(0, 0), (0, 1)]))
     assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
 
@@ -221,8 +232,192 @@ def test_performs_participant_matched_by_phrase():
     m = gs_model(set())
     m.participants = ["worker"]  # matches "the worker" after normalization
     m.performs = {(0, 0), (0, 1)}
-    s = ev.score_performs(m, small_gold(), ev.GS)
+    s = gs_row("Performs (gs)", m)
     assert s.recall == 1.0
+
+
+# -- one alignment per phrase list -----------------------------------------
+
+
+@pytest.mark.parametrize("sources, calls", [
+    (("ex", "gs"), 3), (("ex",), 2), (("gs",), 1)])
+def test_each_phrase_list_is_aligned_once(monkeypatch, index, oracle, sources, calls):
+    """ex aligns its activities and its participants, gs its participants."""
+    from pexkit import pipeline, prompting
+    doc, gold = index["10.1"]
+    models = {
+        f"{source}_model": pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
+                                            activity_source=activity_source).model
+        for source, activity_source in (("ex", pipeline.EXTRACTED),
+                                        ("gs", pipeline.GOLD_INJECTED))
+        if source in sources}
+    aligned = []
+
+    def counting_align(extracted, gold_phrases, cfg):
+        aligned.append(list(extracted))
+        return align(extracted, gold_phrases, cfg)
+
+    monkeypatch.setattr(ev, "align", counting_align)
+    rows = evaluate_document(gold, **models)
+    assert len(aligned) == calls
+    assert all(s.f1 == 1.0 for s in rows.values())
+
+
+# The per-row scorers evaluate_document replaced, kept as they were: each
+# aligns its own phrase lists again.
+
+def ref_score_edges(predicted, gold_edges, src_map, dst_map):
+    matched_gold = set()
+    tp = 0
+    for a, b in predicted:
+        if a in src_map and b in dst_map:
+            edge = (src_map[a], dst_map[b])
+            if edge in gold_edges:
+                tp += 1
+                matched_gold.add(edge)
+    return ElementScores.from_counts(tp, len(predicted) - tp,
+                                     len(gold_edges - matched_gold))
+
+
+def ref_score_elements(extracted, gold, cfg):
+    tp = len(align(extracted, gold, cfg))
+    return ElementScores.from_counts(tp, len(extracted) - tp, len(gold) - tp)
+
+
+def ref_activity_map(model, gold, mode, cfg):
+    if mode == ev.GS:
+        if len(model.activities) != len(gold.activities):
+            raise ev.PexError(
+                f"gs-mode scoring for {gold.doc_id} requires a gold-injected run "
+                f"({len(model.activities)} model activities, "
+                f"{len(gold.activities)} gold)")
+        return {i: i for i in range(len(gold.activities))}
+    return align(model.activities, gold.activities, cfg)
+
+
+def ref_score_follows(model, gold, mode, cfg):
+    amap = ref_activity_map(model, gold, mode, cfg)
+    return ref_score_edges(model.follows, set(gold.follows), amap, amap)
+
+
+def ref_score_performs(model, gold, mode, cfg):
+    amap = ref_activity_map(model, gold, mode, cfg)
+    pmap = align(model.participants, list(gold.participants), cfg)
+    return ref_score_edges(model.performs, set(gold.performs), pmap, amap)
+
+
+def ref_evaluate_document(gold, ex_model, gs_model, cfg):
+    rows = {}
+    if ex_model is not None:
+        rows["Activity"] = ref_score_elements(ex_model.activities, gold.activities, cfg)
+        rows["Participant"] = ref_score_elements(
+            ex_model.participants, list(gold.participants), cfg)
+        rows["Follows (ex)"] = ref_score_follows(ex_model, gold, ev.EX, cfg)
+        rows["Performs (ex)"] = ref_score_performs(ex_model, gold, ev.EX, cfg)
+    if gs_model is not None:
+        rows["Follows (gs)"] = ref_score_follows(gs_model, gold, ev.GS, cfg)
+        rows["Performs (gs)"] = ref_score_performs(gs_model, gold, ev.GS, cfg)
+    return rows
+
+
+WORDS = ("send", "invoice", "check", "order", "pay", "bill", "clerk", "stock",
+         "ship", "parcel", "manager", "form")
+UNRELATED = ("archive the ledger", "calibrate scanner", "the warehouse robot")
+NOISE = (str, "the {}".format, "{}s".format, str.upper, "{}.".format,
+         lambda s: s.replace(" ", ", "), lambda s: f"{s} {WORDS[0]}")
+phrase = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+def edges(draw, first, second, mapped, reflexive=True):
+    """Some ``mapped`` gold edges, each kept or reversed, plus random pairs."""
+    out = set()
+    for a, b in mapped:
+        kind = draw(st.sampled_from(("keep", "keep", "reverse", "drop")))
+        if kind != "drop":
+            out.add((a, b) if kind == "keep" else (b, a))
+    if first and second:
+        out |= draw(st.sets(st.tuples(st.integers(0, first - 1),
+                                      st.integers(0, second - 1)), max_size=4))
+    return out if reflexive else {(a, b) for a, b in out if a != b}
+
+
+def noisy_phrases(draw, golds):
+    """Model phrases: a noisy rewording of some gold phrases plus unrelated
+    ones, shuffled, each as (gold index or None, phrase)."""
+    kept = [(i, draw(st.sampled_from(NOISE))(g)) for i, g in enumerate(golds)
+            if draw(st.integers(0, 3))]
+    extra = draw(st.lists(phrase | st.sampled_from(UNRELATED), max_size=3))
+    order = draw(st.permutations(range(len(kept) + len(extra))))
+    items = [(i, text) for i, text in kept] + [(None, text) for text in extra]
+    return [items[k] for k in order]
+
+
+def noisy_model(draw, gold, inject):
+    """A model of ``gold`` whose activities are gold-injected or noisy."""
+    m = WorldModel("t")
+    amap, pmap = {}, {}
+    if inject:
+        m.activities = list(gold.activities)
+        amap = {i: i for i in range(len(gold.activities))}
+    else:
+        for gi, text in noisy_phrases(draw, gold.activities):
+            idx = m.add_activity(text, ("q1", "-"))
+            if gi is not None:
+                amap.setdefault(gi, idx)
+    for gi, text in noisy_phrases(draw, gold.participants):
+        idx = m.add_participant(text, ("q2", "-"))
+        if gi is not None:
+            pmap.setdefault(gi, idx)
+    na, np_ = len(m.activities), len(m.participants)
+    m.follows = edges(draw, na, na, [(amap[a], amap[b]) for a, b in gold.follows
+                                     if a in amap and b in amap], reflexive=False)
+    m.performs = edges(draw, np_, na, [(pmap[p], amap[a]) for p, a in gold.performs
+                                       if p in pmap and a in amap])
+    return m
+
+
+@st.composite
+def scoring_cases(draw):
+    acts = draw(st.lists(phrase, min_size=1, max_size=6))
+    parts = draw(st.lists(phrase | st.sampled_from(UNRELATED), min_size=1, max_size=4))
+    na, np_ = len(acts), len(parts)
+    follows = frozenset(draw(st.sets(st.tuples(st.integers(0, na - 1),
+                                               st.integers(0, na - 1)), max_size=8))
+                        if na else ()) - {(i, i) for i in range(na)}
+    performs = frozenset(draw(st.sets(st.tuples(st.integers(0, np_ - 1),
+                                                st.integers(0, na - 1)), max_size=6))
+                         if na and np_ else ())
+    gold = GoldStandard("t", tuple(acts), tuple(parts), performs, follows)
+    sources = draw(st.sampled_from(("ex", "gs", "both", "both", "both")))
+    ex = noisy_model(draw, gold, inject=False) if sources in ("ex", "both") else None
+    gs = noisy_model(draw, gold, inject=True) if sources in ("gs", "both") else None
+    if gs is not None and draw(st.integers(0, 4)) == 0:  # not a gold-injected run
+        gs.activities = gs.activities[:-1] if gs.activities else ["stray step"]
+        gs.follows = {e for e in gs.follows if max(e) < len(gs.activities)}
+        gs.performs = {e for e in gs.performs if e[1] < len(gs.activities)}
+    phrases = [*(ex.activities if ex else ()), *(ex.participants if ex else ()),
+               *(gs.participants if gs else ())]
+    golds = [*acts, *parts]
+    aliases = draw(st.dictionaries(st.sampled_from(phrases),
+                                   st.lists(st.sampled_from(golds), max_size=2),
+                                   max_size=3)) if phrases and golds else {}
+    threshold = draw(st.just(0.5) | st.floats(0.05, 1.0))
+    return gold, ex, gs, MatchConfig(jaccard_threshold=threshold, aliases=aliases)
+
+
+def outcome(score, *args):
+    try:
+        return list(score(*args).items())
+    except ev.PexError as exc:
+        return f"PexError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_cases())
+def test_evaluate_document_equals_the_per_row_scorers(case):
+    gold, ex, gs, cfg = case
+    assert outcome(evaluate_document, gold, ex, gs, cfg) == \
+        outcome(ref_evaluate_document, gold, ex, gs, cfg)
 
 
 # -- macro averages and rendering ------------------------------------------

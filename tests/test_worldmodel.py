@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,7 +89,7 @@ def test_json_roundtrip():
     m = model_with(["a", "b"], ["p"])
     m.add_performs(0, 0, PROV)
     m.add_follows(0, 1, PROV)
-    assert WorldModel.from_json(m.to_json()) == m
+    assert WorldModel.from_dict(json.loads(m.to_json())) == m
 
 
 def test_export_deterministic():
@@ -116,7 +118,7 @@ def test_roundtrip_property(surfaces):
     n = len(m.activities)
     if n > 1:
         m.add_follows(0, n - 1, PROV)
-    back = WorldModel.from_json(m.to_json())
+    back = WorldModel.from_dict(json.loads(m.to_json()))
     assert back == m
     assert {normalize_key(a) for a in back.activities} == \
         {normalize_key(s) for s in surfaces}
@@ -142,6 +144,9 @@ def test_roundtrip_property(surfaces):
     ("provenance", None, "provenance must be an object"),
     ("provenance", {"activity:0": "ab"}, "provenance of activity:0 must be a list of strings"),
     ("provenance", {"activity:0": ["q1", 5]}, "must be a list of strings"),
+    ("doc_id", 5, "doc_id 5 is not a non-blank string"),
+    ("doc_id", " ", "doc_id ' ' is not a non-blank string"),
+    ("doc_id", None, "doc_id None is not a non-blank string"),
 ])
 def test_from_dict_checks_edge_indices(key, pairs, message):
     data = model_with(["a", "b"], ["p"]).to_dict()
