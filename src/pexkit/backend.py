@@ -89,22 +89,33 @@ def _params_json(params: CompletionParams) -> str:
     return json.dumps(params.to_dict(), sort_keys=True)
 
 
-def transcript_digest(prompt_text: str, params: CompletionParams) -> str:
-    """Cache key of a prompt text and its params; also what provenance records."""
-    payload = prompt_text + "\x00" + _params_json(params)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def transcript_digest(prompt_text: str, params: CompletionParams,
+                      head: tuple | None = None) -> str:
+    """Cache key of a prompt text and its params; also what provenance records.
+
+    ``head``, when given, is ``(n, state)``: ``state`` is the sha256 state of
+    the UTF-8 bytes of ``prompt_text[:n]``. It is copied, never updated, so
+    threads may share it, and only the rest of the text is hashed here; the
+    digest is the same as without it.
+    """
+    length, state = head or (0, hashlib.sha256())
+    state = state.copy()
+    state.update((prompt_text[length:] + "\x00" + _params_json(params)).encode("utf-8"))
+    return state.hexdigest()
 
 
 def prompt_digest(prompt: Prompt, params: CompletionParams) -> str:
     """``transcript_digest`` of a rendered prompt, computed once and kept on it.
 
-    ``CachedBackend`` asks for it, often on a ``pex-ask`` thread, and the
-    dialogue's transcript asks again for the same prompt object when it takes
-    the answer, so each question is hashed once at any width.
+    It starts from the hashed head the prompt's batch shares, so each
+    question hashes only its own line. ``CachedBackend`` asks for it, often
+    on a ``pex-ask`` thread, and the dialogue's transcript asks again for the
+    same prompt object when it takes the answer, so each question is hashed
+    once at any width.
     """
     digest = prompt.digests.get(params)
     if digest is None:
-        digest = prompt.digests[params] = transcript_digest(prompt.text, params)
+        digest = prompt.digests[params] = transcript_digest(prompt.text, params, prompt.head)
     return digest
 
 

@@ -63,17 +63,23 @@ def _match_config(args) -> MatchConfig:
     return MatchConfig(**kwargs)
 
 
-def _make_backend(args, entries):
+def _check_backend_flags(args) -> None:
+    """Reject a usage error in the backend flags, before any file is read."""
     if args.backend == "replay":
         if args.record:
             raise UsageError("--record does not apply to the replay backend")
         if not args.cache:
             raise UsageError("replay backend requires --cache")
-        return CachedBackend(TranscriptCache(args.cache))
-    if args.record and not args.cache:
+    elif args.record and not args.cache:
         raise UsageError("--record requires --cache")
-    if args.cache and not args.record:
+    elif args.cache and not args.record:
         raise UsageError(f"--cache with the {args.backend} backend requires --record")
+
+
+def _make_backend(args, entries):
+    """The backend of flags that ``_check_backend_flags`` accepted."""
+    if args.backend == "replay":
+        return CachedBackend(TranscriptCache(args.cache))
     if args.backend == "oracle":
         inner = OracleBackend(corpus.corpus_index(entries))
     else:
@@ -103,6 +109,19 @@ def _threshold(text: str) -> float:
     if value is None or not 0 < value <= 1:  # also NaN
         raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
     return value
+
+
+def _settings(text: str) -> list[str]:
+    """Comma-separated settings, each known and given once, or ``all``."""
+    if text == "all":
+        return list(prompting.SETTINGS)
+    settings = [s.strip() for s in text.split(",")]
+    for i, s in enumerate(settings):
+        if s not in prompting.SETTINGS:
+            raise argparse.ArgumentTypeError(f"unknown setting: {s}")
+        if s in settings[:i]:
+            raise argparse.ArgumentTypeError(f"setting given twice: {s}")
+    return settings
 
 
 def _add_match_flags(parser):
@@ -150,7 +169,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run-suite", help="extract+evaluate all documents x settings")
     p.add_argument("--corpus")
-    p.add_argument("--settings", default="all",
+    p.add_argument("--settings", type=_settings, default="all",
                    help="comma-separated settings, or 'all'")
     p.add_argument("--outdir", required=True)
     _add_backend_flags(p)
@@ -175,6 +194,7 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    _check_backend_flags(args)
     entries = _load_entries(args.corpus)
     doc, gold = _find_doc(entries, args.doc)
     backend = _make_backend(args, entries)
@@ -217,18 +237,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run_suite(args) -> int:
+    _check_backend_flags(args)
     entries = _load_entries(args.corpus)
-    settings = (list(prompting.SETTINGS) if args.settings == "all"
-                else [s.strip() for s in args.settings.split(",")])
-    for i, s in enumerate(settings):
-        if s not in prompting.SETTINGS:
-            raise UsageError(f"unknown setting: {s}")
-        if s in settings[:i]:
-            raise UsageError(f"setting given twice: {s}")
     backend = _make_backend(args, entries)
     cfg = _match_config(args)
-    report = run_suite(entries, settings, backend, args.outdir, cfg=cfg)
-    sys.stdout.write(evaluation.render_table(report, settings, "text"))
+    report = run_suite(entries, args.settings, backend, args.outdir, cfg=cfg)
+    sys.stdout.write(evaluation.render_table(report, args.settings, "text"))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import CorpusError, ModelError, PexError
-from .worldmodel import index_pairs
+from .worldmodel import index_pairs, normalize_key
 
 EVALUATION_IDS = ("1.2", "1.3", "3.3", "5.2", "10.1", "10.6", "10.13")
 SHOT_IDS = ("2.2", "10.9")
@@ -43,12 +43,19 @@ class GoldStandard:
     follows: frozenset[tuple[int, int]]
 
     def validate(self) -> None:
-        for a in self.activities:
-            if not a.strip():
-                raise CorpusError(f"document {self.doc_id}: blank activity surface {a!r}")
-        for p in self.participants:
-            if not p.strip():
-                raise CorpusError(f"document {self.doc_id}: blank participant phrase {p!r}")
+        for kind, phrases in (("activity surface", self.activities),
+                              ("participant phrase", self.participants)):
+            # The rule ``WorldModel`` keeps: no blank phrase, and no two
+            # phrases with one ``normalize_key``.
+            seen = {}
+            for phrase in phrases:
+                if not phrase.strip():
+                    raise CorpusError(f"document {self.doc_id}: blank {kind} {phrase!r}")
+                key = normalize_key(phrase)
+                if key in seen:
+                    raise CorpusError(f"document {self.doc_id}: duplicate {kind}s "
+                                      f"{seen[key]!r} and {phrase!r}")
+                seen[key] = phrase
         na, np_ = len(self.activities), len(self.participants)
         try:
             index_pairs(self.performs, "performs", ("participant", np_), ("activity", na))

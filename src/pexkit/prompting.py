@@ -7,6 +7,7 @@ then the two shot blocks (if any), then the target block.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -153,13 +154,18 @@ class Prompt:
     y: str | None
     # params -> transcript digest of this text, filled by ``backend.prompt_digest``
     digests: dict = field(default_factory=dict, compare=False, repr=False)
+    # (length, sha256 state of its UTF-8 bytes) of the head of the text that
+    # the prompt's batch shares, the ``head`` of ``backend.transcript_digest``
+    head: tuple = field(default_factory=lambda: (0, hashlib.sha256()),
+                        compare=False, repr=False)
 
 
 def renderer(question: str, setting: str, doc: corpus.Document,
              shots: list[ShotExample] | None = None):
     """The renderer of one question batch on one document: it joins the
-    prompts' shared head, up to the target block's ``"Q: "``, once, and
-    returns the function of ``(x, y)`` that renders each prompt of the batch."""
+    prompts' shared head, up to the target block's ``"Q: "``, and hashes it
+    once, and returns the function of ``(x, y)`` that renders each prompt of
+    the batch."""
     if question not in QUESTION_KINDS:
         raise PromptError(f"unknown question kind: {question}")
     if setting not in SETTINGS:
@@ -184,10 +190,11 @@ def renderer(question: str, setting: str, doc: corpus.Document,
             blocks.append(lines)
     blocks.append([PROCESS_CUE, doc.body, "Q: "])
     head = "\n\n".join("\n".join(lines) for lines in blocks)
+    hashed = (len(head), hashlib.sha256(head.encode("utf-8")))
 
     def fill(x: str | None, y: str | None) -> Prompt:
         return Prompt(head + instantiate(question, x, y) + "\nA: ",
-                      question, setting, doc.id, x, y)
+                      question, setting, doc.id, x, y, head=hashed)
     return fill
 
 

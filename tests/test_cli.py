@@ -245,6 +245,30 @@ def test_run_suite_replay_requires_cache(tmp_path, capsys):
         assert not (tmp_path / "c.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "--doc", "10.1", "--setting", "raw", "--backend", "replay",
+      "--out", "{out}"], "replay backend requires --cache"),
+    (["extract", "--doc", "10.1", "--setting", "raw", "--backend", "oracle",
+      "--cache", "{cache}", "--out", "{out}"], "--cache with the oracle backend requires --record"),
+    (["run-suite", "--backend", "live", "--record", "--outdir", "{out}"],
+     "--record requires --cache"),
+    (["run-suite", "--backend", "replay", "--record", "--cache", "{cache}", "--outdir", "{out}"],
+     "--record does not apply to the replay backend"),
+    (["run-suite", "--settings", "raw,nope", "--outdir", "{out}"], "unknown setting: nope"),
+    (["run-suite", "--settings", "raw,raw", "--outdir", "{out}"], "setting given twice: raw"),
+], ids=["extract-replay-no-cache", "extract-cache-no-record", "suite-record-no-cache",
+        "suite-replay-record", "suite-unknown-setting", "suite-setting-twice"])
+def test_usage_error_comes_before_reading_the_corpus(tmp_path, capsys, argv, message):
+    """A usage error is exit 1 even when the corpus file is missing too."""
+    paths = {"out": tmp_path / "out", "cache": tmp_path / "c.jsonl"}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv),
+                             "--corpus", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert message in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_live_backend_runs_16_calls_in_flight(monkeypatch, entries):
     monkeypatch.setenv("PEX_API_KEY", "k")
     args = cli.build_parser().parse_args(

@@ -194,6 +194,15 @@ BAD_GOLD = {
     "participant-empty": ({"participants": [""]}, "blank participant"),
     "activity-whitespace": ({"activities": [{"surface": "\t\n", "index": 0}]},
                             "blank activity"),
+    # Phrases that ``WorldModel`` would take for one (one ``normalize_key``).
+    "activity-case": ({"activities": [{"surface": "files it", "index": 0},
+                                      {"surface": "Files It", "index": 0}]},
+                      "document x: duplicate activity surfaces 'files it' and 'Files It'"),
+    "activity-spacing": ({"activities": [{"surface": "files it", "index": 0},
+                                         {"surface": " files  it", "index": 0}]},
+                         "document x: duplicate activity surfaces 'files it' and ' files  it'"),
+    "participant-case": ({"participants": ["a clerk", "the boss", "A CLERK"]},
+                         "document x: duplicate participant phrases 'a clerk' and 'A CLERK'"),
 }
 
 
@@ -202,8 +211,9 @@ BAD_GOLD = {
     pytest.param(raw, case, id=f"{'raw' if raw else 'corpus'}-{case}")
     for raw in (False, True) for case in BAD_GOLD if not (raw and case == "follows-dict")])
 def test_gold_fields_must_be_lists_of_non_blank_phrases(tmp_path, raw, case):
-    """A gold field that is not a JSON list, or a blank phrase, is a
-    ``CorpusError``, through ``load_corpus`` and ``import_raw`` alike."""
+    """A gold field that is not a JSON list, a blank phrase, or two phrases
+    of one kind with one ``normalize_key`` is a ``CorpusError``, through
+    ``load_corpus`` and ``import_raw`` alike."""
     changes, message = BAD_GOLD[case]
     rec = {"id": "x", "body": "files it", "gold": {**GOLD, **changes}}
     if raw:
@@ -214,3 +224,11 @@ def test_gold_fields_must_be_lists_of_non_blank_phrases(tmp_path, raw, case):
     path.write_text(json.dumps([rec]))
     with pytest.raises(CorpusError, match=message):
         (corpus.import_raw if raw else corpus.load_corpus)(path)
+
+
+def test_a_gold_activity_may_share_its_phrase_with_a_participant(tmp_path):
+    rec = {"id": "x", "body": "files it",
+           "gold": {**GOLD, "participants": ["files it"]}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([rec]))
+    assert corpus.load_corpus(path)[0][1].participants == ("files it",)

@@ -484,23 +484,44 @@ def test_concurrent_run_suite_asks_each_distinct_prompt_once(entries, oracle, tm
 
 @pytest.mark.parametrize("width", [1, 8])
 def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_path, width):
-    """The memo, the cache it records in and the transcript share one digest
-    per question, also when the calls run on other threads."""
+    """Each question batch hashes its shared head once; the memo, the cache it
+    records in and the transcript share one digest per question, which hashes
+    only the question's own line, also when the calls run on other threads."""
     from pexkit import backend as bk
     from pexkit.suite import run_suite
 
-    hashed = []
+    made, fed, digests = [], [], []
 
-    def sha256(data):
-        hashed.append(data)
-        return hashlib.sha256(data)
+    class Sha256:
+        """A sha256 state that counts the bytes it is fed and the digests it gives."""
 
-    monkeypatch.setattr(bk, "hashlib", SimpleNamespace(sha256=sha256))
+        def __init__(self, data=b"", state=None):
+            if state is None:
+                made.append(self)
+            self.state = state or hashlib.sha256()
+            self.update(data)
+
+        def update(self, data):
+            fed.append(len(data))
+            self.state.update(data)
+
+        def copy(self):
+            return Sha256(state=self.state.copy())
+
+        def hexdigest(self):
+            digest = self.state.hexdigest()
+            digests.append(digest)
+            return digest
+
+    for module in (prompting, bk):
+        monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=Sha256))
     cache = TranscriptCache(tmp_path / "c.jsonl")
     backend = CachedBackend(cache, oracle if width == 1 else JitteryBackend(oracle, width))
     run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path / "out")
-    assert len(cache) == len(set(hashed)) == 734
-    assert len(hashed) <= 1454
+    assert len(made) == 70  # one head state per batch
+    assert len(cache) == len(set(digests)) == 734
+    assert len(digests) <= 1454
+    assert sum(fed) <= 450_000  # 2,872,062 bytes when each prompt hashed its whole text
 
 
 def test_duplicate_documents_share_calls_in_flight(entries, tmp_path):

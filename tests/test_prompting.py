@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pexkit import cli, prompting
+from pexkit.backend import CompletionParams, default_params, prompt_digest, transcript_digest
 from pexkit.errors import PromptError
 from pexkit.prompting import (DEFINITIONS, DEFS, DEFS_SHOTS2, PREAMBLE, PROCESS_CUE,
-                              Q1, Q2, Q3, QUESTION_TEMPLATES, RAW, SHOTS2, instantiate,
-                              render, renderer)
+                              Q1, Q2, Q3, QUESTION_TEMPLATES, RAW, SHOTS2, Prompt,
+                              instantiate, render, renderer)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -205,6 +206,38 @@ def test_render_equals_the_reference_block_join(index, shots, question, setting,
         assert (prompt.question, prompt.setting, prompt.doc_id, prompt.x, prompt.y) == \
             (question, setting, doc.id, x, y)
         assert render(question, setting, doc, x=x, y=y, shots=shots) == prompt
+
+
+_any_binding = st.lists(
+    st.one_of(st.sampled_from(["Q: ", "\nA: ", "\x00", "é", "活動", "\U0001f600", "\U00010348"]),
+              st.text(max_size=4)),
+    min_size=1, max_size=6).map("".join).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(question=st.sampled_from(prompting.QUESTION_KINDS),
+       setting=st.sampled_from(prompting.SETTINGS),
+       doc_id=st.sampled_from(["1.2", "10.1", "10.13"]),
+       bindings=st.lists(st.tuples(_any_binding, _any_binding), min_size=1, max_size=3))
+def test_prompt_digest_equals_the_transcript_digest(index, shots, question, setting, doc_id,
+                                                     bindings):
+    """A rendered prompt's digest, from its batch's hashed head, is the
+    ``transcript_digest`` of its whole text, as is a directly built one's:
+    the sha256 of the text, a NUL and the params' sorted JSON."""
+    doc, _ = index[doc_id]
+    fill = renderer(question, setting, doc, shots)
+    other = CompletionParams(temperature=0.7, nucleus=0.9, max_tokens=17, stop=("\x00", "Ω"))
+    for x, y in bindings:
+        x = None if question == Q1 else x
+        y = y if question == Q3 else None
+        rendered = fill(x, y)
+        built = Prompt(rendered.text, question, setting, doc.id, x, y)
+        for params in (default_params(question), other):
+            expected = transcript_digest(rendered.text, params)
+            payload = rendered.text + "\x00" + json.dumps(params.to_dict(), sort_keys=True)
+            assert expected == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            assert prompt_digest(rendered, params) == expected
+            assert prompt_digest(built, params) == expected
 
 
 def test_recorded_oracle_suite_prompts_match_the_fingerprint(tmp_path, capsys):
