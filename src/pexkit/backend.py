@@ -18,7 +18,6 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -108,10 +107,10 @@ def prompt_digest(prompt: Prompt, params: CompletionParams) -> str:
     """``transcript_digest`` of a rendered prompt, computed once and kept on it.
 
     It starts from the hashed head the prompt's batch shares, so each
-    question hashes only its own line. ``CachedBackend`` asks for it, often
-    on a ``pex-ask`` thread, and the dialogue's transcript asks again for the
-    same prompt object when it takes the answer, so each question is hashed
-    once at any width.
+    question hashes only its own line. ``pipeline.schedule`` asks for it on
+    the calling thread when it draws the prompt, to find a call in flight;
+    ``CachedBackend`` and the dialogue's transcript ask again for the same
+    prompt object, so each question is hashed once at any width.
     """
     digest = prompt.digests.get(params)
     if digest is None:
@@ -181,7 +180,8 @@ class TranscriptCache:
             digest, completion = entry["digest"], entry["completion"]
             if not isinstance(completion, str):
                 raise TypeError(f"completion is {completion!r}")
-        except (KeyError, TypeError) as exc:
+            completion.encode("utf-8")  # a lone surrogate does not encode
+        except (KeyError, TypeError, UnicodeEncodeError) as exc:
             raise CacheCorruptError(
                 f"{self.path}:{number}: malformed cache entry: {exc!r}") from exc
         if digest != expected:
@@ -372,7 +372,8 @@ class LiveBackend:
                 text = json.loads(data)["choices"][0]["text"]
                 if not isinstance(text, str):
                     raise TypeError(f"text is {text!r}")
-            except (ValueError, LookupError, TypeError) as exc:
+                text.encode("utf-8")  # a lone surrogate does not encode
+            except (ValueError, LookupError, TypeError) as exc:  # also a UnicodeEncodeError
                 raise BackendError(f"malformed completion response: {exc}") from exc
             return truncate_at_stop(text, params.stop)
         raise BackendError(f"completion retries exhausted: {last_error}")
@@ -452,19 +453,15 @@ class CachedBackend:
     remembered. A first ask is served from ``cache`` when it holds the
     prompt; otherwise ``inner`` is asked and its answer recorded in
     ``cache``, so re-running an interrupted recording resumes it. With no
-    ``inner`` that miss raises ``CacheMissError``. When ``inner`` takes more
-    than one call at once (``max_concurrency`` above 1), the call for a
-    prompt in flight is a ``Future``: a caller that asks for the same prompt
-    on another thread waits on it, and gets its completion or the very
-    exception it raised.
+    ``inner`` that miss raises ``CacheMissError``. It takes no lock:
+    ``pipeline.schedule`` hands a job the call already in flight for its
+    prompt, so two of its calls never ask one prompt at once.
     """
 
     def __init__(self, cache: TranscriptCache | None, inner=None):
         self.cache = cache
         self.inner = inner
         self._done: dict[str, str] = {}
-        self._inflight: dict[str, Future] = {}
-        self._lock = threading.Lock()
 
     @property
     def max_concurrency(self) -> int:
@@ -473,32 +470,13 @@ class CachedBackend:
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         digest = prompt_digest(prompt, params)
         completion = self._done.get(digest)
-        if completion is not None:
-            return completion
-        if self.max_concurrency == 1:  # one call at a time: none to share
+        if completion is None:
             completion = self._done[digest] = self._ask(prompt, params, digest)
-            return completion
-        with self._lock:
-            completion = self._done.get(digest)
-            if completion is not None:
-                return completion
-            call = self._inflight.get(digest)
-            ours = call is None
-            if ours:
-                call = self._inflight[digest] = Future()
-        if not ours:
-            return call.result()
-        try:
-            completion = self._done[digest] = self._ask(prompt, params, digest)
-        except BaseException as exc:
-            call.set_exception(exc)
-            raise
-        else:
-            call.set_result(completion)
-            return completion
-        finally:
-            with self._lock:
-                del self._inflight[digest]
+        return completion
+
+    def close(self) -> None:
+        """Close ``inner``'s connections, if it holds any."""
+        getattr(self.inner, "close", lambda: None)()
 
     def _ask(self, prompt: Prompt, params: CompletionParams, digest: str) -> str:
         entry = self.cache.lookup(digest) if self.cache is not None else None

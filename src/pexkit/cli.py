@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import closing
 
 from . import corpus, evaluation, pipeline, prompting
 from .backend import CachedBackend, LiveBackend, OracleBackend, TranscriptCache
@@ -77,7 +78,8 @@ def _check_backend_flags(args) -> None:
 
 
 def _make_backend(args, entries):
-    """The backend of flags that ``_check_backend_flags`` accepted."""
+    """The backend of flags that ``_check_backend_flags`` accepted; the
+    command closes it when it ends."""
     if args.backend == "replay":
         return CachedBackend(TranscriptCache(args.cache))
     if args.backend == "oracle":
@@ -197,10 +199,10 @@ def cmd_extract(args) -> int:
     _check_backend_flags(args)
     entries = _load_entries(args.corpus)
     doc, gold = _find_doc(entries, args.doc)
-    backend = _make_backend(args, entries)
-    run = pipeline.extract(doc, args.setting, backend, gold=gold,
-                           activity_source=args.activity_source,
-                           shots=_shots(entries, args.setting))
+    with closing(_make_backend(args, entries)) as backend:
+        run = pipeline.extract(doc, args.setting, backend, gold=gold,
+                               activity_source=args.activity_source,
+                               shots=_shots(entries, args.setting))
     for t in run.transcripts:
         log.debug("issued %s prompt %s", t["question"], t["digest"])
     atomic_write(args.out, run.model.to_json())
@@ -239,9 +241,9 @@ def cmd_evaluate(args) -> int:
 def cmd_run_suite(args) -> int:
     _check_backend_flags(args)
     entries = _load_entries(args.corpus)
-    backend = _make_backend(args, entries)
-    cfg = _match_config(args)
-    report = run_suite(entries, args.settings, backend, args.outdir, cfg=cfg)
+    with closing(_make_backend(args, entries)) as backend:
+        cfg = _match_config(args)
+        report = run_suite(entries, args.settings, backend, args.outdir, cfg=cfg)
     sys.stdout.write(evaluation.render_table(report, args.settings, "text"))
     return EXIT_OK
 

@@ -133,6 +133,10 @@ def _parse_record(rec: dict) -> tuple[Document, GoldStandard]:
     for text in (doc_id, body, *participants, *activities):
         if not isinstance(text, str):
             raise CorpusError(f"malformed corpus record: {text!r} is not a string")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which json.loads accepts
+            raise CorpusError(f"malformed corpus record: {text!r} is not UTF-8 text") from exc
     if not body:
         raise CorpusError(f"document {doc_id}: empty body")
     gs = GoldStandard(doc_id, activities, participants, performs, follows)

@@ -196,7 +196,9 @@ def schedule(jobs, backend):
     At width ``W`` above 1, up to ``W`` jobs advance at once, and up to ``W``
     calls are in flight across all of them, on ``W`` ``pex-ask`` threads that
     only call ``backend.complete``; the earliest job draws its prompts first.
-    Rendering, answers and results stay on this thread. Each job takes its
+    A job that draws a prompt whose call is in flight (one ``prompt_digest``)
+    is handed that call, so no thread waits on another's. Rendering,
+    digests, answers and results stay on this thread. Each job takes its
     answers in question order, so every result equals a sequential run's.
     A job that fails raises at its own position, after every earlier result
     has been yielded; no later job starts or is yielded, and the calls in
@@ -251,22 +253,22 @@ class _Job:
         except Exception as exc:
             self.done, self.error = True, exc
 
-    def draw(self, submit):
-        """The future of the next prompt's call, from ``submit(prompt,
-        params)``, or ``None`` when the job has no prompt to draw."""
+    def draw(self, submit) -> bool:
+        """Draw the next prompt and its call's future, from ``submit(prompt,
+        params)``; False when the job has no prompt to draw."""
         if self.done:
-            return None
+            return False
+        prompt = None
         try:
             prompt = next(self.prompts, None)
-        except Exception as exc:  # a prompt that does not render fails in its place
-            prompt, future = None, Future()
-            future.set_exception(exc)
-        else:
             if prompt is None:
-                return None
+                return False
             future = submit(prompt, self.params)
+        except Exception as exc:  # a prompt that does not render or hash fails in its place
+            future = Future()
+            future.set_exception(exc)
         self.window.append((prompt, future))
-        return future
+        return True
 
     def ready(self) -> bool:
         return not self.done and bool(self.window) and self.window[0][1].done()
@@ -280,27 +282,27 @@ class _Job:
         else:
             self.resume(self.gen.throw, error)
 
-    def stop(self) -> None:
-        for _, future in self.window:
-            future.cancel()
-        self.gen.close()
-
 
 def _answer_overlapped(jobs, backend, width: int):
     active: list[_Job] = []  # started and not yet yielded, in job order
-    ended = queue.SimpleQueue()  # futures whose call has ended
-    pending = 0  # futures drawn and not yet taken from ``ended``
+    calls: dict[str, Future] = {}  # digest -> its call, until taken from ``ended``
+    ended = queue.SimpleQueue()  # digests whose call has ended
     pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="pex-ask")
 
     def submit(prompt, params):
-        return pool.submit(backend.complete, prompt, params)
+        digest = backend_mod.prompt_digest(prompt, params)
+        call = calls.get(digest)
+        if call is None:
+            call = calls[digest] = pool.submit(backend.complete, prompt, params)
+            call.add_done_callback(lambda _: ended.put(digest))
+        return call
 
     try:
         while True:
             failed = next((k for k, job in enumerate(active) if job.error is not None), None)
             if failed is not None:  # no job after a failed one runs
-                for job in active[failed + 1:]:
-                    job.stop()
+                for job in active[failed + 1:]:  # its calls run on: an earlier job may share them
+                    job.gen.close()
                 del active[failed + 1:]
                 jobs = iter(())
             while sum(not job.done for job in active) < width:
@@ -318,22 +320,17 @@ def _answer_overlapped(jobs, backend, width: int):
             # The earliest job draws first. Up to ``width`` drawn calls wait in
             # the pool's queue, so a thread whose call ends starts the next at once.
             for job in active:
-                while pending < 2 * width and len(job.window) < 2 * width:
-                    future = job.draw(submit)
-                    if future is None:
+                while len(calls) < 2 * width and len(job.window) < 2 * width:
+                    if not job.draw(submit):
                         break
-                    future.add_done_callback(ended.put)
-                    pending += 1
             if not any(job.ready() for job in active):
-                ended.get()
-                pending -= 1
+                del calls[ended.get()]
             while not ended.empty():
-                ended.get()
-                pending -= 1
+                del calls[ended.get()]
             for job in active:
                 while job.ready():
                     job.take()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         for job in active:
-            job.stop()
+            job.gen.close()

@@ -423,7 +423,8 @@ def test_live_backend_honours_retry_after(loopback, api_key, sleeps):
 
 
 @pytest.mark.parametrize("payload", [[], {"choices": "x"}, {"choices": [{"text": None}]},
-                                     {"choices": [{"text": 5}]}])
+                                     {"choices": [{"text": 5}]},
+                                     {"choices": [{"text": "a lone \ud800"}]}])
 def test_live_backend_malformed_response_is_a_backend_error(loopback, api_key, sleeps,
                                                             payload):
     server = loopback(script=[(200, {}, payload)])
@@ -799,58 +800,3 @@ def test_cached_backend_does_not_store_a_failure():
     assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
     assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
     assert inner.calls == {"p": 2}
-
-
-class HeldStub:
-    """Holds every call until ``release`` is set; the first ``fail_first``
-    calls then fail."""
-
-    max_concurrency = 4
-
-    def __init__(self, fail_first=0):
-        self.calls = 0
-        self.fail_first = fail_first
-        self.release = threading.Event()
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, params):
-        with self._lock:
-            self.calls += 1
-            call = self.calls
-        assert self.release.wait(timeout=10)
-        if call <= self.fail_first:
-            raise BackendError("injected failure")
-        return "answer to " + prompt.text
-
-
-@pytest.mark.parametrize("fail", [False, True])
-def test_cached_backend_callers_of_one_prompt_share_the_call_in_flight(fail):
-    """Four threads ask one prompt at once: one inner call, whose completion
-    or error each of them gets; a failure is asked again on the next call."""
-    inner = HeldStub(fail_first=1 if fail else 0)
-    memo = bk.CachedBackend(None, inner)
-    barrier = threading.Barrier(4)
-
-    def ask():
-        barrier.wait(timeout=10)
-        try:
-            return memo.complete(make_prompt("p"), PARAMS)
-        except BackendError as exc:
-            return exc
-
-    with ThreadPoolExecutor(4) as pool:
-        futures = [pool.submit(ask) for _ in range(4)]
-        deadline = time.monotonic() + 10
-        while inner.calls == 0 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        time.sleep(0.2)  # the other three reach the call in flight
-        inner.release.set()
-        answers = [f.result(timeout=10) for f in futures]
-    assert inner.calls == 1
-    if fail:
-        assert all(isinstance(a, BackendError) for a in answers)
-        assert len({id(a) for a in answers}) == 1
-        assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
-        assert inner.calls == 2
-    else:
-        assert answers == ["answer to p"] * 4

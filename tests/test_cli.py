@@ -1,9 +1,12 @@
+import gc
+import http.server
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -276,7 +279,50 @@ def test_live_backend_runs_16_calls_in_flight(monkeypatch, entries):
          "--outdir", "out"])
     backend = cli._make_backend(args, entries)
     assert backend.max_concurrency == 16
-    backend.inner.close()
+    backend.close()
+
+
+class AnswerNo(http.server.BaseHTTPRequestHandler):
+    """Answers every completion request with the server's ``status`` and
+    the text ``No``, over keep-alive HTTP/1.1."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps({"choices": [{"text": "No"}]}).encode()
+        self.send_response(self.server.status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.parametrize("status, code", [(200, 0), (400, 3)])
+@pytest.mark.parametrize("command", [
+    ["extract", "--doc", "10.1", "--setting", "raw", "--out", "{out}/m.json"],
+    ["run-suite", "--settings", "raw", "--outdir", "{out}"]], ids=["extract", "run-suite"])
+def test_live_commands_close_their_connections(tmp_path, monkeypatch, capsys, command, status,
+                                               code):
+    """``extract`` and ``run-suite`` with the live backend close every
+    connection they opened, whether the run succeeds or fails."""
+    monkeypatch.setenv("PEX_API_KEY", "k")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), AnswerNo)
+    server.status = status
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        argv = [*(arg.format(out=tmp_path) for arg in command), "--backend", "live",
+                "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1"]
+        assert cli.main(argv) == code, capsys.readouterr().err
+        gc.collect()  # an unclosed socket warns when it is collected
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 @pytest.mark.parametrize("threshold, activity", [
@@ -416,6 +462,43 @@ def test_prompt_uses_the_given_corpus_shots(tmp_path, capsys):
     assert changed in out
 
 
+@pytest.mark.parametrize("command", [
+    ["run-suite", "--settings", "raw", "--outdir", "{out}"],
+    ["prompt", "--question", "q1", "--setting", "raw", "--doc", "10.1"]],
+    ids=["run-suite", "prompt"])
+def test_corpus_text_holding_a_lone_surrogate_exits_2(tmp_path, capsys, command):
+    """``json.loads`` reads ``"\\ud800"`` as a lone surrogate, which does not
+    encode as UTF-8; the corpus loader rejects it."""
+    records = _bundled_records()
+    for record in records:
+        if record["id"] == "10.1":
+            record["body"] += " \ud800"
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps(records))
+    code, out, err = run_cli(capsys, *(arg.format(out=tmp_path / "out") for arg in command),
+                             "--corpus", str(corpus_path))
+    assert code == 2
+    assert "is not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["prompt", "completion"])
+def test_replayed_cache_line_holding_a_lone_surrogate_exits_3(tmp_path, capsys, field):
+    cache = tmp_path / "c.jsonl"
+    argv = ["extract", "--doc", "10.1", "--setting", "raw", "--out", str(tmp_path / "m.json")]
+    assert cli.main([*argv, "--backend", "oracle", "--record", "--cache", str(cache)]) == 0
+    lines = [json.loads(line) for line in cache.read_text().splitlines()]
+    lines[0][field] += "\ud800"
+    cache.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    capsys.readouterr()
+    code, _, err = run_cli(capsys, *argv, "--backend", "replay", "--cache", str(cache))
+    assert code == 3
+    assert "c.jsonl:1: malformed cache entry" in err
+    assert "Traceback" not in err
+
+
 RECORD = {"id": "x", "body": "a clerk stamps the form then files it",
           "gold": {"activities": [{"surface": "stamps the form", "index": 8},
                                   {"surface": "files it", "index": 29}],
@@ -461,10 +544,13 @@ def test_malformed_corpus_file_exits_2(tmp_path, capsys, command, content, code)
 
 # -- fuzzing the input files ---------------------------------------------------
 
+# Text of any characters, lone surrogates included: ``json.loads`` reads an
+# escaped one, and ``st.characters()`` alone never draws one.
+ANY_TEXT = st.text(st.characters() | st.sampled_from("\ud800\udfff"), max_size=8)
 ANY_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
     lambda inner: (st.lists(inner, max_size=3)
-                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+                   | st.dictionaries(ANY_TEXT, inner, max_size=3)),
     max_leaves=6)
 
 # input kind -> the command that reads it; "{kind}" is that kind's file.

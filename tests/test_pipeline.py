@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import timedelta
 from itertools import permutations
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pexkit import backend as backend_mod
 from pexkit import pipeline, prompting
 from pexkit.backend import CachedBackend, OracleBackend, TranscriptCache
 from pexkit.corpus import Document
@@ -541,6 +543,120 @@ def test_duplicate_documents_share_calls_in_flight(entries, tmp_path):
              (index[doc_id] for doc_id in ("1.2", "3.3", "5.2", "10.1", "10.6", "10.13"))}
     assert sum(inner.asked.values()) == len(inner.asked) == \
         sum(1 + n * n for n in sizes.values()) == 245
+
+
+class HeldStub:
+    """Holds every call until ``release`` is set; the first ``fail_first``
+    calls then fail."""
+
+    max_concurrency = 4
+
+    def __init__(self, fail_first=0):
+        self.calls = 0
+        self.fail_first = fail_first
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        assert self.release.wait(timeout=10)
+        if call <= self.fail_first:
+            raise BackendError("injected failure")
+        return "answer to " + prompt.text
+
+
+def ask_each(*texts):
+    """A job that asks one prompt of each text, in one batch, and returns
+    their completions, or the error a call raised; a text of None does not
+    render."""
+    def prompts():
+        for text in texts:
+            if text is None:
+                raise ValueError("does not render")
+            yield prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None, None)
+
+    yield prompts(), backend_mod.default_params(prompting.Q1)
+    completions = []
+    for _ in texts:
+        try:
+            _, completion = yield
+        except BackendError as exc:
+            return exc
+        completions.append(completion)
+    return completions
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_schedule_hands_jobs_that_ask_one_prompt_the_call_in_flight(fail):
+    """Four jobs ask one prompt at once, with no memo in front of the
+    backend: one call, whose completion or very error each job gets; a
+    later ``schedule`` asks the prompt again."""
+    inner = HeldStub(fail_first=1 if fail else 0)
+    with ThreadPoolExecutor(1) as runner:
+        results = runner.submit(lambda: list(pipeline.schedule(
+            [ask_each("p") for _ in range(4)], inner)))
+        deadline = time.monotonic() + 10
+        while inner.calls == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.2)  # the other three jobs draw the prompt
+        inner.release.set()
+        answers = results.result(timeout=10)
+    assert inner.calls == 1
+    if fail:
+        assert all(isinstance(a, BackendError) for a in answers)
+        assert len({id(a) for a in answers}) == 1
+    else:
+        assert answers == [["answer to p"]] * 4
+    assert list(pipeline.schedule([ask_each("p")], inner)) == [["answer to p"]]
+    assert inner.calls == 2
+    assert not dispatch_threads()
+
+
+def test_a_call_shared_with_a_job_after_a_failed_one_still_answers_the_earlier_job():
+    """The first job's call for ``p`` waits in the pool's queue behind four
+    held calls when the third job draws ``p`` too; then the second job
+    fails. The third job is dropped, and the call it shares still answers
+    the first job, before the second job's error is raised."""
+    inner = HeldStub()
+    jobs = [ask_each("h1", "h2", "h3", "h4", "p"), ask_each(None), ask_each("p")]
+    results = []
+    release = threading.Timer(0.2, inner.release.set)
+    release.start()
+    try:
+        with pytest.raises(ValueError, match="does not render"):
+            for result in pipeline.schedule(jobs, inner):
+                results.append(result)
+    finally:
+        release.join()
+    assert results == [["answer to h1", "answer to h2", "answer to h3", "answer to h4",
+                        "answer to p"]]
+    assert inner.calls == 5
+    assert not dispatch_threads()
+
+
+def test_duplicate_documents_record_each_prompt_once_under_frequent_thread_switches(
+        entries, tmp_path):
+    """Eight workers, more than the cores, switching threads often, on a
+    corpus with two documents of one body: the memo, which takes no lock,
+    still sends each distinct prompt to the inner backend once."""
+    from pexkit.corpus import corpus_index
+    from pexkit.suite import run_suite
+
+    doc, gold = corpus_index(entries)["1.2"]
+    twin = (replace(doc, id="1.3"), replace(gold, doc_id="1.3"))
+    entries = [twin if d.id == "1.3" else (d, g) for d, g in entries]
+    inner = JitteryBackend(OracleBackend(corpus_index(entries)), 8)
+    cache = TranscriptCache(tmp_path / "c.jsonl")
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_suite(entries, [prompting.RAW], CachedBackend(cache, inner), tmp_path / "out")
+    finally:
+        sys.setswitchinterval(switch)
+    assert sum(inner.asked.values()) == len(inner.asked) == len(cache) == 245
+    assert not dispatch_threads()
 
 
 def test_run_suite_overlaps_jobs(entries, oracle, tmp_path):
