@@ -1,8 +1,10 @@
 """Completion backends: live HTTP API, transcript cache, and gold oracle.
 
-All backends expose ``complete(prompt, params) -> str``. The transcript
-cache is a JSON-lines file keyed by a digest of prompt text + params, so a
-recorded run can be replayed byte-identically.
+All backends expose ``complete(prompt, params) -> str``, called with
+``prompt.params``. The transcript cache is a JSON-lines file keyed by
+``prompting.transcript_digest`` of prompt text + params, which a rendered
+prompt carries as ``prompt.digest``, so a recorded run can be replayed
+byte-identically.
 
 The live backend speaks HTTP through the standard library's ``http.client``,
 imported only when one is built, so commands that send no request do not
@@ -11,14 +13,11 @@ load an HTTP client at all.
 from __future__ import annotations
 
 import fcntl
-import functools
-import hashlib
 import json
 import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -27,7 +26,7 @@ from . import worldmodel
 from .corpus import Document, GoldStandard
 from .errors import (BackendError, CacheConflictError, CacheCorruptError,
                      CacheMissError)
-from .prompting import Q1, Q2, Q3, Prompt
+from .prompting import Q1, Q2, Q3, CompletionParams, Prompt, transcript_digest
 
 log = logging.getLogger(__name__)
 
@@ -43,79 +42,6 @@ REQUEST_TIMEOUT = 60.0
 # seconds, which doubles after each further failure.
 MAX_ATTEMPTS = 5
 BACKOFF = 1.0
-
-DEFAULT_STOP = ("\n\n", "Q:")
-
-# Reproducible-run defaults: greedy sampling, answer-shaped token budgets.
-DEFAULT_MAX_TOKENS = {Q1: 256, Q2: 64, Q3: 8}
-
-
-@dataclass(frozen=True)
-class CompletionParams:
-    temperature: float = 0.0
-    nucleus: float = 1.0
-    max_tokens: int = 256
-    stop: tuple[str, ...] = DEFAULT_STOP
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise BackendError("temperature must be >= 0")
-        if not 0 <= self.nucleus <= 1:
-            raise BackendError("nucleus must be in [0, 1]")
-        if self.max_tokens <= 0:
-            raise BackendError("max_tokens must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "nucleus": self.nucleus,
-            "max_tokens": self.max_tokens,
-            "stop": list(self.stop),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompletionParams":
-        return cls(data["temperature"], data["nucleus"], data["max_tokens"],
-                   tuple(data["stop"]))
-
-
-def default_params(question: str) -> CompletionParams:
-    return CompletionParams(max_tokens=DEFAULT_MAX_TOKENS.get(question, 256))
-
-
-@functools.cache
-def _params_json(params: CompletionParams) -> str:
-    return json.dumps(params.to_dict(), sort_keys=True)
-
-
-def transcript_digest(prompt_text: str, params: CompletionParams,
-                      head: tuple | None = None) -> str:
-    """Cache key of a prompt text and its params; also what provenance records.
-
-    ``head``, when given, is ``(n, state)``: ``state`` is the sha256 state of
-    the UTF-8 bytes of ``prompt_text[:n]``. It is copied, never updated, so
-    threads may share it, and only the rest of the text is hashed here; the
-    digest is the same as without it.
-    """
-    length, state = head or (0, hashlib.sha256())
-    state = state.copy()
-    state.update((prompt_text[length:] + "\x00" + _params_json(params)).encode("utf-8"))
-    return state.hexdigest()
-
-
-def prompt_digest(prompt: Prompt, params: CompletionParams) -> str:
-    """``transcript_digest`` of a rendered prompt, computed once and kept on it.
-
-    It starts from the hashed head the prompt's batch shares, so each
-    question hashes only its own line. ``pipeline.schedule`` asks for it on
-    the calling thread when it draws the prompt, to find a call in flight;
-    ``CachedBackend`` and the dialogue's transcript ask again for the same
-    prompt object, so each question is hashed once at any width.
-    """
-    digest = prompt.digests.get(params)
-    if digest is None:
-        digest = prompt.digests[params] = transcript_digest(prompt.text, params, prompt.head)
-    return digest
 
 
 class TranscriptCache:
@@ -468,27 +394,28 @@ class CachedBackend:
         return getattr(self.inner, "max_concurrency", 1)
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
-        digest = prompt_digest(prompt, params)
-        completion = self._done.get(digest)
+        """``params`` is ``prompt.params``: ``inner`` is asked with it and
+        ``cache`` records it, so an entry recomputes to ``prompt.digest``."""
+        completion = self._done.get(prompt.digest)
         if completion is None:
-            completion = self._done[digest] = self._ask(prompt, params, digest)
+            completion = self._done[prompt.digest] = self._ask(prompt)
         return completion
 
     def close(self) -> None:
         """Close ``inner``'s connections, if it holds any."""
         getattr(self.inner, "close", lambda: None)()
 
-    def _ask(self, prompt: Prompt, params: CompletionParams, digest: str) -> str:
-        entry = self.cache.lookup(digest) if self.cache is not None else None
+    def _ask(self, prompt: Prompt) -> str:
+        entry = self.cache.lookup(prompt.digest) if self.cache is not None else None
         if entry is not None:
             return entry["completion"]
         if self.inner is None:
             raise CacheMissError(
-                f"transcript cache miss for digest {digest[:12]} "
+                f"transcript cache miss for digest {prompt.digest[:12]} "
                 f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
-        completion = self.inner.complete(prompt, params)
+        completion = self.inner.complete(prompt, prompt.params)
         if self.cache is not None:
-            self.cache.record(prompt.text, params, completion, digest)
+            self.cache.record(prompt.text, prompt.params, completion, prompt.digest)
         return completion
 
 

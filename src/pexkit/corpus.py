@@ -137,8 +137,10 @@ def _parse_record(rec: dict) -> tuple[Document, GoldStandard]:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:  # a lone surrogate, which json.loads accepts
             raise CorpusError(f"malformed corpus record: {text!r} is not UTF-8 text") from exc
-    if not body:
-        raise CorpusError(f"document {doc_id}: empty body")
+    if not doc_id.strip():
+        raise CorpusError(f"malformed corpus record: blank document id {doc_id!r}")
+    if not body.strip():
+        raise CorpusError(f"document {doc_id}: blank body")
     gs = GoldStandard(doc_id, activities, participants, performs, follows)
     gs.validate()
     return Document(doc_id, body), gs

@@ -14,7 +14,6 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import groupby, permutations
 
-from . import backend as backend_mod
 from . import prompting
 from .corpus import Document, GoldStandard
 from .errors import BackendError
@@ -103,8 +102,8 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     """The question dialogue for one document and setting, as a job for
     ``schedule``; it returns the ``ExtractionRun``.
 
-    It yields each question batch as ``(prompts, params)``, with ``prompts``
-    rendered lazily, and is resumed with ``None``. Then it yields ``None``
+    It yields each question batch as an iterator of its prompts, rendered
+    lazily, and is resumed with ``None``. Then it yields ``None``
     once per question of the batch, in question order, and is resumed with
     ``(prompt, completion)`` or has the call's exception thrown in. So each
     answer is applied before the next one is taken.
@@ -120,26 +119,24 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     def ask(question: str, bindings: list, apply):
         """Ask ``question`` for each (x, y) binding; call ``apply(k, completion,
         digest)`` for the k-th answer, in binding order."""
-        params = backend_mod.default_params(question)
         fill = prompting.renderer(question, setting, doc, shots)
-        yield (fill(x, y) for x, y in bindings), params
+        yield (fill(x, y) for x, y in bindings)
         for k in range(len(bindings)):
             try:
                 prompt, completion = yield
             except BackendError as exc:
                 raise ExtractionAborted(str(exc), run) from exc
             run.counters[question] += 1
-            digest = backend_mod.prompt_digest(prompt, params)
             run.transcripts.append({
                 "question": question,
                 "doc_id": doc.id,
                 "setting": setting,
                 "x": prompt.x,
                 "y": prompt.y,
-                "digest": digest,
+                "digest": prompt.digest,
                 "completion": completion,
             })
-            apply(k, completion, digest)
+            apply(k, completion, prompt.digest)
 
     def listed(_, completion, digest):
         for surface in parse_list_answer(completion):
@@ -196,7 +193,7 @@ def schedule(jobs, backend):
     At width ``W`` above 1, up to ``W`` jobs advance at once, and up to ``W``
     calls are in flight across all of them, on ``W`` ``pex-ask`` threads that
     only call ``backend.complete``; the earliest job draws its prompts first.
-    A job that draws a prompt whose call is in flight (one ``prompt_digest``)
+    A job that draws a prompt whose call is in flight (one ``prompt.digest``)
     is handed that call, so no thread waits on another's. Rendering,
     digests, answers and results stay on this thread. Each job takes its
     answers in question order, so every result equals a sequential run's.
@@ -217,7 +214,7 @@ def _answer_inline(gen, backend):
     while not job.done:
         prompt = next(job.prompts)
         try:
-            reply = prompt, backend.complete(prompt, job.params)
+            reply = prompt, backend.complete(prompt, prompt.params)
         except Exception as exc:
             job.resume(job.gen.throw, exc)
         else:
@@ -235,7 +232,6 @@ class _Job:
     def __init__(self, gen):
         self.gen = gen
         self.prompts = iter(())
-        self.params = None
         self.window: deque = deque()  # (prompt, future), in question order
         self.done = False
         self.result = self.error = None
@@ -246,7 +242,7 @@ class _Job:
         try:
             step = resume(value)
             while step is not None:  # a new batch
-                self.prompts, self.params = step
+                self.prompts = step
                 step = self.gen.send(None)
         except StopIteration as stop:
             self.done, self.result = True, stop.value
@@ -254,8 +250,8 @@ class _Job:
             self.done, self.error = True, exc
 
     def draw(self, submit) -> bool:
-        """Draw the next prompt and its call's future, from ``submit(prompt,
-        params)``; False when the job has no prompt to draw."""
+        """Draw the next prompt and its call's future, from ``submit(prompt)``;
+        False when the job has no prompt to draw."""
         if self.done:
             return False
         prompt = None
@@ -263,8 +259,8 @@ class _Job:
             prompt = next(self.prompts, None)
             if prompt is None:
                 return False
-            future = submit(prompt, self.params)
-        except Exception as exc:  # a prompt that does not render or hash fails in its place
+            future = submit(prompt)
+        except Exception as exc:  # a prompt that does not render fails in its place
             future = Future()
             future.set_exception(exc)
         self.window.append((prompt, future))
@@ -289,12 +285,11 @@ def _answer_overlapped(jobs, backend, width: int):
     ended = queue.SimpleQueue()  # digests whose call has ended
     pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="pex-ask")
 
-    def submit(prompt, params):
-        digest = backend_mod.prompt_digest(prompt, params)
-        call = calls.get(digest)
+    def submit(prompt):
+        call = calls.get(prompt.digest)
         if call is None:
-            call = calls[digest] = pool.submit(backend.complete, prompt, params)
-            call.add_done_callback(lambda _: ended.put(digest))
+            call = calls[prompt.digest] = pool.submit(backend.complete, prompt, prompt.params)
+            call.add_done_callback(lambda _: ended.put(prompt.digest))
         return call
 
     try:

@@ -1,4 +1,6 @@
-"""Prompt rendering for the three extraction questions and four settings.
+"""Prompt rendering for the three extraction questions and four settings,
+and the key format of a rendered prompt: its completion params and its
+transcript digest, the cache key.
 
 Layout contract (frozen by the golden-file tests): lines are joined with a
 single newline, blocks with one blank line, and every prompt ends with the
@@ -7,12 +9,14 @@ then the two shot blocks (if any), then the target block.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import corpus
-from .errors import PromptError
+from .errors import BackendError, PromptError
 
 Q1 = "q1"
 Q2 = "q2"
@@ -144,6 +148,65 @@ def build_shots(entries) -> list[ShotExample]:
     return [build_shot(doc, gold) for doc, gold in corpus.shot_documents(entries)]
 
 
+DEFAULT_STOP = ("\n\n", "Q:")
+
+# Reproducible-run defaults: greedy sampling, answer-shaped token budgets.
+DEFAULT_MAX_TOKENS = {Q1: 256, Q2: 64, Q3: 8}
+
+
+@dataclass(frozen=True)
+class CompletionParams:
+    temperature: float = 0.0
+    nucleus: float = 1.0
+    max_tokens: int = 256
+    stop: tuple[str, ...] = DEFAULT_STOP
+
+    def __post_init__(self):
+        if self.temperature < 0:
+            raise BackendError("temperature must be >= 0")
+        if not 0 <= self.nucleus <= 1:
+            raise BackendError("nucleus must be in [0, 1]")
+        if self.max_tokens <= 0:
+            raise BackendError("max_tokens must be positive")
+
+    def to_dict(self) -> dict:
+        return {
+            "temperature": self.temperature,
+            "nucleus": self.nucleus,
+            "max_tokens": self.max_tokens,
+            "stop": list(self.stop),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CompletionParams":
+        return cls(data["temperature"], data["nucleus"], data["max_tokens"],
+                   tuple(data["stop"]))
+
+
+def default_params(question: str) -> CompletionParams:
+    return CompletionParams(max_tokens=DEFAULT_MAX_TOKENS.get(question, 256))
+
+
+@functools.cache
+def _params_json(params: CompletionParams) -> str:
+    return json.dumps(params.to_dict(), sort_keys=True)
+
+
+def transcript_digest(prompt_text: str, params: CompletionParams,
+                      head: tuple | None = None) -> str:
+    """Cache key of a prompt text and its params; also what provenance records.
+
+    ``head``, when given, is ``(n, state)``: ``state`` is the sha256 state of
+    the UTF-8 bytes of ``prompt_text[:n]``. It is copied, never updated, so
+    only the rest of the text is hashed here; the digest is the same as
+    without it.
+    """
+    length, state = head or (0, hashlib.sha256())
+    state = state.copy()
+    state.update((prompt_text[length:] + "\x00" + _params_json(params)).encode("utf-8"))
+    return state.hexdigest()
+
+
 @dataclass(frozen=True)
 class Prompt:
     text: str
@@ -152,12 +215,8 @@ class Prompt:
     doc_id: str
     x: str | None
     y: str | None
-    # params -> transcript digest of this text, filled by ``backend.prompt_digest``
-    digests: dict = field(default_factory=dict, compare=False, repr=False)
-    # (length, sha256 state of its UTF-8 bytes) of the head of the text that
-    # the prompt's batch shares, the ``head`` of ``backend.transcript_digest``
-    head: tuple = field(default_factory=lambda: (0, hashlib.sha256()),
-                        compare=False, repr=False)
+    params: CompletionParams  # ``default_params(question)`` when rendered
+    digest: str  # ``transcript_digest(text, params)``: the cache key
 
 
 def renderer(question: str, setting: str, doc: corpus.Document,
@@ -165,7 +224,8 @@ def renderer(question: str, setting: str, doc: corpus.Document,
     """The renderer of one question batch on one document: it joins the
     prompts' shared head, up to the target block's ``"Q: "``, and hashes it
     once, and returns the function of ``(x, y)`` that renders each prompt of
-    the batch."""
+    the batch, with the question's params and its digest, which hashes only
+    the prompt's own question line."""
     if question not in QUESTION_KINDS:
         raise PromptError(f"unknown question kind: {question}")
     if setting not in SETTINGS:
@@ -191,10 +251,12 @@ def renderer(question: str, setting: str, doc: corpus.Document,
     blocks.append([PROCESS_CUE, doc.body, "Q: "])
     head = "\n\n".join("\n".join(lines) for lines in blocks)
     hashed = (len(head), hashlib.sha256(head.encode("utf-8")))
+    params = default_params(question)
 
     def fill(x: str | None, y: str | None) -> Prompt:
-        return Prompt(head + instantiate(question, x, y) + "\nA: ",
-                      question, setting, doc.id, x, y, head=hashed)
+        text = head + instantiate(question, x, y) + "\nA: "
+        return Prompt(text, question, setting, doc.id, x, y, params,
+                      transcript_digest(text, params, hashed))
     return fill
 
 

@@ -94,7 +94,7 @@ class WorldModel:
             model.follows = index_pairs(data["follows"], "follows",
                                         ("activity", n_activities),
                                         ("activity", n_activities))
-            model.provenance = _provenance(data["provenance"])
+            model.provenance = _provenance(data["provenance"], model)
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed world-model JSON: {exc}") from exc
         for s, d in model.follows:
@@ -138,11 +138,18 @@ def _phrases(items, kind: str) -> list[str]:
     return list(items)
 
 
-def _provenance(items) -> dict[str, tuple[str, ...]]:
-    """Provenance as loaded: an object whose values are lists of strings."""
+def _provenance(items, model: WorldModel) -> dict[str, tuple[str, ...]]:
+    """Provenance as loaded: an object whose keys are the keys ``add_*``
+    gives the elements ``model`` holds, and whose values are lists of strings."""
     if not isinstance(items, dict):
         raise ModelError(f"provenance must be an object, not {items!r}")
+    elements = {*(f"activity:{i}" for i in range(len(model.activities))),
+                *(f"participant:{i}" for i in range(len(model.participants))),
+                *(f"performs:{p},{a}" for p, a in model.performs),
+                *(f"follows:{s},{d}" for s, d in model.follows)}
     for key, value in items.items():
+        if key not in elements:
+            raise ModelError(f"provenance key {key!r} names no element of the model")
         if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
             raise ModelError(f"provenance of {key} must be a list of strings, not {value!r}")
     return {key: tuple(value) for key, value in items.items()}

@@ -16,14 +16,14 @@ from pexkit import backend as bk
 from pexkit import pipeline
 from pexkit.errors import (BackendError, CacheConflictError, CacheCorruptError,
                            CacheMissError)
-from pexkit.prompting import Q1, Q2, Q3, RAW, Prompt
-
-
-def make_prompt(text="hello", question=Q1, doc_id="10.1", x=None, y=None):
-    return Prompt(text, question, RAW, doc_id, x, y)
-
+from pexkit.prompting import Q1, Q2, Q3, RAW, Prompt, default_params
 
 PARAMS = bk.CompletionParams()
+
+
+def make_prompt(text="hello", question=Q1, doc_id="10.1", x=None, y=None, params=PARAMS):
+    return Prompt(text, question, RAW, doc_id, x, y, params,
+                  bk.transcript_digest(text, params))
 
 
 def test_params_validation():
@@ -37,11 +37,11 @@ def test_params_validation():
 
 def test_default_params_are_reproducible():
     for q in (Q1, Q2, Q3):
-        p = bk.default_params(q)
+        p = default_params(q)
         assert p.temperature == 0.0
         assert p.nucleus == 1.0
-    assert bk.default_params(Q1).max_tokens == 256
-    assert bk.default_params(Q3).max_tokens == 8
+    assert default_params(Q1).max_tokens == 256
+    assert default_params(Q3).max_tokens == 8
 
 
 def test_cache_record_lookup_roundtrip(tmp_path):
@@ -672,7 +672,7 @@ def test_live_backend_backs_off_on_429_then_recovers(loopback, api_key, caplog):
     live = bk.LiveBackend(server.url, "engine")
 
     def job(texts):
-        yield (make_prompt(t) for t in texts), PARAMS
+        yield (make_prompt(t) for t in texts)
         answers = []
         for _ in texts:
             _, completion = yield
@@ -788,7 +788,8 @@ def test_cached_backend_repeats_get_the_stored_completion():
     memo = bk.CachedBackend(None, inner)
     for text in ("a", "b", "a", "a", "b"):
         assert memo.complete(make_prompt(text), PARAMS) == "answer to " + text
-    assert memo.complete(make_prompt("a"), bk.CompletionParams(max_tokens=8)) == "answer to a"
+    eight = bk.CompletionParams(max_tokens=8)
+    assert memo.complete(make_prompt("a", params=eight), eight) == "answer to a"
     assert inner.calls == {"a": 2, "b": 1}
 
 

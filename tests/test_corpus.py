@@ -185,7 +185,10 @@ GOLD = {"activities": [{"surface": "files it", "index": 0}],
         "participants": ["a clerk"], "performs": [[0, 0]], "follows": []}
 
 
-BAD_GOLD = {
+# Changes to a good record's gold, or to its id or body.
+BAD_RECORD = {
+    "id-empty": ({"id": ""}, "blank document id ''"),
+    "body-spaces": ({"body": "   "}, "document x: blank body"),
     "participants-str": ({"participants": "the customer"}, "participants is a str, not a list"),
     "activities-dict": ({"activities": {}}, "activities is a dict, not a list"),
     "performs-dict": ({"performs": {}}, "performs is a dict, not a list"),
@@ -209,13 +212,15 @@ BAD_GOLD = {
 # A raw record's follows come from its graph, so only the canonical one has them.
 @pytest.mark.parametrize("raw, case", [
     pytest.param(raw, case, id=f"{'raw' if raw else 'corpus'}-{case}")
-    for raw in (False, True) for case in BAD_GOLD if not (raw and case == "follows-dict")])
+    for raw in (False, True) for case in BAD_RECORD if not (raw and case == "follows-dict")])
 def test_gold_fields_must_be_lists_of_non_blank_phrases(tmp_path, raw, case):
-    """A gold field that is not a JSON list, a blank phrase, or two phrases
-    of one kind with one ``normalize_key`` is a ``CorpusError``, through
-    ``load_corpus`` and ``import_raw`` alike."""
-    changes, message = BAD_GOLD[case]
-    rec = {"id": "x", "body": "files it", "gold": {**GOLD, **changes}}
+    """A blank id or body, a gold field that is not a JSON list, a blank
+    phrase, or two phrases of one kind with one ``normalize_key`` is a
+    ``CorpusError``, through ``load_corpus`` and ``import_raw`` alike."""
+    changes, message = BAD_RECORD[case]
+    rec = {"id": "x", "body": "files it", "gold": dict(GOLD)}
+    for key, value in changes.items():
+        (rec if key in rec else rec["gold"])[key] = value
     if raw:
         del rec["gold"]["follows"]
         rec["graph"] = {"nodes": [{"id": 0, "kind": "activity", "activity": 0}],

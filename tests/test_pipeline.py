@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pexkit import backend as backend_mod
 from pexkit import pipeline, prompting
 from pexkit.backend import CachedBackend, OracleBackend, TranscriptCache
 from pexkit.corpus import Document
@@ -489,7 +488,6 @@ def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_p
     """Each question batch hashes its shared head once; the memo, the cache it
     records in and the transcript share one digest per question, which hashes
     only the question's own line, also when the calls run on other threads."""
-    from pexkit import backend as bk
     from pexkit.suite import run_suite
 
     made, fed, digests = [], [], []
@@ -515,8 +513,7 @@ def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_p
             digests.append(digest)
             return digest
 
-    for module in (prompting, bk):
-        monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=Sha256))
+    monkeypatch.setattr(prompting, "hashlib", SimpleNamespace(sha256=Sha256))
     cache = TranscriptCache(tmp_path / "c.jsonl")
     backend = CachedBackend(cache, oracle if width == 1 else JitteryBackend(oracle, width))
     run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path / "out")
@@ -575,9 +572,11 @@ def ask_each(*texts):
         for text in texts:
             if text is None:
                 raise ValueError("does not render")
-            yield prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None, None)
+            params = prompting.default_params(prompting.Q1)
+            yield prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None, None,
+                                   params, prompting.transcript_digest(text, params))
 
-    yield prompts(), backend_mod.default_params(prompting.Q1)
+    yield prompts()
     completions = []
     for _ in texts:
         try:

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pexkit import cli, prompting
-from pexkit.backend import CompletionParams, default_params, prompt_digest, transcript_digest
 from pexkit.errors import PromptError
 from pexkit.prompting import (DEFINITIONS, DEFS, DEFS_SHOTS2, PREAMBLE, PROCESS_CUE,
-                              Q1, Q2, Q3, QUESTION_TEMPLATES, RAW, SHOTS2, Prompt,
-                              instantiate, render, renderer)
+                              Q1, Q2, Q3, QUESTION_TEMPLATES, RAW, SHOTS2, default_params,
+                              instantiate, render, renderer, transcript_digest)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -221,23 +220,19 @@ _any_binding = st.lists(
        bindings=st.lists(st.tuples(_any_binding, _any_binding), min_size=1, max_size=3))
 def test_prompt_digest_equals_the_transcript_digest(index, shots, question, setting, doc_id,
                                                      bindings):
-    """A rendered prompt's digest, from its batch's hashed head, is the
-    ``transcript_digest`` of its whole text, as is a directly built one's:
-    the sha256 of the text, a NUL and the params' sorted JSON."""
+    """A rendered prompt carries its question's default params and their
+    digest, from its batch's hashed head: the ``transcript_digest`` of its
+    whole text, the sha256 of the text, a NUL and the params' sorted JSON."""
     doc, _ = index[doc_id]
     fill = renderer(question, setting, doc, shots)
-    other = CompletionParams(temperature=0.7, nucleus=0.9, max_tokens=17, stop=("\x00", "Ω"))
     for x, y in bindings:
         x = None if question == Q1 else x
         y = y if question == Q3 else None
-        rendered = fill(x, y)
-        built = Prompt(rendered.text, question, setting, doc.id, x, y)
-        for params in (default_params(question), other):
-            expected = transcript_digest(rendered.text, params)
-            payload = rendered.text + "\x00" + json.dumps(params.to_dict(), sort_keys=True)
-            assert expected == hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            assert prompt_digest(rendered, params) == expected
-            assert prompt_digest(built, params) == expected
+        prompt = fill(x, y)
+        assert prompt.params == default_params(question)
+        assert prompt.digest == transcript_digest(prompt.text, prompt.params)
+        payload = prompt.text + "\x00" + json.dumps(prompt.params.to_dict(), sort_keys=True)
+        assert prompt.digest == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def test_recorded_oracle_suite_prompts_match_the_fingerprint(tmp_path, capsys):

@@ -144,6 +144,12 @@ def test_roundtrip_property(surfaces):
     ("provenance", None, "provenance must be an object"),
     ("provenance", {"activity:0": "ab"}, "provenance of activity:0 must be a list of strings"),
     ("provenance", {"activity:0": ["q1", 5]}, "must be a list of strings"),
+    ("provenance", {"follows:0,99": ["q3", "ab"]}, "key 'follows:0,99' names no element"),
+    ("provenance", {"bogus": ["q1", "ab"]}, "key 'bogus' names no element"),
+    ("provenance", {"activity:2": ["q1", "ab"]}, "key 'activity:2' names no element"),
+    ("provenance", {"participant:1": ["q2", "ab"]}, "key 'participant:1' names no element"),
+    ("provenance", {"performs:0,0": ["q2", "ab"]}, "key 'performs:0,0' names no element"),
+    ("provenance", {"follows:0,1": ["q3", "ab"]}, "key 'follows:0,1' names no element"),
     ("doc_id", 5, "doc_id 5 is not a non-blank string"),
     ("doc_id", " ", "doc_id ' ' is not a non-blank string"),
     ("doc_id", None, "doc_id None is not a non-blank string"),
@@ -153,3 +159,12 @@ def test_from_dict_checks_edge_indices(key, pairs, message):
     data[key] = pairs
     with pytest.raises(ModelError, match=message):
         WorldModel.from_dict(data)
+
+
+def test_from_dict_takes_a_model_with_no_provenance():
+    m = model_with(["a", "b"], ["p"])
+    m.add_performs(0, 1, PROV)
+    m.add_follows(0, 1, PROV)
+    data = {**m.to_dict(), "provenance": {}}
+    assert WorldModel.from_dict(data).follows == {(0, 1)}
+    assert WorldModel.from_dict(m.to_dict()) == m
