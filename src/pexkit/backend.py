@@ -1,10 +1,10 @@
 """Completion backends: live HTTP API, transcript cache, and gold oracle.
 
 All backends expose ``complete(prompt, params) -> str``, called with
-``prompt.params``. The transcript cache is a JSON-lines file keyed by
-``prompting.transcript_digest`` of prompt text + params, which a rendered
-prompt carries as ``prompt.digest``, so a recorded run can be replayed
-byte-identically.
+``prompt.params`` once per distinct prompt of a run (``pipeline.schedule``
+keeps the answers). The transcript cache, which ``CachedBackend`` fronts, is
+a JSON-lines file keyed by ``prompt.digest``, the ``transcript_digest`` of
+prompt text + params, so a recorded run can be replayed byte-identically.
 
 The live backend speaks HTTP through the standard library's ``http.client``,
 imported only when one is built, so commands that send no request do not
@@ -373,21 +373,16 @@ class LiveBackend:
 
 
 class CachedBackend:
-    """Ask each distinct prompt text and params once, through ``cache`` if any.
-
-    A repeat gets the remembered completion; a failed call is not
-    remembered. A first ask is served from ``cache`` when it holds the
-    prompt; otherwise ``inner`` is asked and its answer recorded in
-    ``cache``, so re-running an interrupted recording resumes it. With no
-    ``inner`` that miss raises ``CacheMissError``. It takes no lock:
-    ``pipeline.schedule`` hands a job the call already in flight for its
-    prompt, so two of its calls never ask one prompt at once.
+    """Serve a prompt from ``cache`` when it holds it; otherwise ask ``inner``
+    and record the answer, so re-running an interrupted recording resumes
+    it. With no ``inner`` that miss raises ``CacheMissError``. It keeps no
+    answers and takes no lock: ``pipeline.schedule`` asks each distinct
+    prompt of a run once, and never twice at once.
     """
 
-    def __init__(self, cache: TranscriptCache | None, inner=None):
+    def __init__(self, cache: TranscriptCache, inner=None):
         self.cache = cache
         self.inner = inner
-        self._done: dict[str, str] = {}
 
     @property
     def max_concurrency(self) -> int:
@@ -396,17 +391,7 @@ class CachedBackend:
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
         """``params`` is ``prompt.params``: ``inner`` is asked with it and
         ``cache`` records it, so an entry recomputes to ``prompt.digest``."""
-        completion = self._done.get(prompt.digest)
-        if completion is None:
-            completion = self._done[prompt.digest] = self._ask(prompt)
-        return completion
-
-    def close(self) -> None:
-        """Close ``inner``'s connections, if it holds any."""
-        getattr(self.inner, "close", lambda: None)()
-
-    def _ask(self, prompt: Prompt) -> str:
-        entry = self.cache.lookup(prompt.digest) if self.cache is not None else None
+        entry = self.cache.lookup(prompt.digest)
         if entry is not None:
             return entry["completion"]
         if self.inner is None:
@@ -414,9 +399,12 @@ class CachedBackend:
                 f"transcript cache miss for digest {prompt.digest[:12]} "
                 f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
         completion = self.inner.complete(prompt, prompt.params)
-        if self.cache is not None:
-            self.cache.record(prompt.text, prompt.params, completion, prompt.digest)
+        self.cache.record(prompt.text, prompt.params, completion, prompt.digest)
         return completion
+
+    def close(self) -> None:
+        """Close ``inner``'s connections, if it holds any."""
+        getattr(self.inner, "close", lambda: None)()
 
 
 class OracleBackend:
@@ -457,3 +445,6 @@ class OracleBackend:
             # "does X immediately follow Y" asks for the gold edge Y -> X
             return "Yes" if (y, x) in gold.follows else "No"
         raise BackendError(f"unknown question kind: {prompt.question}")
+
+    def close(self) -> None:
+        """Nothing to release; a command closes whichever backend it built."""

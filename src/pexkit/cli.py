@@ -78,15 +78,13 @@ def _check_backend_flags(args) -> None:
 
 
 def _make_backend(args, entries):
-    """The backend of flags that ``_check_backend_flags`` accepted; the
-    command closes it when it ends."""
+    """The backend of flags that ``_check_backend_flags`` accepted, bare but
+    for a replay or ``--record``; the command closes it when it ends."""
     if args.backend == "replay":
         return CachedBackend(TranscriptCache(args.cache))
-    if args.backend == "oracle":
-        inner = OracleBackend(corpus.corpus_index(entries))
-    else:
-        inner = LiveBackend(args.endpoint, args.model_name)
-    return CachedBackend(TranscriptCache(args.cache) if args.record else None, inner)
+    inner = (OracleBackend(corpus.corpus_index(entries)) if args.backend == "oracle"
+             else LiveBackend(args.endpoint, args.model_name))
+    return CachedBackend(TranscriptCache(args.cache), inner) if args.record else inner
 
 
 def _add_backend_flags(parser):

@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .corpus import GoldStandard, read_json
 from .errors import PexError
-from .worldmodel import WorldModel
+from .worldmodel import WorldModel, normalize_key
 
 GS = "gs"
 EX = "ex"
@@ -153,14 +153,23 @@ def evaluate_document(gold: GoldStandard, ex_model: WorldModel | None = None,
     Each phrase list is aligned to its gold list once, and every row is
     built from those alignments. The extracted-activities run gives
     Activity, Participant and the (ex) relation rows; the gold-injected
-    run, whose activities are the gold ones in gold order, gives the (gs)
-    rows. Rows whose source model is absent are omitted.
+    run, whose activities must be the gold ones (by ``normalize_key``) in
+    gold order, gives the (gs) rows. Rows whose source model is absent are
+    omitted.
     """
-    if gs_model is not None and len(gs_model.activities) != len(gold.activities):
-        raise PexError(
-            f"gs-mode scoring for {gold.doc_id} requires a gold-injected run "
-            f"({len(gs_model.activities)} model activities, "
-            f"{len(gold.activities)} gold)")
+    if gs_model is not None:
+        if len(gs_model.activities) != len(gold.activities):
+            raise PexError(
+                f"gs-mode scoring for {gold.doc_id} requires a gold-injected run "
+                f"({len(gs_model.activities)} model activities, "
+                f"{len(gold.activities)} gold)")
+        for i, (surface, gold_surface) in enumerate(zip(gs_model.activities,
+                                                        gold.activities)):
+            if normalize_key(surface) != normalize_key(gold_surface):
+                raise PexError(
+                    f"gs-mode scoring for {gold.doc_id} requires the gold activities "
+                    f"in gold order: model activity {i} is {surface!r}, "
+                    f"gold {gold_surface!r}")
     follows, performs = set(gold.follows), set(gold.performs)
     rows: dict[str, ElementScores] = {}
     if ex_model is not None:

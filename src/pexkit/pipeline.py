@@ -188,33 +188,40 @@ def schedule(jobs, backend):
     """Run ``jobs``, generators that ask the way ``dialogue`` does, against
     ``backend`` and yield each one's result, in job order.
 
-    At ``backend.max_concurrency`` 1 (the default) each job runs alone and
-    each prompt is asked on this thread when its job waits for the answer.
-    At width ``W`` above 1, up to ``W`` jobs advance at once, and up to ``W``
-    calls are in flight across all of them, on ``W`` ``pex-ask`` threads that
-    only call ``backend.complete``; the earliest job draws its prompts first.
-    A job that draws a prompt whose call is in flight (one ``prompt.digest``)
-    is handed that call, so no thread waits on another's. Rendering,
-    digests, answers and results stay on this thread. Each job takes its
-    answers in question order, so every result equals a sequential run's.
-    A job that fails raises at its own position, after every earlier result
-    has been yielded; no later job starts or is yielded, and the calls in
-    flight still finish before this generator ends.
+    The run's answers, ``prompt.digest`` -> completion, are kept here, and
+    ``backend`` is asked only for a digest without one; a failed call leaves
+    none. At ``backend.max_concurrency`` 1 (the default) each job runs alone
+    and asks on this thread. At width ``W`` above 1, up to ``W`` jobs advance
+    at once, with up to ``W`` calls in flight on ``W`` ``pex-ask`` threads
+    that only call ``backend`` and store the answer; the earliest job draws
+    first. A drawn prompt that is answered gets a done future, and one whose
+    call is in flight gets that call. Rendering and results stay on this
+    thread. Each job takes its answers in question order, so every result
+    equals a sequential run's. A job that fails raises at its own position,
+    after every earlier result has been yielded; no later job starts or is
+    yielded, and the calls in flight still finish before this ends.
     """
+    answers: dict[str, str] = {}
+
+    def ask(prompt):
+        if prompt.digest not in answers:
+            answers[prompt.digest] = backend.complete(prompt, prompt.params)
+        return answers[prompt.digest]
+
     width = getattr(backend, "max_concurrency", 1)
     if width <= 1:
         for job in jobs:
-            yield _answer_inline(job, backend)
+            yield _answer_inline(job, ask)
     else:
-        yield from _answer_overlapped(iter(jobs), backend, width)
+        yield from _answer_overlapped(iter(jobs), ask, answers, width)
 
 
-def _answer_inline(gen, backend):
+def _answer_inline(gen, ask):
     job = _Job(gen)
     while not job.done:
         prompt = next(job.prompts)
         try:
-            reply = prompt, backend.complete(prompt, prompt.params)
+            reply = prompt, ask(prompt)
         except Exception as exc:
             job.resume(job.gen.throw, exc)
         else:
@@ -250,7 +257,7 @@ class _Job:
             self.done, self.error = True, exc
 
     def draw(self, submit) -> bool:
-        """Draw the next prompt and its call's future, from ``submit(prompt)``;
+        """Draw the next prompt and ``submit(prompt)``, the future of its answer;
         False when the job has no prompt to draw."""
         if self.done:
             return False
@@ -279,16 +286,20 @@ class _Job:
             self.resume(self.gen.throw, error)
 
 
-def _answer_overlapped(jobs, backend, width: int):
+def _answer_overlapped(jobs, ask, answers: dict, width: int):
     active: list[_Job] = []  # started and not yet yielded, in job order
     calls: dict[str, Future] = {}  # digest -> its call, until taken from ``ended``
     ended = queue.SimpleQueue()  # digests whose call has ended
     pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="pex-ask")
 
     def submit(prompt):
+        if prompt.digest in answers:  # no call: the pool and its cap are for calls
+            call = Future()
+            call.set_result(answers[prompt.digest])
+            return call
         call = calls.get(prompt.digest)
         if call is None:
-            call = calls[prompt.digest] = pool.submit(backend.complete, prompt, prompt.params)
+            call = calls[prompt.digest] = pool.submit(ask, prompt)
             call.add_done_callback(lambda _: ended.put(prompt.digest))
         return call
 

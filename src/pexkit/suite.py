@@ -32,9 +32,9 @@ def run_suite(entries, settings, backend, outdir,
     Each (setting, document) pair is one job of ``pipeline.schedule``: its
     ex run, then its gs run. Jobs overlap up to ``backend.max_concurrency``,
     and their results are scored and written in job order, so every file
-    equals a sequential run's. Deduplication comes from ``backend``: the
-    CLI's ``CachedBackend`` asks each distinct prompt once, so the gs run
-    reuses the ex run's answers wherever their questions agree.
+    equals a sequential run's. ``pipeline.schedule`` keeps the answers of
+    the whole suite and asks ``backend`` each distinct prompt once, so the
+    gs run reuses the ex run's answers wherever their questions agree.
 
     Returns the report mapping setting -> doc_id -> row -> ElementScores.
     """

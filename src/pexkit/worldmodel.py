@@ -12,6 +12,10 @@ from .errors import ModelError
 
 _WS = re.compile(r"\s+")
 
+# The first item of a provenance value: the question that gave the element,
+# or "gold" for an injected gold activity.
+_PROVENANCE_KINDS = ("q1", "q2", "q3", "gold")
+
 
 def normalize_key(surface: str) -> str:
     """Duplicate detection key: case-fold and collapse internal whitespace."""
@@ -140,7 +144,8 @@ def _phrases(items, kind: str) -> list[str]:
 
 def _provenance(items, model: WorldModel) -> dict[str, tuple[str, ...]]:
     """Provenance as loaded: an object whose keys are the keys ``add_*``
-    gives the elements ``model`` holds, and whose values are lists of strings."""
+    gives the elements ``model`` holds, and whose values are what ``add_*``
+    writes: a list of a kind in ``_PROVENANCE_KINDS`` and a non-blank digest."""
     if not isinstance(items, dict):
         raise ModelError(f"provenance must be an object, not {items!r}")
     elements = {*(f"activity:{i}" for i in range(len(model.activities))),
@@ -152,6 +157,10 @@ def _provenance(items, model: WorldModel) -> dict[str, tuple[str, ...]]:
             raise ModelError(f"provenance key {key!r} names no element of the model")
         if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
             raise ModelError(f"provenance of {key} must be a list of strings, not {value!r}")
+        if len(value) != 2 or value[0] not in _PROVENANCE_KINDS or not value[1].strip():
+            raise ModelError(f"provenance of {key} must be [kind, digest], a kind of "
+                             f"{', '.join(_PROVENANCE_KINDS)} and a non-blank digest, "
+                             f"not {value!r}")
     return {key: tuple(value) for key, value in items.items()}
 
 

@@ -763,9 +763,8 @@ def test_wrappers_forward_concurrency(tmp_path, oracle, api_key):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
     live = bk.LiveBackend("https://api.example/v1", "engine", max_concurrency=6)
     assert bk.CachedBackend(cache).max_concurrency == 1
-    for c in (cache, None):
-        assert bk.CachedBackend(c, live).max_concurrency == 6
-        assert bk.CachedBackend(c, oracle).max_concurrency == 1
+    assert bk.CachedBackend(cache, live).max_concurrency == 6
+    assert bk.CachedBackend(cache, oracle).max_concurrency == 1
 
 
 class CountingStub:
@@ -781,23 +780,3 @@ class CountingStub:
         if self.calls[prompt.text] <= self.fail_first:
             raise BackendError("injected failure")
         return "answer to " + prompt.text
-
-
-def test_cached_backend_repeats_get_the_stored_completion():
-    inner = CountingStub()
-    memo = bk.CachedBackend(None, inner)
-    for text in ("a", "b", "a", "a", "b"):
-        assert memo.complete(make_prompt(text), PARAMS) == "answer to " + text
-    eight = bk.CompletionParams(max_tokens=8)
-    assert memo.complete(make_prompt("a", params=eight), eight) == "answer to a"
-    assert inner.calls == {"a": 2, "b": 1}
-
-
-def test_cached_backend_does_not_store_a_failure():
-    inner = CountingStub(fail_first=1)
-    memo = bk.CachedBackend(None, inner)
-    with pytest.raises(BackendError, match="injected"):
-        memo.complete(make_prompt("p"), PARAMS)
-    assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
-    assert memo.complete(make_prompt("p"), PARAMS) == "answer to p"
-    assert inner.calls == {"p": 2}

@@ -221,6 +221,18 @@ def test_gs_mode_requires_gold_injected_run():
     m.add_activity("alpha step", ("q1", "-"))
     with pytest.raises(ev.PexError, match="requires a gold-injected run"):
         evaluate_document(small_gold(), gs_model=m)
+    # As many activities as gold, but not the gold ones in gold order.
+    for activities, wrong in ((["gamma step", "beta step", "alpha step"], "0 is 'gamma step'"),
+                              (["alpha", "beta", "gamma"], "0 is 'alpha'"),
+                              (["alpha step", "beta step", "delta step"], "2 is 'delta step'")):
+        m = gs_model({(0, 1), (1, 2)})
+        m.activities = activities
+        with pytest.raises(ev.PexError, match=f"gold activities in gold order: "
+                                              f"model activity {wrong}"):
+            evaluate_document(small_gold(), gs_model=m)
+    m = gs_model({(0, 1), (1, 2)})
+    m.activities = ["Alpha  step", "beta step", "GAMMA STEP"]  # one normalize_key each
+    assert evaluate_document(small_gold(), gs_model=m)["Follows (gs)"].f1 == 1.0
 
 
 def test_performs_gs():

@@ -476,9 +476,9 @@ def test_concurrent_run_suite_asks_each_distinct_prompt_once(entries, oracle, tm
     """Jobs that overlap still reach the inner backend once per distinct prompt."""
     from pexkit.suite import run_suite
 
-    backend = CachedBackend(None, JitteryBackend(oracle, 4))
+    backend = JitteryBackend(oracle, 4)
     run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path)
-    asked = backend.inner.asked
+    asked = backend.asked
     assert len(asked) == sum(asked.values()) == 734
     assert set(asked.values()) == {1}
 
@@ -523,6 +523,26 @@ def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_p
     assert sum(fed) <= 450_000  # 2,872,062 bytes when each prompt hashed its whole text
 
 
+def test_an_answered_prompt_never_enters_the_pool(entries, oracle, monkeypatch, tmp_path):
+    """A suite whose gs runs repeat its ex runs' prompts submits one pool
+    call per distinct prompt: a prompt already answered gets its answer
+    without a call, and so takes no place under the cap on calls."""
+    from pexkit.suite import run_suite
+
+    submitted = []
+    submit = pipeline.ThreadPoolExecutor.submit
+
+    def counted_submit(pool, fn, *args, **kwargs):
+        submitted.append(args)
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.ThreadPoolExecutor, "submit", counted_submit)
+    backend = JitteryBackend(oracle, 4)
+    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path)
+    assert len(submitted) == len(backend.asked) == 734
+    assert not dispatch_threads()
+
+
 def test_duplicate_documents_share_calls_in_flight(entries, tmp_path):
     """Two documents with one body ask the same prompts, at the same time
     when their jobs overlap: each distinct prompt still reaches the inner
@@ -535,7 +555,7 @@ def test_duplicate_documents_share_calls_in_flight(entries, tmp_path):
     twin = (replace(doc, id="1.3"), replace(gold, doc_id="1.3"))
     entries = [twin if d.id == "1.3" else (d, g) for d, g in entries]
     inner = JitteryBackend(OracleBackend(corpus_index(entries)), 4)
-    run_suite(entries, [prompting.RAW], CachedBackend(None, inner), tmp_path)
+    run_suite(entries, [prompting.RAW], inner, tmp_path)
     sizes = {d.body: len(g.activities) for d, g in
              (index[doc_id] for doc_id in ("1.2", "3.3", "5.2", "10.1", "10.6", "10.13"))}
     assert sum(inner.asked.values()) == len(inner.asked) == \
@@ -585,6 +605,72 @@ def ask_each(*texts):
             return exc
         completions.append(completion)
     return completions
+
+
+class CountingStub:
+    """Answers each prompt with its own text at width ``max_concurrency``,
+    counting the calls per text; the first ``fail_first`` calls for a text
+    fail, after a wait, so the scheduler waits for them to end."""
+
+    def __init__(self, max_concurrency, fail_first=0):
+        self.max_concurrency = max_concurrency
+        self.fail_first = fail_first
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.calls[prompt.text] += 1
+            call = self.calls[prompt.text]
+        if call <= self.fail_first:
+            time.sleep(0.01)
+            raise BackendError("injected failure")
+        return "answer to " + prompt.text
+
+
+def ask_in_turn(*batches, params=prompting.default_params(prompting.Q1)):
+    """A job that asks each batch of texts in turn, with ``params``, and
+    returns each question's completion, or the error its call raised."""
+    answers = []
+    for texts in batches:
+        yield (prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None, None,
+                                params, prompting.transcript_digest(text, params))
+               for text in texts)
+        for _ in texts:
+            try:
+                _, completion = yield
+            except BackendError as exc:
+                completion = exc
+            answers.append(completion)
+    return answers
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_schedule_repeats_get_the_stored_completion(width):
+    """A prompt that jobs ask again, in one batch or in later ones, is asked
+    of the backend once per run; one text with other params is another
+    prompt."""
+    inner = CountingStub(width)
+    eight = prompting.CompletionParams(max_tokens=8)
+    jobs = [ask_in_turn(["a", "b", "a"], ["a"]), ask_in_turn(["b"], ["a", "b"]),
+            ask_in_turn(["a"], params=eight)]
+    assert list(pipeline.schedule(jobs, inner)) == [
+        ["answer to a", "answer to b", "answer to a", "answer to a"],
+        ["answer to b", "answer to a", "answer to b"], ["answer to a"]]
+    assert inner.calls == {"a": 2, "b": 1}
+    assert not dispatch_threads()
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_schedule_does_not_store_a_failure(width):
+    """A prompt whose call failed is asked again when a later batch draws
+    it, and its answer is then stored."""
+    inner = CountingStub(width, fail_first=1)
+    [answers] = pipeline.schedule([ask_in_turn(["p"], ["p"], ["p"])], inner)
+    assert isinstance(answers[0], BackendError)
+    assert answers[1:] == ["answer to p", "answer to p"]
+    assert inner.calls == {"p": 2}
+    assert not dispatch_threads()
 
 
 @pytest.mark.parametrize("fail", [False, True])

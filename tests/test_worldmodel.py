@@ -153,6 +153,12 @@ def test_roundtrip_property(surfaces):
     ("doc_id", 5, "doc_id 5 is not a non-blank string"),
     ("doc_id", " ", "doc_id ' ' is not a non-blank string"),
     ("doc_id", None, "doc_id None is not a non-blank string"),
+    # A provenance value of the shape ``add_*`` writes: [kind, digest].
+    ("provenance", {"activity:0": []}, r"must be \[kind, digest\].*not \[\]"),
+    ("provenance", {"activity:0": ["q1"]}, r"must be \[kind, digest\]"),
+    ("provenance", {"activity:0": ["q9", "-"]}, r"a kind of q1, q2, q3, gold"),
+    ("provenance", {"activity:0": ["q9", "not a digest", "extra"]}, r"\[kind, digest\]"),
+    ("provenance", {"activity:0": ["q1", " "]}, "a non-blank digest"),
 ])
 def test_from_dict_checks_edge_indices(key, pairs, message):
     data = model_with(["a", "b"], ["p"]).to_dict()
