@@ -26,7 +26,8 @@ from . import worldmodel
 from .corpus import Document, GoldStandard
 from .errors import (BackendError, CacheConflictError, CacheCorruptError,
                      CacheMissError)
-from .prompting import Q1, Q2, Q3, CompletionParams, Prompt, transcript_digest
+from .prompting import (Q1, Q2, Q3, CompletionParams, Prompt, digest_memo,
+                        transcript_digest)
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +47,12 @@ BACKOFF = 1.0
 
 class TranscriptCache:
     """Append-only JSONL store of prompt -> completion transcripts.
+
+    Loading checks every entry: its digest must recompute from its prompt and
+    params (``prompting.digest_memo``, which hashes each distinct prompt head
+    once), else ``CacheConflictError``. A line whose digest is already loaded
+    with another completion is a ``CacheConflictError`` too; an identical
+    repeat loads, and the first entry is kept, as ``record`` keeps it.
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
@@ -76,10 +83,12 @@ class TranscriptCache:
         offset = good_end = 0
         newline = True
         tail: list[bytes] = []
+        digest_of = digest_memo()
+        known_params: dict[tuple, CompletionParams] = {}
         with self.path.open("rb") as handle:
             for number, raw in enumerate(handle, 1):
                 offset += len(raw)
-                if not raw.strip():
+                if raw.isspace():
                     tail.append(raw)
                     continue
                 if torn is not None:
@@ -90,8 +99,12 @@ class TranscriptCache:
                     torn = number
                     tail.append(raw)
                     continue
-                self._check_entry(entry, number)
-                self._entries[entry["digest"]] = entry
+                self._check_entry(entry, number, digest_of, known_params)
+                kept = self._entries.setdefault(entry["digest"], entry)
+                if kept["completion"] != entry["completion"]:
+                    raise CacheConflictError(
+                        f"{self.path}:{number}: digest {entry['digest'][:12]} is "
+                        f"already loaded with a different completion")
                 good_end, newline = offset, raw.endswith(b"\n")
                 tail.clear()
         if torn is not None or not newline:
@@ -99,13 +112,24 @@ class TranscriptCache:
         if torn is not None:
             log.warning("%s:%d: skipping a torn final cache line", self.path, torn)
 
-    def _check_entry(self, entry: dict, number: int) -> None:
+    def _check_entry(self, entry: dict, number: int, digest_of,
+                     known_params: dict) -> None:
+        """Check one loaded entry: its fields, and that its digest is
+        ``digest_of(prompt, params)``; ``known_params`` maps each params
+        dict's fields, as a tuple, to the params built from them."""
         try:
-            params = CompletionParams.from_dict(entry["params"])
-            expected = transcript_digest(entry["prompt"], params)
-            digest, completion = entry["digest"], entry["completion"]
+            stored = entry["params"]
+            fields = (stored["temperature"], stored["nucleus"], stored["max_tokens"],
+                      tuple(stored["stop"]))
+            params = known_params.get(fields)
+            if params is None:
+                params = known_params[fields] = CompletionParams(*fields)
+            prompt, digest, completion = entry["prompt"], entry["digest"], entry["completion"]
+            if not isinstance(prompt, str):
+                raise TypeError(f"prompt is {prompt!r}")
             if not isinstance(completion, str):
                 raise TypeError(f"completion is {completion!r}")
+            expected = digest_of(prompt, params)  # a lone surrogate raises here too
             completion.encode("utf-8")  # a lone surrogate does not encode
         except (KeyError, TypeError, UnicodeEncodeError) as exc:
             raise CacheCorruptError(

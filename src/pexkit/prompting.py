@@ -1,6 +1,7 @@
 """Prompt rendering for the three extraction questions and four settings,
 and the key format of a rendered prompt: its completion params and its
-transcript digest, the cache key.
+transcript digest, the cache key, which ``digest_memo`` recomputes for a
+transcript cache's stored prompts.
 
 Layout contract (frozen by the golden-file tests): lines are joined with a
 single newline, blocks with one blank line, and every prompt ends with the
@@ -177,11 +178,6 @@ class CompletionParams:
             "stop": list(self.stop),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompletionParams":
-        return cls(data["temperature"], data["nucleus"], data["max_tokens"],
-                   tuple(data["stop"]))
-
 
 def default_params(question: str) -> CompletionParams:
     return CompletionParams(max_tokens=DEFAULT_MAX_TOKENS.get(question, 256))
@@ -205,6 +201,46 @@ def transcript_digest(prompt_text: str, params: CompletionParams,
     state = state.copy()
     state.update((prompt_text[length:] + "\x00" + _params_json(params)).encode("utf-8"))
     return state.hexdigest()
+
+
+# Where ``renderer`` splits a prompt: its head ends with the target block's
+# question cue, and only the question line and the answer cue follow.
+_HEAD_END = "\nQ: "
+
+# Trailing characters of a head that, with its length, key the memo's lookup.
+_HEAD_KEY_CHARS = 64
+
+
+def digest_memo():
+    """A ``transcript_digest(text, params)`` for a stream of prompt texts that
+    share heads, as the lines of a transcript cache do.
+
+    The returned function splits each text after its last ``"\\nQ: "``,
+    where ``renderer`` splits a prompt, and hashes each distinct head once;
+    a later text with that head hashes only the rest. A head is looked up by
+    its length and its last characters, and a candidate is used only when
+    the text starts with it, so two heads that share that key both get their
+    own state. The digest equals ``transcript_digest(text, params)`` for any
+    text; one that holds no ``"\\nQ: "`` is hashed whole. ``text`` must be a
+    ``str``; a lone surrogate raises ``UnicodeEncodeError``, as there.
+    """
+    heads: dict[tuple[int, str], list[tuple[str, object]]] = {}
+
+    def digest(text: str, params: CompletionParams) -> str:
+        split = text.rfind(_HEAD_END)
+        if split < 0:
+            return transcript_digest(text, params)
+        length = split + len(_HEAD_END)
+        key = (length, text[max(0, length - _HEAD_KEY_CHARS):length])
+        for head, state in heads.get(key, ()):
+            if text.startswith(head):
+                break
+        else:
+            head = text[:length]
+            state = hashlib.sha256(head.encode("utf-8"))
+            heads.setdefault(key, []).append((head, state))
+        return transcript_digest(text, params, (length, state))
+    return digest
 
 
 @dataclass(frozen=True)

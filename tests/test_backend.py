@@ -60,6 +60,28 @@ def test_cache_conflict(tmp_path):
         cache.record("p", PARAMS, "two")
 
 
+def test_cache_load_rejects_a_digest_loaded_with_another_completion(tmp_path):
+    """Two lines with one digest but different completions, as two writers
+    could append them, are a conflict that names the second line, as
+    recording the second completion would be."""
+    path = tmp_path / "c.jsonl"
+    bk.TranscriptCache(path).record("p", PARAMS, "a")
+    entry = json.loads(path.read_text())
+    path.write_text(path.read_text() + json.dumps({**entry, "completion": "b"}) + "\n")
+    with pytest.raises(CacheConflictError, match=":2: digest"):
+        bk.TranscriptCache(path)
+
+
+def test_cache_load_keeps_the_first_of_identical_duplicates(tmp_path):
+    path = tmp_path / "c.jsonl"
+    bk.TranscriptCache(path).record("p", PARAMS, "a")
+    entry = json.loads(path.read_text())
+    path.write_text(path.read_text() + json.dumps({**entry, "recorded_at": "later"}) + "\n")
+    cache = bk.TranscriptCache(path)
+    assert len(cache) == 1
+    assert cache.lookup(entry["digest"]) == entry
+
+
 def test_cache_append_preserves_entries(tmp_path):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
@@ -159,10 +181,50 @@ def test_cache_appends_from_two_caches_on_one_path_keep_every_entry(tmp_path, mo
     assert len(bk.TranscriptCache(path)) == 41
 
 
+# A prompt head longer than the load's head key, which is its length and
+# its last 64 characters.
+HEAD = "Consider the following process:\n" + "The clerk files the form. " * 8 + "\nQ: "
+
+
+def test_cache_rejects_a_head_altered_before_its_key(tmp_path):
+    """An entry whose head differs from an earlier entry's only before the
+    characters that key the lookup, with its question line and digest kept,
+    does not recompute to its digest."""
+    path = tmp_path / "c.jsonl"
+    cache = bk.TranscriptCache(path)
+    cache.record(HEAD + "first?\nA: ", PARAMS, "a")
+    cache.record(HEAD + "second?\nA: ", PARAMS, "b")
+    first, second = path.read_text().splitlines()
+    entry = json.loads(second)
+    entry["prompt"] = "c" + entry["prompt"][1:]
+    path.write_text("\n".join([first, json.dumps(entry)]) + "\n")
+    with pytest.raises(CacheConflictError):
+        bk.TranscriptCache(path)
+
+
+def test_cache_loads_heads_that_share_only_their_key(tmp_path):
+    """Two heads of one length and the same last 64 characters, which differ
+    earlier, each give their own entries' digests."""
+    path = tmp_path / "c.jsonl"
+    texts = [head + question for head in (HEAD, "c" + HEAD[1:])
+             for question in ("first?\nA: ", "second?\nA: ")]
+    cache = bk.TranscriptCache(path)
+    for k, text in enumerate(texts):
+        cache.record(text, PARAMS, f"answer {k}")
+    reloaded = bk.TranscriptCache(path)
+    assert len(reloaded) == 4
+    for k, text in enumerate(texts):
+        assert reloaded.lookup(bk.transcript_digest(text, PARAMS))["completion"] == f"answer {k}"
+
+
 @pytest.mark.parametrize("bad", [
     '{"digest": "ab', "[1, 2]", '{"digest": "ab"}',
     '{"digest": "ab", "prompt": "p", "params": {"temperature": 0.0, "nucleus": 1.0, '
-    '"max_tokens": 8, "stop": []}, "completion": 5}'])
+    '"max_tokens": 8, "stop": []}, "completion": 5}',
+    '{"digest": "ab", "prompt": 5, "params": {"temperature": 0.0, "nucleus": 1.0, '
+    '"max_tokens": 8, "stop": []}, "completion": "c"}',
+    '{"digest": "ab", "prompt": "\\ud800 head\\nQ: q\\nA: ", "params": {"temperature": 0.0, '
+    '"nucleus": 1.0, "max_tokens": 8, "stop": []}, "completion": "c"}'])
 def test_cache_corrupt_line_mid_file(tmp_path, bad):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)

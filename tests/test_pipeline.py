@@ -483,13 +483,10 @@ def test_concurrent_run_suite_asks_each_distinct_prompt_once(entries, oracle, tm
     assert set(asked.values()) == {1}
 
 
-@pytest.mark.parametrize("width", [1, 8])
-def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_path, width):
-    """Each question batch hashes its shared head once; the memo, the cache it
-    records in and the transcript share one digest per question, which hashes
-    only the question's own line, also when the calls run on other threads."""
-    from pexkit.suite import run_suite
-
+def count_sha256(monkeypatch):
+    """Patch a counting sha256 into ``prompting``: the lists of the states it
+    makes fresh (not by ``copy``), the byte counts it is fed and the digests
+    it gives."""
     made, fed, digests = [], [], []
 
     class Sha256:
@@ -514,6 +511,17 @@ def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_p
             return digest
 
     monkeypatch.setattr(prompting, "hashlib", SimpleNamespace(sha256=Sha256))
+    return made, fed, digests
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_path, width):
+    """Each question batch hashes its shared head once; the memo, the cache it
+    records in and the transcript share one digest per question, which hashes
+    only the question's own line, also when the calls run on other threads."""
+    from pexkit.suite import run_suite
+
+    made, fed, digests = count_sha256(monkeypatch)
     cache = TranscriptCache(tmp_path / "c.jsonl")
     backend = CachedBackend(cache, oracle if width == 1 else JitteryBackend(oracle, width))
     run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path / "out")
@@ -521,6 +529,21 @@ def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_p
     assert len(cache) == len(set(digests)) == 734
     assert len(digests) <= 1454
     assert sum(fed) <= 450_000  # 2,872,062 bytes when each prompt hashed its whole text
+
+
+def test_cache_load_hashes_each_distinct_head_once(entries, oracle, monkeypatch, tmp_path):
+    """Loading a recording checks every entry's digest, but hashes each of its
+    distinct prompt heads once: after that, an entry hashes only its own
+    question line, answer cue and params."""
+    from pexkit.suite import run_suite
+
+    path = tmp_path / "c.jsonl"
+    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2],
+              CachedBackend(TranscriptCache(path), oracle), tmp_path / "out")
+    made, fed, digests = count_sha256(monkeypatch)
+    assert len(TranscriptCache(path)) == len(digests) == 734
+    assert len(made) <= 28  # one per distinct head: 7 raw, 21 defs+2shots
+    assert sum(fed) <= 250_000  # 1,443,062 bytes when each entry hashed its whole prompt
 
 
 def test_an_answered_prompt_never_enters_the_pool(entries, oracle, monkeypatch, tmp_path):

@@ -247,3 +247,29 @@ def test_recorded_oracle_suite_prompts_match_the_fingerprint(tmp_path, capsys):
     assert len(digests) == 1468
     assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == \
         "b73efe54bcb7c4527ba3e6b1e922ac6bf6ae042b091e47f38d24e6e50bd0fa23"
+
+
+# Pieces of prompt text: the renderer's split point, near misses of it, and
+# non-ASCII characters of each width, to sit next to the split.
+_text_piece = st.sampled_from(["\nQ: ", "Q: ", "\n", "\nA: ", "é", "活動", "\U0001f600", "x"])
+_text = st.lists(_text_piece, max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(heads=st.lists(_text, min_size=1, max_size=3),
+       lines=st.lists(st.tuples(st.integers(0, 9), _text, st.sampled_from(prompting.QUESTION_KINDS)),
+                      min_size=1, max_size=12))
+def test_digest_memo_equals_the_transcript_digest(heads, lines):
+    """The memo's digest of each text, in any order, is its
+    ``transcript_digest``: texts with no, one or several ``"\\nQ: "``,
+    texts that share a head, and heads that share only the memo's lookup
+    key, their length and their last 64 characters."""
+    common = "活" * 64 + "\nQ: "
+    stems = [""]
+    for head in heads:
+        stems += [head, "a" + head + common, "é" + head + common]
+    digest = prompting.digest_memo()
+    for stem, rest, question in lines:
+        text = stems[stem % len(stems)] + rest
+        params = default_params(question)
+        assert digest(text, params) == transcript_digest(text, params)
