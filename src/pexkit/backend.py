@@ -26,7 +26,7 @@ from . import worldmodel
 from .corpus import Document, GoldStandard
 from .errors import (BackendError, CacheConflictError, CacheCorruptError,
                      CacheMissError)
-from .prompting import (Q1, Q2, Q3, CompletionParams, Prompt, digest_memo,
+from .prompting import (HEAD_END, Q1, Q2, Q3, CompletionParams, Prompt, head_memo,
                         transcript_digest)
 
 log = logging.getLogger(__name__)
@@ -45,14 +45,60 @@ MAX_ATTEMPTS = 5
 BACKOFF = 1.0
 
 
+# How a cache line that ``record`` writes starts, up to the first character
+# of its prompt: these two keys, with a digest of 64 letters and digits
+# between them, which escapes nothing.
+_DIGEST_KEY, _PROMPT_KEY = b'{"digest": "', b'", "prompt": "'
+_DIGEST_END = len(_DIGEST_KEY) + 64
+_PROMPT_AT = _DIGEST_END + len(_PROMPT_KEY)
+
+# A prompt head's end as JSON writes it; where a recorded line's last one
+# ends, and the bytes before that, key the lookup of the line's head.
+_ENCODED_HEAD_END = json.dumps(HEAD_END)[1:-1].encode("ascii")
+_HEAD_KEY_BYTES = 64
+
+# The end of a "prompt" key, with its "p" and "t" as letters or as \u
+# escapes: a line in which one follows the head may hold a second "prompt"
+# key, whose value json.loads keeps, and is decoded whole.
+_PROMPT_KEY_ENDS = (b'pt"', b'0t"', b'\\u0074"')
+
+
+def _cut_head(raw: bytes, encoded: dict) -> tuple[int, tuple | None]:
+    """Where the prompt head of the cache line ``raw`` ends, and the head
+    with its sha256 state, when ``raw`` starts as ``record`` writes a line,
+    its prompt starts with a head's JSON in ``encoded`` and no "prompt" key
+    can follow that head; else ``(0, None)``."""
+    if not (raw.startswith(_DIGEST_KEY) and raw.startswith(_PROMPT_KEY, _DIGEST_END)
+            and raw[len(_DIGEST_KEY):_DIGEST_END].isalnum()):
+        return 0, None
+    end = raw.rfind(_ENCODED_HEAD_END) + len(_ENCODED_HEAD_END)
+    key = (end, raw[max(_PROMPT_AT, end - _HEAD_KEY_BYTES):end])
+    for json_head, head, state in encoded.get(key, ()):
+        if (raw.startswith(json_head, _PROMPT_AT)
+                and not any(raw.find(key_end, end) >= 0 for key_end in _PROMPT_KEY_ENDS)):
+            return end, (head, state)
+    return 0, None
+
+
 class TranscriptCache:
     """Append-only JSONL store of prompt -> completion transcripts.
 
     Loading checks every entry: its digest must recompute from its prompt and
-    params (``prompting.digest_memo``, which hashes each distinct prompt head
-    once), else ``CacheConflictError``. A line whose digest is already loaded
+    params, else ``CacheConflictError``. A line whose digest is already loaded
     with another completion is a ``CacheConflictError`` too; an identical
     repeat loads, and the first entry is kept, as ``record`` keeps it.
+
+    A load decodes, hashes and holds each distinct prompt head once
+    (``prompting.head_memo``: a prompt up to its last ``"\\nQ: "``), however
+    many lines repeat it. A line that starts as ``record`` writes one, whose
+    prompt starts with the JSON of a head an earlier line loaded, and in
+    which nothing after that head could end a second "prompt" key, is
+    decoded with the head cut out of its bytes: JSON string escapes are a
+    prefix code, so those bytes could only decode to that head. Any other
+    line is decoded whole.
+    Either way the entry is held as the shared head and the entry with the
+    rest of its prompt, its digest check hashes only that rest, on a copy of
+    the head's state, and ``lookup`` joins the two again.
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
@@ -66,7 +112,8 @@ class TranscriptCache:
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
+        # digest -> (prompt head, the entry with the rest of its prompt)
+        self._entries: dict[str, tuple[str, dict]] = {}
         # (end of the last good line, bytes after it) as loaded, when the
         # file does not end with a complete line; the next append mends it.
         self._resume: tuple[int, bytes] | None = None
@@ -83,7 +130,11 @@ class TranscriptCache:
         offset = good_end = 0
         newline = True
         tail: list[bytes] = []
-        digest_of = digest_memo()
+        head_of = head_memo()
+        # Each head loaded so far, and by the key ``_cut_head`` looks up, its
+        # JSON with the head and its state.
+        heads: set[str] = set()
+        encoded: dict[tuple[int, bytes], list[tuple[bytes, str, object]]] = {}
         known_params: dict[tuple, CompletionParams] = {}
         with self.path.open("rb") as handle:
             for number, raw in enumerate(handle, 1):
@@ -93,15 +144,22 @@ class TranscriptCache:
                     continue
                 if torn is not None:
                     raise CacheCorruptError(f"{self.path}:{torn}: cache line does not parse")
+                end, shared = _cut_head(raw, encoded)
                 try:
-                    entry = json.loads(raw.decode("utf-8"))
+                    entry = json.loads((raw[:_PROMPT_AT] + raw[end:] if shared else raw)
+                                       .decode("utf-8"))
                 except (ValueError, RecursionError):  # also a UnicodeDecodeError
                     torn = number
                     tail.append(raw)
                     continue
-                self._check_entry(entry, number, digest_of, known_params)
-                kept = self._entries.setdefault(entry["digest"], entry)
-                if kept["completion"] != entry["completion"]:
+                head, state = self._check_entry(entry, number, shared, head_of, known_params)
+                if head and head not in heads:
+                    heads.add(head)
+                    json_head = json.dumps(head)[1:-1].encode("ascii")
+                    key = (_PROMPT_AT + len(json_head), json_head[-_HEAD_KEY_BYTES:])
+                    encoded.setdefault(key, []).append((json_head, head, state))
+                kept = self._entries.setdefault(entry["digest"], (head, entry))
+                if kept[1]["completion"] != entry["completion"]:
                     raise CacheConflictError(
                         f"{self.path}:{number}: digest {entry['digest'][:12]} is "
                         f"already loaded with a different completion")
@@ -112,38 +170,56 @@ class TranscriptCache:
         if torn is not None:
             log.warning("%s:%d: skipping a torn final cache line", self.path, torn)
 
-    def _check_entry(self, entry: dict, number: int, digest_of,
-                     known_params: dict) -> None:
-        """Check one loaded entry: its fields, and that its digest is
-        ``digest_of(prompt, params)``; ``known_params`` maps each params
-        dict's fields, as a tuple, to the params built from them."""
+    def _check_entry(self, entry: dict, number: int, shared, head_of,
+                     known_params: dict) -> tuple:
+        """Check one decoded entry: its fields, and that its digest recomputes
+        from its prompt and params; return the prompt's head and its state.
+
+        ``shared`` is the ``(head, state)`` cut out of the line, so that
+        ``entry["prompt"]`` holds only the rest; otherwise ``head_of`` (a
+        ``prompting.head_memo``) splits the whole prompt, and ``entry`` keeps
+        the rest. ``known_params`` maps each params dict's fields, each with
+        its type, to the params built from them.
+        """
         try:
             stored = entry["params"]
             fields = (stored["temperature"], stored["nucleus"], stored["max_tokens"],
                       tuple(stored["stop"]))
-            params = known_params.get(fields)
+            # 0 == 0.0 == False, but each dumps, and so hashes, apart.
+            typed = tuple((type(value), value) for value in (*fields[:3], *fields[3]))
+            params = known_params.get(typed)
             if params is None:
-                params = known_params[fields] = CompletionParams(*fields)
+                params = known_params[typed] = CompletionParams(*fields)
             prompt, digest, completion = entry["prompt"], entry["digest"], entry["completion"]
             if not isinstance(prompt, str):
                 raise TypeError(f"prompt is {prompt!r}")
             if not isinstance(completion, str):
                 raise TypeError(f"completion is {completion!r}")
-            expected = digest_of(prompt, params)  # a lone surrogate raises here too
-            completion.encode("utf-8")  # a lone surrogate does not encode
+            head, state = shared or head_of(prompt)  # a lone surrogate in a new head raises
+            if not shared:
+                prompt = entry["prompt"] = prompt[len(head):]
+            expected = transcript_digest(prompt, params, state)  # one in the rest raises here
+            completion.encode("utf-8")  # and one in the completion here
         except (KeyError, TypeError, UnicodeEncodeError) as exc:
             raise CacheCorruptError(
                 f"{self.path}:{number}: malformed cache entry: {exc!r}") from exc
         if digest != expected:
             raise CacheConflictError(
-                f"cache entry digest {str(digest)[:12]} does not recompute "
-                f"from its stored prompt and params")
+                f"{self.path}:{number}: cache entry digest {str(digest)[:12]} does not "
+                f"recompute from its stored prompt and params")
+        return head, state
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, digest: str) -> dict | None:
-        return self._entries.get(digest)
+        """The entry held under ``digest``, as a fresh dict equal to its
+        line's JSON, whole prompt included; None when there is none."""
+        held = self._entries.get(digest)
+        if held is None:
+            return None
+        head, entry = held
+        return {**entry, "prompt": head + entry["prompt"]}
 
     def record(self, prompt_text: str, params: CompletionParams,
                completion: str, digest: str | None = None) -> None:
@@ -154,7 +230,7 @@ class TranscriptCache:
         with self._lock:
             existing = self._entries.get(digest)
             if existing is not None:
-                if existing["completion"] != completion:
+                if existing[1]["completion"] != completion:
                     raise CacheConflictError(
                         f"digest {digest[:12]} already recorded with a "
                         f"different completion")
@@ -178,7 +254,7 @@ class TranscriptCache:
             except OSError as exc:
                 raise BackendError(
                     f"cannot write transcript cache {self.path}: {exc.strerror}") from exc
-            self._entries[digest] = entry
+            self._entries[digest] = ("", entry)
 
     def _mend(self, handle) -> None:
         """Make the file end with a complete line before the first append.

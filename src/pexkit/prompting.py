@@ -1,7 +1,7 @@
 """Prompt rendering for the three extraction questions and four settings,
 and the key format of a rendered prompt: its completion params and its
-transcript digest, the cache key, which ``digest_memo`` recomputes for a
-transcript cache's stored prompts.
+transcript digest, the cache key, which ``head_memo`` helps recompute, once
+per distinct prompt head, for a transcript cache's stored prompts.
 
 Layout contract (frozen by the golden-file tests): lines are joined with a
 single newline, blocks with one blank line, and every prompt ends with the
@@ -178,69 +178,74 @@ class CompletionParams:
             "stop": list(self.stop),
         }
 
+    @functools.cached_property
+    def sorted_json(self) -> str:
+        """The params' sorted JSON, as their digest hashes it, made once per
+        instance: equal params, such as ``temperature`` 0 and 0.0, can dump
+        apart, so no other instance's JSON may stand in for it."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
+
+# One shared instance per question, so that its JSON is made once.
+@functools.cache
 def default_params(question: str) -> CompletionParams:
     return CompletionParams(max_tokens=DEFAULT_MAX_TOKENS.get(question, 256))
 
 
-@functools.cache
-def _params_json(params: CompletionParams) -> str:
-    return json.dumps(params.to_dict(), sort_keys=True)
-
-
 def transcript_digest(prompt_text: str, params: CompletionParams,
-                      head: tuple | None = None) -> str:
+                      head=None) -> str:
     """Cache key of a prompt text and its params; also what provenance records.
 
-    ``head``, when given, is ``(n, state)``: ``state`` is the sha256 state of
-    the UTF-8 bytes of ``prompt_text[:n]``. It is copied, never updated, so
-    only the rest of the text is hashed here; the digest is the same as
-    without it.
+    ``head``, when given, is the sha256 state of the UTF-8 bytes of the
+    prompt's head, the text before ``prompt_text``. It is copied, never
+    updated, so only ``prompt_text`` is hashed here, and the digest is that of
+    the head and ``prompt_text`` joined.
     """
-    length, state = head or (0, hashlib.sha256())
-    state = state.copy()
-    state.update((prompt_text[length:] + "\x00" + _params_json(params)).encode("utf-8"))
+    state = head.copy() if head is not None else hashlib.sha256()
+    state.update((prompt_text + "\x00" + params.sorted_json).encode("utf-8"))
     return state.hexdigest()
 
 
 # Where ``renderer`` splits a prompt: its head ends with the target block's
 # question cue, and only the question line and the answer cue follow.
-_HEAD_END = "\nQ: "
+HEAD_END = "\nQ: "
 
 # Trailing characters of a head that, with its length, key the memo's lookup.
 _HEAD_KEY_CHARS = 64
 
 
-def digest_memo():
-    """A ``transcript_digest(text, params)`` for a stream of prompt texts that
-    share heads, as the lines of a transcript cache do.
+def head_memo():
+    """A function that splits each of a stream of prompt texts that share
+    heads, as the lines of a transcript cache do, into its head and the sha256
+    state of the head's UTF-8 bytes: ``transcript_digest(text[len(head):],
+    params, state)`` is ``transcript_digest(text, params)``.
 
-    The returned function splits each text after its last ``"\\nQ: "``,
-    where ``renderer`` splits a prompt, and hashes each distinct head once;
-    a later text with that head hashes only the rest. A head is looked up by
-    its length and its last characters, and a candidate is used only when
-    the text starts with it, so two heads that share that key both get their
-    own state. The digest equals ``transcript_digest(text, params)`` for any
-    text; one that holds no ``"\\nQ: "`` is hashed whole. ``text`` must be a
-    ``str``; a lone surrogate raises ``UnicodeEncodeError``, as there.
+    A head ends after the text's last ``HEAD_END``, where ``renderer`` splits
+    a prompt; a text that holds none has the head ``""`` and the state
+    ``None``. Each distinct head is hashed once and kept, and every later
+    text that starts with it gets that same ``head`` object and state, so a
+    caller can hold the head once for all of them. A head is looked up by its
+    length and its last characters, and a candidate is used only when the
+    text starts with it, so two heads that share that key both get their own
+    state. ``text`` must be a ``str``; a lone surrogate in a new head raises
+    ``UnicodeEncodeError``, as ``transcript_digest`` does.
     """
     heads: dict[tuple[int, str], list[tuple[str, object]]] = {}
 
-    def digest(text: str, params: CompletionParams) -> str:
-        split = text.rfind(_HEAD_END)
+    def head_of(text: str) -> tuple[str, object]:
+        split = text.rfind(HEAD_END)
         if split < 0:
-            return transcript_digest(text, params)
-        length = split + len(_HEAD_END)
+            return "", None
+        length = split + len(HEAD_END)
         key = (length, text[max(0, length - _HEAD_KEY_CHARS):length])
         for head, state in heads.get(key, ()):
             if text.startswith(head):
-                break
-        else:
-            head = text[:length]
-            state = hashlib.sha256(head.encode("utf-8"))
-            heads.setdefault(key, []).append((head, state))
-        return transcript_digest(text, params, (length, state))
-    return digest
+                return head, state
+        head = text[:length]
+        state = hashlib.sha256(head.encode("utf-8"))
+        heads.setdefault(key, []).append((head, state))
+        return head, state
+    return head_of
 
 
 @dataclass(frozen=True)
@@ -286,13 +291,13 @@ def renderer(question: str, setting: str, doc: corpus.Document,
             blocks.append(lines)
     blocks.append([PROCESS_CUE, doc.body, "Q: "])
     head = "\n\n".join("\n".join(lines) for lines in blocks)
-    hashed = (len(head), hashlib.sha256(head.encode("utf-8")))
+    hashed = hashlib.sha256(head.encode("utf-8"))
     params = default_params(question)
 
     def fill(x: str | None, y: str | None) -> Prompt:
-        text = head + instantiate(question, x, y) + "\nA: "
-        return Prompt(text, question, setting, doc.id, x, y, params,
-                      transcript_digest(text, params, hashed))
+        line = instantiate(question, x, y) + "\nA: "
+        return Prompt(head + line, question, setting, doc.id, x, y, params,
+                      transcript_digest(line, params, hashed))
     return fill
 
 

@@ -1,16 +1,24 @@
 import contextlib
+import functools
+import hashlib
 import http.server
 import json
 import os
+import re
 import socket
 import ssl
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pexkit import backend as bk
 from pexkit import pipeline
@@ -19,6 +27,10 @@ from pexkit.errors import (BackendError, CacheConflictError, CacheCorruptError,
 from pexkit.prompting import Q1, Q2, Q3, RAW, Prompt, default_params
 
 PARAMS = bk.CompletionParams()
+
+# A prompt head longer than the load's head key, which is its length and
+# its last 64 characters.
+HEAD = "Consider the following process:\n" + "The clerk files the form. " * 8 + "\nQ: "
 
 
 def make_prompt(text="hello", question=Q1, doc_id="10.1", x=None, y=None, params=PARAMS):
@@ -82,6 +94,43 @@ def test_cache_load_keeps_the_first_of_identical_duplicates(tmp_path):
     assert cache.lookup(entry["digest"]) == entry
 
 
+def test_cache_loads_params_equal_by_value_that_dump_apart(tmp_path):
+    """A line with ``"temperature": 0`` and one with ``0.0``, each with the
+    digest of its own params JSON, both load: equal params that dump apart
+    are not one entry's params."""
+    path = tmp_path / "c.jsonl"
+    lines = []
+    for temperature in (0, 0.0):
+        params = {**PARAMS.to_dict(), "temperature": temperature}
+        payload = "p\x00" + json.dumps(params, sort_keys=True)
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        lines.append(json.dumps({"digest": digest, "prompt": "p", "params": params,
+                                 "completion": str(temperature)}) + "\n")
+    path.write_text("".join(lines))
+    cache = bk.TranscriptCache(path)
+    assert len(cache) == 2
+    assert [cache.lookup(json.loads(line)["digest"])["completion"] for line in lines] == \
+        ["0", "0.0"]
+
+
+def test_cache_load_holds_a_shared_head_once(tmp_path):
+    """500 entries whose prompts share one 4 kB head hold that head once:
+    what the load leaves allocated is far below 500 copies of it."""
+    path = tmp_path / "c.jsonl"
+    head = "Consider the following process:\n" + "The clerk files the form. " * 156 + "\nQ: "
+    cache = bk.TranscriptCache(path)
+    for k in range(500):
+        cache.record(f"{head}question {k}?\nA: ", PARAMS, f"answer {k}")
+    tracemalloc.start()
+    try:
+        loaded = bk.TranscriptCache(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 500
+    assert held < 500 * len(head) // 2, held
+
+
 def test_cache_append_preserves_entries(tmp_path):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
@@ -100,7 +149,16 @@ def test_cache_rejects_tampered_digest(tmp_path):
     entry = json.loads(path.read_text().strip())
     entry["prompt"] = "tampered"
     path.write_text(json.dumps(entry) + "\n")
-    with pytest.raises(CacheConflictError):
+    with pytest.raises(CacheConflictError, match=r"c\.jsonl:1: cache entry digest"):
+        bk.TranscriptCache(path)
+    # A tampered question line after an entry with the same head, so that its
+    # head is cut out of the line before decoding, is named as line 2.
+    path.unlink()
+    cache = bk.TranscriptCache(path)
+    cache.record(HEAD + "first?\nA: ", PARAMS, "a")
+    cache.record(HEAD + "second?\nA: ", PARAMS, "b")
+    path.write_text(path.read_text().replace("second?", "altered?"))
+    with pytest.raises(CacheConflictError, match=r"c\.jsonl:2: cache entry digest"):
         bk.TranscriptCache(path)
 
 
@@ -181,11 +239,6 @@ def test_cache_appends_from_two_caches_on_one_path_keep_every_entry(tmp_path, mo
     assert len(bk.TranscriptCache(path)) == 41
 
 
-# A prompt head longer than the load's head key, which is its length and
-# its last 64 characters.
-HEAD = "Consider the following process:\n" + "The clerk files the form. " * 8 + "\nQ: "
-
-
 def test_cache_rejects_a_head_altered_before_its_key(tmp_path):
     """An entry whose head differs from an earlier entry's only before the
     characters that key the lookup, with its question line and digest kept,
@@ -234,6 +287,121 @@ def test_cache_corrupt_line_mid_file(tmp_path, bad):
     path.write_text("\n".join([first, bad, second]) + "\n")
     with pytest.raises(CacheCorruptError, match=":2:"):
         bk.TranscriptCache(path)
+
+
+def reference_load(path):
+    """What loading the cache at ``path`` gives with every line decoded whole:
+    digest -> entry, the first of identical repeats kept; or, at the first
+    line that fails, the error class and the line's number."""
+    entries, torn = {}, None
+    with path.open("rb") as handle:
+        for number, raw in enumerate(handle, 1):
+            if raw.isspace():
+                continue
+            if torn is not None:
+                return CacheCorruptError, torn
+            try:
+                entry = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError):
+                torn = number
+                continue
+            try:
+                stored = entry["params"]
+                params = bk.CompletionParams(stored["temperature"], stored["nucleus"],
+                                             stored["max_tokens"], tuple(stored["stop"]))
+                prompt, digest, completion = entry["prompt"], entry["digest"], entry["completion"]
+                if not isinstance(prompt, str) or not isinstance(completion, str):
+                    raise TypeError(entry)
+                expected = bk.transcript_digest(prompt, params)
+                completion.encode("utf-8")
+            except (KeyError, TypeError, UnicodeEncodeError):
+                return CacheCorruptError, number
+            if digest != expected or entries.setdefault(digest, entry)["completion"] != completion:
+                return CacheConflictError, number
+    return entries
+
+
+# Pieces of cache line text: the head's end and near misses of it, JSON
+# escapes, quotes and a "prompt" key, and non-ASCII characters of each width.
+_line_piece = st.sampled_from(["\nQ: ", "Q: ", "\n", '"', "\\", "\\n", "\\u0043", '"prompt"',
+                               '", "prompt": "', "é", "活", "\U0001f600", " ", "\x00",
+                               "C", "p", "x"])
+_line_text = st.lists(_line_piece, max_size=6).map("".join)
+
+# How a line is written: as ``record`` writes it, or re-encoded.
+_ENCODINGS = {
+    "record": json.dumps,
+    "sorted keys": functools.partial(json.dumps, sort_keys=True),
+    "unescaped": functools.partial(json.dumps, ensure_ascii=False),
+    "C and Q escaped": lambda entry: json.dumps(entry).replace("C", "\\u0043").replace(
+        "Q", "\\u0051"),
+    "p escaped": lambda entry: json.dumps(entry).replace("p", "\\u0070"),
+}
+_STORED_PARAMS = [PARAMS.to_dict(), {**PARAMS.to_dict(), "temperature": 0},
+                  {"temperature": 0.5, "nucleus": True, "max_tokens": 8, "stop": []}]
+
+
+def _mostly(usual, *others):
+    """``usual`` four times in five, else one of ``others``: most lines share
+    the first head, and are written as ``record`` writes them, with no second
+    "prompt" key."""
+    return st.sampled_from([usual] * 4 * len(others) + list(others))
+
+
+@settings(max_examples=300, deadline=None)
+@given(heads=st.lists(_line_text, min_size=1, max_size=2),
+       lines=st.lists(st.tuples(
+           _mostly(0, 1, 2, 3, 4), st.integers(0, 7), _line_text, _line_text,
+           st.integers(0, 2),
+           _mostly("record", *sorted(set(_ENCODINGS) - {"record"})),
+           _mostly(None, '"prompt"', '"\\u0070rompt"', '"prom\\u0070t"', '"promp\\u0074"'),
+           _line_text),
+           min_size=2, max_size=10),
+       surrogate=st.one_of(st.none(), st.integers(0, 9)),
+       tampered=st.one_of(st.none(), st.integers(0, 9)),
+       torn=st.one_of(st.none(), st.integers(0, 300)))
+def test_cache_load_matches_a_whole_line_load(heads, lines, surrogate, tampered, torn):
+    """Loading a cache, with each loaded head cut out of the lines that start
+    with its JSON, gives what decoding every line whole gives: each digest's
+    entry, or the same error class at the same line. Lines share heads, also
+    heads that share only their lookup key, with escapes and non-ASCII next
+    to the split; hold ``"\\nQ: "`` and ``"prompt"`` in their question lines
+    and completions; are re-encoded with sorted keys, unescaped or with
+    ``C``-style escapes; or repeat their "prompt" key, whose last value
+    json.loads keeps. One line may have a lone surrogate in its head, one a
+    digest that does not recompute, and the last may be torn."""
+    stems = [stem + head + "\nQ: " for head in heads for stem in ("", "x" * 70, "y" * 70)]
+    stems.append("")
+    data = b""
+    for k, (stem, number, question, completion, params, encoding, repeat,
+            repeated) in enumerate(lines):
+        prompt = ("\ud800" if k == surrogate else "") + stems[stem % len(stems)] + \
+            f"{number}? {question}\nA: "
+        stored = _STORED_PARAMS[params]
+        payload = ((repeated if repeat else prompt) + "x" * (k == tampered) + "\x00"
+                   + json.dumps(stored, sort_keys=True))
+        entry = {"digest": hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest(),
+                 "prompt": prompt, "params": stored, "completion": completion,
+                 "recorded_at": "2024-01-01T00:00:00+00:00"}
+        text = _ENCODINGS[encoding](entry)
+        if repeat:
+            text = f"{text[:-1]}, {repeat}: {json.dumps(repeated)}}}"
+        data += text.encode("utf-8", "surrogatepass") + b"\n"
+    if torn is not None:
+        data = data[:max(0, len(data) - 1 - torn)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes(data)
+        expected = reference_load(path)
+        try:
+            cache = bk.TranscriptCache(path)
+        except (CacheCorruptError, CacheConflictError) as exc:
+            assert (type(exc), int(re.search(r"c\.jsonl:(\d+):", str(exc))[1])) == expected
+            return
+    assert isinstance(expected, dict), expected
+    assert len(cache) == len(expected)
+    for digest, entry in expected.items():
+        assert cache.lookup(digest) == entry
 
 
 def test_cached_backend_without_inner_replays(tmp_path):

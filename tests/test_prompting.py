@@ -235,6 +235,21 @@ def test_prompt_digest_equals_the_transcript_digest(index, shots, question, sett
         assert prompt.digest == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_params_equal_by_value_digest_by_their_own_json(first):
+    """Params that are equal but dump apart, such as ``temperature`` 0 and
+    0.0 or ``nucleus`` True and 1.0, each give the digest of their own JSON,
+    whichever of them a process hashes first."""
+    alike = [[prompting.CompletionParams(), prompting.CompletionParams(temperature=0)],
+             [prompting.CompletionParams(nucleus=True), prompting.CompletionParams(nucleus=1.0)],
+             [prompting.CompletionParams(max_tokens=256.0), prompting.CompletionParams()]]
+    for group in alike:
+        for params in group[first:] + group[:first]:
+            payload = "p\x00" + json.dumps(params.to_dict(), sort_keys=True)
+            assert transcript_digest("p", params) == \
+                hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def test_recorded_oracle_suite_prompts_match_the_fingerprint(tmp_path, capsys):
     """Every distinct prompt of an oracle run-suite over all settings, by its
     transcript digest: a change to any prompt byte changes the fingerprint."""
@@ -259,17 +274,24 @@ _text = st.lists(_text_piece, max_size=8).map("".join)
 @given(heads=st.lists(_text, min_size=1, max_size=3),
        lines=st.lists(st.tuples(st.integers(0, 9), _text, st.sampled_from(prompting.QUESTION_KINDS)),
                       min_size=1, max_size=12))
-def test_digest_memo_equals_the_transcript_digest(heads, lines):
-    """The memo's digest of each text, in any order, is its
-    ``transcript_digest``: texts with no, one or several ``"\\nQ: "``,
-    texts that share a head, and heads that share only the memo's lookup
-    key, their length and their last 64 characters."""
+def test_head_memo_gives_each_text_its_shared_head_and_state(heads, lines):
+    """The memo splits each text, in any order, after its last ``"\\nQ: "``
+    into a head, one object for every text with that head, and that head's
+    state, from which the rest hashes to the text's ``transcript_digest``:
+    texts with no, one or several ``"\\nQ: "``, texts that share a head, and
+    heads that share only the memo's lookup key, their length and their last
+    64 characters."""
     common = "活" * 64 + "\nQ: "
     stems = [""]
     for head in heads:
         stems += [head, "a" + head + common, "é" + head + common]
-    digest = prompting.digest_memo()
+    head_of = prompting.head_memo()
+    held = {}
     for stem, rest, question in lines:
         text = stems[stem % len(stems)] + rest
         params = default_params(question)
-        assert digest(text, params) == transcript_digest(text, params)
+        head, state = head_of(text)
+        assert head == text[:text.rfind("\nQ: ") + 4] if "\nQ: " in text else head == ""
+        assert held.setdefault(head, head) is head
+        assert transcript_digest(text[len(head):], params, state) == \
+            transcript_digest(text, params)
