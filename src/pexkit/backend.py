@@ -26,7 +26,7 @@ from . import worldmodel
 from .corpus import Document, GoldStandard
 from .errors import (BackendError, CacheConflictError, CacheCorruptError,
                      CacheMissError)
-from .prompting import (HEAD_END, Q1, Q2, Q3, CompletionParams, Prompt, head_memo,
+from .prompting import (Q1, Q2, Q3, CompletionParams, HeadMemo, Prompt,
                         transcript_digest)
 
 log = logging.getLogger(__name__)
@@ -52,32 +52,24 @@ _DIGEST_KEY, _PROMPT_KEY = b'{"digest": "', b'", "prompt": "'
 _DIGEST_END = len(_DIGEST_KEY) + 64
 _PROMPT_AT = _DIGEST_END + len(_PROMPT_KEY)
 
-# A prompt head's end as JSON writes it; where a recorded line's last one
-# ends, and the bytes before that, key the lookup of the line's head.
-_ENCODED_HEAD_END = json.dumps(HEAD_END)[1:-1].encode("ascii")
-_HEAD_KEY_BYTES = 64
-
 # The end of a "prompt" key, with its "p" and "t" as letters or as \u
 # escapes: a line in which one follows the head may hold a second "prompt"
 # key, whose value json.loads keeps, and is decoded whole.
 _PROMPT_KEY_ENDS = (b'pt"', b'0t"', b'\\u0074"')
 
 
-def _cut_head(raw: bytes, encoded: dict) -> tuple[int, tuple | None]:
+def _cut_head(raw: bytes, memo: HeadMemo) -> tuple[int, tuple | None]:
     """Where the prompt head of the cache line ``raw`` ends, and the head
     with its sha256 state, when ``raw`` starts as ``record`` writes a line,
-    its prompt starts with a head's JSON in ``encoded`` and no "prompt" key
-    can follow that head; else ``(0, None)``."""
+    its prompt starts with the JSON of a head ``memo`` split already and no
+    "prompt" key can follow that head; else ``(0, None)``."""
     if not (raw.startswith(_DIGEST_KEY) and raw.startswith(_PROMPT_KEY, _DIGEST_END)
             and raw[len(_DIGEST_KEY):_DIGEST_END].isalnum()):
         return 0, None
-    end = raw.rfind(_ENCODED_HEAD_END) + len(_ENCODED_HEAD_END)
-    key = (end, raw[max(_PROMPT_AT, end - _HEAD_KEY_BYTES):end])
-    for json_head, head, state in encoded.get(key, ()):
-        if (raw.startswith(json_head, _PROMPT_AT)
-                and not any(raw.find(key_end, end) >= 0 for key_end in _PROMPT_KEY_ENDS)):
-            return end, (head, state)
-    return 0, None
+    found = memo.find_json(raw, _PROMPT_AT)
+    if found is None or any(raw.find(key_end, found[0]) >= 0 for key_end in _PROMPT_KEY_ENDS):
+        return 0, None
+    return found
 
 
 class TranscriptCache:
@@ -89,16 +81,14 @@ class TranscriptCache:
     repeat loads, and the first entry is kept, as ``record`` keeps it.
 
     A load decodes, hashes and holds each distinct prompt head once
-    (``prompting.head_memo``: a prompt up to its last ``"\\nQ: "``), however
+    (``prompting.HeadMemo``: a prompt up to its last ``"\\nQ: "``), however
     many lines repeat it. A line that starts as ``record`` writes one, whose
     prompt starts with the JSON of a head an earlier line loaded, and in
     which nothing after that head could end a second "prompt" key, is
-    decoded with the head cut out of its bytes: JSON string escapes are a
-    prefix code, so those bytes could only decode to that head. Any other
-    line is decoded whole.
-    Either way the entry is held as the shared head and the entry with the
-    rest of its prompt, its digest check hashes only that rest, on a copy of
-    the head's state, and ``lookup`` joins the two again.
+    decoded with the head cut out of its bytes. Any other line is decoded
+    whole. Either way the entry is held as the shared head and the entry
+    with the rest of its prompt, its digest check hashes only that rest, on
+    a copy of the head's state, and ``lookup`` joins the two again.
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
@@ -130,11 +120,7 @@ class TranscriptCache:
         offset = good_end = 0
         newline = True
         tail: list[bytes] = []
-        head_of = head_memo()
-        # Each head loaded so far, and by the key ``_cut_head`` looks up, its
-        # JSON with the head and its state.
-        heads: set[str] = set()
-        encoded: dict[tuple[int, bytes], list[tuple[bytes, str, object]]] = {}
+        memo = HeadMemo()
         known_params: dict[tuple, CompletionParams] = {}
         with self.path.open("rb") as handle:
             for number, raw in enumerate(handle, 1):
@@ -144,7 +130,7 @@ class TranscriptCache:
                     continue
                 if torn is not None:
                     raise CacheCorruptError(f"{self.path}:{torn}: cache line does not parse")
-                end, shared = _cut_head(raw, encoded)
+                end, shared = _cut_head(raw, memo)
                 try:
                     entry = json.loads((raw[:_PROMPT_AT] + raw[end:] if shared else raw)
                                        .decode("utf-8"))
@@ -152,12 +138,7 @@ class TranscriptCache:
                     torn = number
                     tail.append(raw)
                     continue
-                head, state = self._check_entry(entry, number, shared, head_of, known_params)
-                if head and head not in heads:
-                    heads.add(head)
-                    json_head = json.dumps(head)[1:-1].encode("ascii")
-                    key = (_PROMPT_AT + len(json_head), json_head[-_HEAD_KEY_BYTES:])
-                    encoded.setdefault(key, []).append((json_head, head, state))
+                head = self._check_entry(entry, number, shared, memo, known_params)
                 kept = self._entries.setdefault(entry["digest"], (head, entry))
                 if kept[1]["completion"] != entry["completion"]:
                     raise CacheConflictError(
@@ -170,16 +151,16 @@ class TranscriptCache:
         if torn is not None:
             log.warning("%s:%d: skipping a torn final cache line", self.path, torn)
 
-    def _check_entry(self, entry: dict, number: int, shared, head_of,
-                     known_params: dict) -> tuple:
+    def _check_entry(self, entry: dict, number: int, shared, memo: HeadMemo,
+                     known_params: dict) -> str:
         """Check one decoded entry: its fields, and that its digest recomputes
-        from its prompt and params; return the prompt's head and its state.
+        from its prompt and params; return the prompt's shared head.
 
         ``shared`` is the ``(head, state)`` cut out of the line, so that
-        ``entry["prompt"]`` holds only the rest; otherwise ``head_of`` (a
-        ``prompting.head_memo``) splits the whole prompt, and ``entry`` keeps
-        the rest. ``known_params`` maps each params dict's fields, each with
-        its type, to the params built from them.
+        ``entry["prompt"]`` holds only the rest; otherwise ``memo`` splits
+        the whole prompt, and ``entry`` keeps the rest. ``known_params`` maps
+        each params dict's fields, each with its type, to the params built
+        from them.
         """
         try:
             stored = entry["params"]
@@ -195,7 +176,7 @@ class TranscriptCache:
                 raise TypeError(f"prompt is {prompt!r}")
             if not isinstance(completion, str):
                 raise TypeError(f"completion is {completion!r}")
-            head, state = shared or head_of(prompt)  # a lone surrogate in a new head raises
+            head, state = shared or memo.split(prompt)  # a lone surrogate in a new head raises
             if not shared:
                 prompt = entry["prompt"] = prompt[len(head):]
             expected = transcript_digest(prompt, params, state)  # one in the rest raises here
@@ -207,7 +188,7 @@ class TranscriptCache:
             raise CacheConflictError(
                 f"{self.path}:{number}: cache entry digest {str(digest)[:12]} does not "
                 f"recompute from its stored prompt and params")
-        return head, state
+        return head
 
     def __len__(self) -> int:
         return len(self._entries)

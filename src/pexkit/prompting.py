@@ -1,6 +1,6 @@
 """Prompt rendering for the three extraction questions and four settings,
 and the key format of a rendered prompt: its completion params and its
-transcript digest, the cache key, which ``head_memo`` helps recompute, once
+transcript digest, the cache key, which ``HeadMemo`` helps recompute, once
 per distinct prompt head, for a transcript cache's stored prompts.
 
 Layout contract (frozen by the golden-file tests): lines are joined with a
@@ -207,45 +207,73 @@ def transcript_digest(prompt_text: str, params: CompletionParams,
 
 
 # Where ``renderer`` splits a prompt: its head ends with the target block's
-# question cue, and only the question line and the answer cue follow.
-HEAD_END = "\nQ: "
+# question cue, and only the question line and the answer cue follow. How a
+# JSON string, as ``json.dumps`` escapes it, writes that end.
+_HEAD_END = "\nQ: "
+_JSON_HEAD_END = json.dumps(_HEAD_END)[1:-1].encode("ascii")
 
-# Trailing characters of a head that, with its length, key the memo's lookup.
+# Trailing characters, or bytes of its JSON, of a head that, with its
+# length, key the memo's lookups.
 _HEAD_KEY_CHARS = 64
 
 
-def head_memo():
-    """A function that splits each of a stream of prompt texts that share
-    heads, as the lines of a transcript cache do, into its head and the sha256
-    state of the head's UTF-8 bytes: ``transcript_digest(text[len(head):],
-    params, state)`` is ``transcript_digest(text, params)``.
+class HeadMemo:
+    """Splits each of a stream of prompt texts that share heads, as the lines
+    of a transcript cache do, into its head and the sha256 state of the
+    head's UTF-8 bytes, and finds those heads again in JSON.
 
-    A head ends after the text's last ``HEAD_END``, where ``renderer`` splits
-    a prompt; a text that holds none has the head ``""`` and the state
-    ``None``. Each distinct head is hashed once and kept, and every later
-    text that starts with it gets that same ``head`` object and state, so a
-    caller can hold the head once for all of them. A head is looked up by its
-    length and its last characters, and a candidate is used only when the
-    text starts with it, so two heads that share that key both get their own
-    state. ``text`` must be a ``str``; a lone surrogate in a new head raises
-    ``UnicodeEncodeError``, as ``transcript_digest`` does.
+    ``split(text)`` returns ``(head, state)``: ``transcript_digest(
+    text[len(head):], params, state)`` is ``transcript_digest(text, params)``.
+    A head ends after the text's last ``"\\nQ: "``, where ``renderer``
+    splits a prompt; a text that holds none has the head ``""`` and the
+    state ``None``. Each distinct head is hashed once and kept, and every
+    later text that starts with it gets that same ``head`` object and state,
+    so a caller can hold the head once for all of them. A head is looked up
+    by its length and its last characters, and a candidate is used only when
+    the text starts with it, so two heads that share that key both get their
+    own state. ``text`` must be a ``str``; a lone surrogate in a new head
+    raises ``UnicodeEncodeError``, as ``transcript_digest`` does.
+
+    ``find_json(raw, start)`` finds a head already split at the start of a
+    JSON string's bytes, so that a caller can skip decoding it.
     """
-    heads: dict[tuple[int, str], list[tuple[str, object]]] = {}
 
-    def head_of(text: str) -> tuple[str, object]:
-        split = text.rfind(HEAD_END)
+    def __init__(self):
+        self._heads: dict[tuple[int, str], list[tuple[str, object]]] = {}
+        # The same heads, each with its JSON as json.dumps escapes it, keyed
+        # by that JSON's length and last bytes.
+        self._json_heads: dict[tuple[int, bytes], list[tuple[bytes, str, object]]] = {}
+
+    def split(self, text: str) -> tuple[str, object]:
+        split = text.rfind(_HEAD_END)
         if split < 0:
             return "", None
-        length = split + len(HEAD_END)
+        length = split + len(_HEAD_END)
         key = (length, text[max(0, length - _HEAD_KEY_CHARS):length])
-        for head, state in heads.get(key, ()):
+        for head, state in self._heads.get(key, ()):
             if text.startswith(head):
                 return head, state
         head = text[:length]
         state = hashlib.sha256(head.encode("utf-8"))
-        heads.setdefault(key, []).append((head, state))
+        self._heads.setdefault(key, []).append((head, state))
+        escaped = json.dumps(head)[1:-1].encode("ascii")
+        self._json_heads.setdefault((len(escaped), escaped[-_HEAD_KEY_CHARS:]), []).append(
+            (escaped, head, state))
         return head, state
-    return head_of
+
+    def find_json(self, raw: bytes, start: int) -> tuple[int, tuple[str, object]] | None:
+        """Where a head already split ends in ``raw``, with the head and its
+        state, when the JSON string whose first byte after its opening quote
+        is ``raw[start]`` starts with that head as ``json.dumps`` escapes it,
+        and its escaped ``"\\nQ: "`` is the last one in ``raw``; else None.
+        JSON string escapes are a prefix code, so those bytes decode to
+        exactly that head."""
+        end = raw.rfind(_JSON_HEAD_END) + len(_JSON_HEAD_END)
+        key = (end - start, raw[max(start, end - _HEAD_KEY_CHARS):end])
+        for escaped, head, state in self._json_heads.get(key, ()):
+            if raw.startswith(escaped, start):
+                return end, (head, state)
+        return None
 
 
 @dataclass(frozen=True)

@@ -280,18 +280,23 @@ def test_head_memo_gives_each_text_its_shared_head_and_state(heads, lines):
     state, from which the rest hashes to the text's ``transcript_digest``:
     texts with no, one or several ``"\\nQ: "``, texts that share a head, and
     heads that share only the memo's lookup key, their length and their last
-    64 characters."""
+    64 characters. The memo also finds each text's head at the start of the
+    text's JSON string."""
     common = "活" * 64 + "\nQ: "
     stems = [""]
     for head in heads:
         stems += [head, "a" + head + common, "é" + head + common]
-    head_of = prompting.head_memo()
+    memo = prompting.HeadMemo()
     held = {}
     for stem, rest, question in lines:
         text = stems[stem % len(stems)] + rest
         params = default_params(question)
-        head, state = head_of(text)
+        head, state = memo.split(text)
         assert head == text[:text.rfind("\nQ: ") + 4] if "\nQ: " in text else head == ""
         assert held.setdefault(head, head) is head
         assert transcript_digest(text[len(head):], params, state) == \
             transcript_digest(text, params)
+        # The text as a JSON string: its head, escaped, ends where found.
+        escaped = json.dumps(text).encode("ascii")
+        assert memo.find_json(escaped, 1) == (
+            (len(json.dumps(head)) - 1, (head, state)) if head else None)
