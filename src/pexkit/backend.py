@@ -72,6 +72,16 @@ def _cut_head(raw: bytes, memo: HeadMemo) -> tuple[int, tuple | None]:
     return found
 
 
+def _fresh(value: dict | list) -> dict | list:
+    """A copy of a decoded JSON object or array that shares no object or
+    array with it."""
+    value = value.copy()
+    for key, item in value.items() if type(value) is dict else enumerate(value):
+        if type(item) is dict or type(item) is list:
+            value[key] = _fresh(item)
+    return value
+
+
 class TranscriptCache:
     """Append-only JSONL store of prompt -> completion transcripts.
 
@@ -88,7 +98,16 @@ class TranscriptCache:
     decoded with the head cut out of its bytes. Any other line is decoded
     whole. Either way the entry is held as the shared head and the entry
     with the rest of its prompt, its digest check hashes only that rest, on
-    a copy of the head's state, and ``lookup`` joins the two again.
+    a copy of the head's state, and ``lookup`` joins the two again. An entry
+    that ``record`` appends is held the same way, and shares the heads
+    already held, but its head is not hashed: its digest is the caller's.
+
+    Entries share their params too: a load holds one decoded params dict for
+    all the lines whose params decode to an equal ``repr``, which tells
+    ``0``, ``0.0`` and ``False``, extra keys and key order apart, so the
+    shared dict equals each line's own. ``record`` holds one for all the
+    entries whose params have one ``sorted_json``. So ``lookup`` hands out a
+    copy that shares no dict or list with the cache.
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
@@ -108,6 +127,8 @@ class TranscriptCache:
         # file does not end with a complete line; the next append mends it.
         self._resume: tuple[int, bytes] | None = None
         self._dir_made = False  # the file's directory, made by the first append
+        self._heads = HeadMemo()  # the heads of the entries held
+        self._params: dict[str, dict] = {}  # sorted_json -> the params dict recorded
         if self.path.exists():
             try:
                 self._load()
@@ -120,9 +141,11 @@ class TranscriptCache:
         offset = good_end = 0
         newline = True
         tail: list[bytes] = []
-        memo = HeadMemo()
-        known_params: dict[tuple, CompletionParams] = {}
-        with self.path.open("rb") as handle:
+        memo = self._heads
+        known_params: dict[str, tuple[dict, CompletionParams]] = {}
+        # A 64 KB buffer: with the default 8 KB one, readline takes a slow
+        # path on lines of a few KB.
+        with self.path.open("rb", buffering=1 << 16) as handle:
             for number, raw in enumerate(handle, 1):
                 offset += len(raw)
                 if raw.isspace():
@@ -146,6 +169,7 @@ class TranscriptCache:
                         f"already loaded with a different completion")
                 good_end, newline = offset, raw.endswith(b"\n")
                 tail.clear()
+        memo.drop_json()  # record shares the heads, never their JSON
         if torn is not None or not newline:
             self._resume = (good_end, b"".join(tail))
         if torn is not None:
@@ -159,18 +183,19 @@ class TranscriptCache:
         ``shared`` is the ``(head, state)`` cut out of the line, so that
         ``entry["prompt"]`` holds only the rest; otherwise ``memo`` splits
         the whole prompt, and ``entry`` keeps the rest. ``known_params`` maps
-        each params dict's fields, each with its type, to the params built
-        from them.
+        the ``repr`` of each params dict loaded to the first dict with it,
+        which ``entry`` then holds, and the params built from it.
         """
         try:
             stored = entry["params"]
-            fields = (stored["temperature"], stored["nucleus"], stored["max_tokens"],
-                      tuple(stored["stop"]))
-            # 0 == 0.0 == False, but each dumps, and so hashes, apart.
-            typed = tuple((type(value), value) for value in (*fields[:3], *fields[3]))
-            params = known_params.get(typed)
-            if params is None:
-                params = known_params[typed] = CompletionParams(*fields)
+            key = repr(stored)
+            known = known_params.get(key)
+            if known is None:
+                fields = (stored["temperature"], stored["nucleus"], stored["max_tokens"],
+                          tuple(stored["stop"]))
+                hash(fields)  # a list or an object among the stop strings is malformed
+                known = known_params[key] = stored, CompletionParams(*fields)
+            entry["params"], params = known
             prompt, digest, completion = entry["prompt"], entry["digest"], entry["completion"]
             if not isinstance(prompt, str):
                 raise TypeError(f"prompt is {prompt!r}")
@@ -194,18 +219,23 @@ class TranscriptCache:
         return len(self._entries)
 
     def lookup(self, digest: str) -> dict | None:
-        """The entry held under ``digest``, as a fresh dict equal to its
-        line's JSON, whole prompt included; None when there is none."""
+        """The entry held under ``digest``, as a fresh copy equal to its
+        line's JSON, whole prompt included, that shares no dict or list with
+        the cache or with another result; None when there is none."""
         held = self._entries.get(digest)
         if held is None:
             return None
         head, entry = held
-        return {**entry, "prompt": head + entry["prompt"]}
+        fresh = _fresh(entry)
+        fresh["prompt"] = head + entry["prompt"]
+        return fresh
 
     def record(self, prompt_text: str, params: CompletionParams,
                completion: str, digest: str | None = None) -> None:
         """Append an entry; ``digest``, when given, is the caller's
-        ``transcript_digest(prompt_text, params)``, so it is not hashed again."""
+        ``transcript_digest(prompt_text, params)``, so it is not hashed again.
+        The entry is held with its prompt's head shared with the entries
+        held already, and with one params dict per ``params.sorted_json``."""
         if digest is None:
             digest = transcript_digest(prompt_text, params)
         with self._lock:
@@ -219,7 +249,7 @@ class TranscriptCache:
             entry = {
                 "digest": digest,
                 "prompt": prompt_text,
-                "params": params.to_dict(),
+                "params": self._params.setdefault(params.sorted_json, params.to_dict()),
                 "completion": completion,
                 "recorded_at": datetime.now(timezone.utc).isoformat(),
             }
@@ -235,7 +265,9 @@ class TranscriptCache:
             except OSError as exc:
                 raise BackendError(
                     f"cannot write transcript cache {self.path}: {exc.strerror}") from exc
-            self._entries[digest] = ("", entry)
+            head = self._heads.share(prompt_text)
+            entry["prompt"] = prompt_text[len(head):]
+            self._entries[digest] = (head, entry)
 
     def _mend(self, handle) -> None:
         """Make the file end with a complete line before the first append.

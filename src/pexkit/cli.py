@@ -5,7 +5,10 @@ Subcommands: ``import`` (raw annotations -> canonical corpus), ``prompt``
 ``evaluate`` (score a saved world model), ``run-suite`` (all documents x
 settings plus the result table).
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend error.
+Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
+error, 130 interrupted (Ctrl-C). An interrupted command prints one line and no
+traceback; under ``--record`` the answers recorded so far stay in the cache,
+so re-running the same command resumes.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command Ctrl-C ended
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,6 +276,13 @@ def main(argv=None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except KeyboardInterrupt:
+        if getattr(args, "record", False):
+            print(f"interrupted: the answers recorded so far stay in {args.cache}; "
+                  f"re-running the same command resumes", file=sys.stderr)
+        else:
+            print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (CorpusError, ModelError, PromptError, PexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

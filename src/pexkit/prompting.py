@@ -226,40 +226,64 @@ class HeadMemo:
     text[len(head):], params, state)`` is ``transcript_digest(text, params)``.
     A head ends after the text's last ``"\\nQ: "``, where ``renderer``
     splits a prompt; a text that holds none has the head ``""`` and the
-    state ``None``. Each distinct head is hashed once and kept, and every
-    later text that starts with it gets that same ``head`` object and state,
-    so a caller can hold the head once for all of them. A head is looked up
-    by its length and its last characters, and a candidate is used only when
-    the text starts with it, so two heads that share that key both get their
-    own state. ``text`` must be a ``str``; a lone surrogate in a new head
-    raises ``UnicodeEncodeError``, as ``transcript_digest`` does.
+    state ``None``. Each distinct head is kept, and every later text that
+    starts with it gets that same ``head`` object, so a caller can hold the
+    head once for all of them. A head is looked up by its length and its last
+    characters, and a candidate is used only when the text starts with it,
+    so two heads that share that key are kept apart. ``share(text)`` returns
+    the head alone, and hashes nothing. A head is hashed once, by the first
+    ``split`` that meets it, and keeps that state. ``text`` must be a
+    ``str``; a lone surrogate in a head ``split`` hashes raises
+    ``UnicodeEncodeError``, as ``transcript_digest`` does.
 
     ``find_json(raw, start)`` finds a head already split at the start of a
-    JSON string's bytes, so that a caller can skip decoding it.
+    JSON string's bytes, so that a caller can skip decoding it; a caller
+    done with JSON calls ``drop_json`` to let go of what it needs.
     """
 
     def __init__(self):
-        self._heads: dict[tuple[int, str], list[tuple[str, object]]] = {}
-        # The same heads, each with its JSON as json.dumps escapes it, keyed
+        # Each head with its state, None until ``split`` hashes it.
+        self._heads: dict[tuple[int, str], list[list]] = {}
+        # The hashed heads, each with its JSON as json.dumps escapes it, keyed
         # by that JSON's length and last bytes.
         self._json_heads: dict[tuple[int, bytes], list[tuple[bytes, str, object]]] = {}
 
+    def share(self, text: str) -> str:
+        """The head ``split(text)`` gives, without hashing it."""
+        held = self._held(text)
+        return "" if held is None else held[0]
+
     def split(self, text: str) -> tuple[str, object]:
+        held = self._held(text)
+        if held is None:
+            return "", None
+        head, state = held
+        if state is None:
+            state = held[1] = hashlib.sha256(head.encode("utf-8"))
+            escaped = json.dumps(head)[1:-1].encode("ascii")
+            self._json_heads.setdefault((len(escaped), escaped[-_HEAD_KEY_CHARS:]), []).append(
+                (escaped, head, state))
+        return head, state
+
+    def _held(self, text: str) -> list | None:
+        """The ``[head, state]`` kept for the head of ``text``, kept now if it
+        is new; None when ``text`` has no head."""
         split = text.rfind(_HEAD_END)
         if split < 0:
-            return "", None
+            return None
         length = split + len(_HEAD_END)
         key = (length, text[max(0, length - _HEAD_KEY_CHARS):length])
-        for head, state in self._heads.get(key, ()):
-            if text.startswith(head):
-                return head, state
-        head = text[:length]
-        state = hashlib.sha256(head.encode("utf-8"))
-        self._heads.setdefault(key, []).append((head, state))
-        escaped = json.dumps(head)[1:-1].encode("ascii")
-        self._json_heads.setdefault((len(escaped), escaped[-_HEAD_KEY_CHARS:]), []).append(
-            (escaped, head, state))
-        return head, state
+        for held in self._heads.get(key, ()):
+            if text.startswith(held[0]):
+                return held
+        held = [text[:length], None]
+        self._heads.setdefault(key, []).append(held)
+        return held
+
+    def drop_json(self) -> None:
+        """Let go of the heads' JSON, which only ``find_json`` reads; it then
+        finds only the heads that ``split`` hashes after this."""
+        self._json_heads = {}
 
     def find_json(self, raw: bytes, start: int) -> tuple[int, tuple[str, object]] | None:
         """Where a head already split ends in ``raw``, with the head and its

@@ -131,6 +131,104 @@ def test_cache_load_holds_a_shared_head_once(tmp_path):
     assert held < 500 * len(head) // 2, held
 
 
+def test_cache_record_holds_a_shared_head_once(tmp_path):
+    """500 entries recorded with prompts that share one 4 kB head hold that
+    head once, as a load does: what recording leaves allocated is far below
+    500 copies of it."""
+    head = "Consider the following process:\n" + "The clerk files the form. " * 156 + "\nQ: "
+    cache = bk.TranscriptCache(tmp_path / "c.jsonl")
+    tracemalloc.start()
+    try:
+        for k in range(500):
+            cache.record(f"{head}question {k}?\nA: ", PARAMS, f"answer {k}")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 500
+    assert held < 500 * len(head) // 2, held
+    text = f"{head}question 7?\nA: "
+    assert cache.lookup(bk.transcript_digest(text, PARAMS))["prompt"] == text
+
+
+def test_cache_holds_one_params_dict_per_distinct_params(tmp_path):
+    """2000 short entries with one params share one params dict, stop list
+    and stop strings: recording them holds under 730 B an entry, and loading
+    them under 1200 B. A params dict of each entry's own, with its stop list,
+    adds about 250 B to a recorded entry, and with its stop strings about
+    700 B to a loaded one."""
+    path = tmp_path / "c.jsonl"
+    cache = bk.TranscriptCache(path)
+    tracemalloc.start()
+    try:
+        for k in range(2000):
+            cache.record(f"question {k}?\nA: ", PARAMS, f"answer {k}")
+        recorded, _ = tracemalloc.get_traced_memory()
+        tracemalloc.clear_traces()
+        loaded = bk.TranscriptCache(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == len(loaded) == 2000
+    assert recorded < 2000 * 730, recorded
+    assert held < 2000 * 1200, held
+
+
+def _params_line(k: int, stored: dict) -> str:
+    """A cache line of the k-th question under ``HEAD``, with the params
+    ``stored`` as given, and the digest of the params they build."""
+    prompt = f"{HEAD}question {k}?\nA: "
+    params = bk.CompletionParams(stored["temperature"], stored["nucleus"],
+                                 stored["max_tokens"], tuple(stored["stop"]))
+    return json.dumps({"digest": bk.transcript_digest(prompt, params), "prompt": prompt,
+                       "params": stored, "completion": f"answer {k}"}) + "\n"
+
+
+def _changing_one_changes_no_other(cache, digests) -> None:
+    """Each ``lookup`` result's params and stop list, changed, change neither
+    the next result of that digest nor another digest's."""
+    before = [json.dumps(cache.lookup(digest)) for digest in digests]
+    for digest in digests:
+        entry = cache.lookup(digest)
+        entry["params"]["temperature"] = 9
+        entry["params"]["stop"].append("changed")
+        entry["params"]["added"] = True
+        assert [json.dumps(cache.lookup(other)) for other in digests] == before
+
+
+def test_cache_lookup_hands_out_copies_of_shared_params(tmp_path):
+    """Loaded lines with one params in two key orders, one with an extra
+    params key, and lines with ``temperature`` 0 and 0.0 each look up as
+    their own line's JSON, key order and number types included; so do
+    recorded entries with params that dump apart. Changing one result's
+    params or stop changes no other result."""
+    path = tmp_path / "c.jsonl"
+    stored = PARAMS.to_dict()
+    variants = [stored, dict(stored), dict(reversed(stored.items())), dict(stored),
+                {**stored, "extra": ["kept"]}, {**stored, "temperature": 0},
+                {**stored, "temperature": 0.0}, {**stored, "temperature": 0}]
+    lines = [_params_line(k, variant) for k, variant in enumerate(variants)]
+    path.write_text("".join(lines))
+    cache = bk.TranscriptCache(path)
+    digests = [json.loads(line)["digest"] for line in lines]
+    assert len(cache) == len(lines)
+    for digest, line in zip(digests, lines):
+        assert json.dumps(cache.lookup(digest)) == json.dumps(json.loads(line))
+    _changing_one_changes_no_other(cache, digests)
+
+    recorded = bk.TranscriptCache(tmp_path / "r.jsonl")
+    texts = [(f"{HEAD}question {k}?\nA: ", params) for k in range(3)
+             for params in (PARAMS, bk.CompletionParams(temperature=0))]
+    for text, params in texts:
+        recorded.record(text, params, "answer")
+    digests = [bk.transcript_digest(text, params) for text, params in texts]
+    for digest, (text, params) in zip(digests, texts):
+        assert json.dumps(recorded.lookup(digest)["params"]) == json.dumps(params.to_dict())
+    _changing_one_changes_no_other(recorded, digests)
+    reloaded = bk.TranscriptCache(tmp_path / "r.jsonl")
+    assert [reloaded.lookup(digest) for digest in digests] == \
+        [recorded.lookup(digest) for digest in digests]
+
+
 def test_cache_append_preserves_entries(tmp_path):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
@@ -277,7 +375,9 @@ def test_cache_loads_heads_that_share_only_their_key(tmp_path):
     '{"digest": "ab", "prompt": 5, "params": {"temperature": 0.0, "nucleus": 1.0, '
     '"max_tokens": 8, "stop": []}, "completion": "c"}',
     '{"digest": "ab", "prompt": "\\ud800 head\\nQ: q\\nA: ", "params": {"temperature": 0.0, '
-    '"nucleus": 1.0, "max_tokens": 8, "stop": []}, "completion": "c"}'])
+    '"nucleus": 1.0, "max_tokens": 8, "stop": []}, "completion": "c"}',
+    '{"digest": "ab", "prompt": "p", "params": {"temperature": 0.0, "nucleus": 1.0, '
+    '"max_tokens": 8, "stop": [["Q:"]]}, "completion": "c"}'])
 def test_cache_corrupt_line_mid_file(tmp_path, bad):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pexkit import cli
+from pexkit.backend import OracleBackend, TranscriptCache
 from pexkit.corpus import EVALUATION_IDS, SHOT_IDS
 
 
@@ -633,3 +634,57 @@ def test_any_json_in_an_input_file_gets_an_exit_code(valid_inputs, command, data
             code = cli.main([arg.format(**paths) for arg in argv])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_ctrl_c_exits_130_and_a_rerun_resumes(tmp_path, monkeypatch, capsys, width):
+    """A Ctrl-C part-way through a recording, raised on the calling thread
+    (width 1) or on a worker thread (width 8), ends the command with one
+    line and exit code 130, and no traceback. The cache keeps what was
+    recorded, and re-running the same command asks only the prompts it
+    misses and writes the reports an uninterrupted run writes."""
+    asked = []
+    interrupt_at = [100]
+    lock = threading.Lock()
+
+    class Interrupting(OracleBackend):
+        """The oracle at width ``width``, with a Ctrl-C at the call ``interrupt_at``."""
+        max_concurrency = width
+
+        def complete(self, prompt, params):
+            with lock:
+                asked.append(prompt.digest)
+                if len(asked) in interrupt_at:
+                    raise KeyboardInterrupt
+            return super().complete(prompt, params)
+
+    monkeypatch.setattr(cli, "OracleBackend", Interrupting)
+    cache = tmp_path / "c.jsonl"
+    argv = ["run-suite", "--backend", "oracle", "--record", "--cache", str(cache),
+            "--settings", "raw,defs+2shots", "--outdir", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 130
+    assert err == (f"interrupted: the answers recorded so far stay in {cache}; "
+                   f"re-running the same command resumes\n")
+    kept = len(TranscriptCache(cache))
+    assert (kept == 99) if width == 1 else (99 <= kept < 734)
+    asked.clear()
+    interrupt_at.clear()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(asked) == 734 - kept
+    assert len(TranscriptCache(cache)) == 734
+    assert run_cli(capsys, "run-suite", "--settings", "raw,defs+2shots",
+                   "--outdir", str(tmp_path / "whole"))[0] == 0
+    for report in ("report.csv", "report.json"):
+        assert (tmp_path / "out" / report).read_bytes() == \
+            (tmp_path / "whole" / report).read_bytes()
+
+
+def test_ctrl_c_without_a_cache_exits_130(tmp_path, monkeypatch, capsys):
+    def interrupt(self, prompt, params):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(OracleBackend, "complete", interrupt)
+    code, out, err = run_cli(capsys, "run-suite", "--settings", "raw",
+                             "--outdir", str(tmp_path / "out"))
+    assert (code, out, err) == (130, "", "interrupted\n")

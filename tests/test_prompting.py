@@ -300,3 +300,46 @@ def test_head_memo_gives_each_text_its_shared_head_and_state(heads, lines):
         escaped = json.dumps(text).encode("ascii")
         assert memo.find_json(escaped, 1) == (
             (len(json.dumps(head)) - 1, (head, state)) if head else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(heads=st.lists(_text, min_size=1, max_size=3),
+       lines=st.lists(st.tuples(st.integers(0, 9), _text, st.booleans()), min_size=1,
+                      max_size=12))
+def test_head_memo_shares_a_head_before_it_hashes_it(heads, lines):
+    """``share`` gives each text the head ``split`` would, one object for
+    every text with that head, whichever of the two meets it first; it
+    hashes nothing, so ``find_json`` finds only a head that ``split`` has
+    met. ``split`` hashes each head once, also one that ``share`` met first,
+    and its state gives the text's ``transcript_digest``. ``drop_json``
+    lets go of the heads' JSON, and of nothing else."""
+    common = "活" * 64 + "\nQ: "
+    stems = [""]
+    for head in heads:
+        stems += [head, "a" + head + common, "é" + head + common]
+    memo = prompting.HeadMemo()
+    held, states = {}, {}
+    params = default_params(prompting.Q3)
+    for stem, rest, hashed in lines:
+        text = stems[stem % len(stems)] + rest
+        if hashed:
+            head, state = memo.split(text)
+            assert states.setdefault(head, state) is state
+            assert transcript_digest(text[len(head):], params, state) == \
+                transcript_digest(text, params)
+        else:
+            head = memo.share(text)
+        assert head == text[:text.rfind("\nQ: ") + 4] if "\nQ: " in text else head == ""
+        assert held.setdefault(head, head) is head
+        found = memo.find_json(json.dumps(text).encode("ascii"), 1)
+        assert (found is not None) == (head != "" and head in states)
+    # Once its JSON is dropped, the memo finds no head in JSON, and still
+    # gives each text its held head and state.
+    memo.drop_json()
+    for stem, rest, _ in lines:
+        text = stems[stem % len(stems)] + rest
+        head = memo.share(text)
+        assert held[head] is head
+        if head in states:
+            assert memo.split(text) == (head, states[head])
+        assert memo.find_json(json.dumps(text).encode("ascii"), 1) is None
