@@ -72,16 +72,6 @@ def _cut_head(raw: bytes, memo: HeadMemo) -> tuple[int, tuple | None]:
     return found
 
 
-def _fresh(value: dict | list) -> dict | list:
-    """A copy of a decoded JSON object or array that shares no object or
-    array with it."""
-    value = value.copy()
-    for key, item in value.items() if type(value) is dict else enumerate(value):
-        if type(item) is dict or type(item) is list:
-            value[key] = _fresh(item)
-    return value
-
-
 class TranscriptCache:
     """Append-only JSONL store of prompt -> completion transcripts.
 
@@ -90,24 +80,19 @@ class TranscriptCache:
     with another completion is a ``CacheConflictError`` too; an identical
     repeat loads, and the first entry is kept, as ``record`` keeps it.
 
-    A load decodes, hashes and holds each distinct prompt head once
+    Each entry is held as a tuple of its prompt's head, the rest of its
+    prompt and its completion: its params and ``recorded_at`` are checked,
+    then dropped, as the digest already keys the prompt with its params. A
+    load decodes, hashes and holds each distinct head once
     (``prompting.HeadMemo``: a prompt up to its last ``"\\nQ: "``), however
     many lines repeat it. A line that starts as ``record`` writes one, whose
     prompt starts with the JSON of a head an earlier line loaded, and in
     which nothing after that head could end a second "prompt" key, is
     decoded with the head cut out of its bytes. Any other line is decoded
-    whole. Either way the entry is held as the shared head and the entry
-    with the rest of its prompt, its digest check hashes only that rest, on
-    a copy of the head's state, and ``lookup`` joins the two again. An entry
-    that ``record`` appends is held the same way, and shares the heads
-    already held, but its head is not hashed: its digest is the caller's.
-
-    Entries share their params too: a load holds one decoded params dict for
-    all the lines whose params decode to an equal ``repr``, which tells
-    ``0``, ``0.0`` and ``False``, extra keys and key order apart, so the
-    shared dict equals each line's own. ``record`` holds one for all the
-    entries whose params have one ``sorted_json``. So ``lookup`` hands out a
-    copy that shares no dict or list with the cache.
+    whole. Either way its digest check hashes only the rest of its prompt,
+    on a copy of the head's state. An entry that ``record`` appends shares
+    the heads already held, but its head is not hashed: its digest is the
+    caller's.
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
@@ -121,14 +106,13 @@ class TranscriptCache:
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        # digest -> (prompt head, the entry with the rest of its prompt)
-        self._entries: dict[str, tuple[str, dict]] = {}
+        # digest -> (prompt head, the rest of the prompt, completion)
+        self._entries: dict[str, tuple[str, str, str]] = {}
         # (end of the last good line, bytes after it) as loaded, when the
         # file does not end with a complete line; the next append mends it.
         self._resume: tuple[int, bytes] | None = None
         self._dir_made = False  # the file's directory, made by the first append
         self._heads = HeadMemo()  # the heads of the entries held
-        self._params: dict[str, dict] = {}  # sorted_json -> the params dict recorded
         if self.path.exists():
             try:
                 self._load()
@@ -142,7 +126,7 @@ class TranscriptCache:
         newline = True
         tail: list[bytes] = []
         memo = self._heads
-        known_params: dict[str, tuple[dict, CompletionParams]] = {}
+        known_params: dict[str, CompletionParams] = {}
         # A 64 KB buffer: with the default 8 KB one, readline takes a slow
         # path on lines of a few KB.
         with self.path.open("rb", buffering=1 << 16) as handle:
@@ -161,11 +145,10 @@ class TranscriptCache:
                     torn = number
                     tail.append(raw)
                     continue
-                head = self._check_entry(entry, number, shared, memo, known_params)
-                kept = self._entries.setdefault(entry["digest"], (head, entry))
-                if kept[1]["completion"] != entry["completion"]:
+                digest, held = self._check_entry(entry, number, shared, memo, known_params)
+                if self._entries.setdefault(digest, held)[2] != held[2]:
                     raise CacheConflictError(
-                        f"{self.path}:{number}: digest {entry['digest'][:12]} is "
+                        f"{self.path}:{number}: digest {digest[:12]} is "
                         f"already loaded with a different completion")
                 good_end, newline = offset, raw.endswith(b"\n")
                 tail.clear()
@@ -176,26 +159,26 @@ class TranscriptCache:
             log.warning("%s:%d: skipping a torn final cache line", self.path, torn)
 
     def _check_entry(self, entry: dict, number: int, shared, memo: HeadMemo,
-                     known_params: dict) -> str:
-        """Check one decoded entry: its fields, and that its digest recomputes
-        from its prompt and params; return the prompt's shared head.
+                     known_params: dict) -> tuple[str, tuple[str, str, str]]:
+        """Check one decoded entry: its fields, params in range, and that its
+        digest recomputes from its prompt and params; return the digest and
+        the entry as held, ``(head, rest of the prompt, completion)``.
 
         ``shared`` is the ``(head, state)`` cut out of the line, so that
         ``entry["prompt"]`` holds only the rest; otherwise ``memo`` splits
-        the whole prompt, and ``entry`` keeps the rest. ``known_params`` maps
-        the ``repr`` of each params dict loaded to the first dict with it,
-        which ``entry`` then holds, and the params built from it.
+        the whole prompt. ``known_params`` maps the ``repr`` of each params
+        dict loaded, which tells ``0``, ``0.0`` and ``False``, extra keys and
+        key order apart, to the params built from the first dict with it.
         """
         try:
             stored = entry["params"]
             key = repr(stored)
-            known = known_params.get(key)
-            if known is None:
+            params = known_params.get(key)
+            if params is None:
                 fields = (stored["temperature"], stored["nucleus"], stored["max_tokens"],
                           tuple(stored["stop"]))
                 hash(fields)  # a list or an object among the stop strings is malformed
-                known = known_params[key] = stored, CompletionParams(*fields)
-            entry["params"], params = known
+                params = known_params[key] = CompletionParams(*fields)  # checks the range
             prompt, digest, completion = entry["prompt"], entry["digest"], entry["completion"]
             if not isinstance(prompt, str):
                 raise TypeError(f"prompt is {prompt!r}")
@@ -203,45 +186,42 @@ class TranscriptCache:
                 raise TypeError(f"completion is {completion!r}")
             head, state = shared or memo.split(prompt)  # a lone surrogate in a new head raises
             if not shared:
-                prompt = entry["prompt"] = prompt[len(head):]
+                prompt = prompt[len(head):]
             expected = transcript_digest(prompt, params, state)  # one in the rest raises here
             completion.encode("utf-8")  # and one in the completion here
-        except (KeyError, TypeError, UnicodeEncodeError) as exc:
+        except (KeyError, TypeError, UnicodeEncodeError, BackendError) as exc:
             raise CacheCorruptError(
                 f"{self.path}:{number}: malformed cache entry: {exc!r}") from exc
         if digest != expected:
             raise CacheConflictError(
                 f"{self.path}:{number}: cache entry digest {str(digest)[:12]} does not "
                 f"recompute from its stored prompt and params")
-        return head
+        return digest, (head, prompt, completion)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, digest: str) -> dict | None:
-        """The entry held under ``digest``, as a fresh copy equal to its
-        line's JSON, whole prompt included, that shares no dict or list with
-        the cache or with another result; None when there is none."""
+        """The entry held under ``digest`` as a new dict of its ``digest``,
+        whole ``prompt`` and ``completion``; None when there is none."""
         held = self._entries.get(digest)
         if held is None:
             return None
-        head, entry = held
-        fresh = _fresh(entry)
-        fresh["prompt"] = head + entry["prompt"]
-        return fresh
+        head, rest, completion = held
+        return {"digest": digest, "prompt": head + rest, "completion": completion}
 
     def record(self, prompt_text: str, params: CompletionParams,
                completion: str, digest: str | None = None) -> None:
         """Append an entry; ``digest``, when given, is the caller's
         ``transcript_digest(prompt_text, params)``, so it is not hashed again.
-        The entry is held with its prompt's head shared with the entries
-        held already, and with one params dict per ``params.sorted_json``."""
+        The line holds the params and the time; the entry is held as a load
+        holds it, with its prompt's head shared with the entries held."""
         if digest is None:
             digest = transcript_digest(prompt_text, params)
         with self._lock:
             existing = self._entries.get(digest)
             if existing is not None:
-                if existing[1]["completion"] != completion:
+                if existing[2] != completion:
                     raise CacheConflictError(
                         f"digest {digest[:12]} already recorded with a "
                         f"different completion")
@@ -249,7 +229,7 @@ class TranscriptCache:
             entry = {
                 "digest": digest,
                 "prompt": prompt_text,
-                "params": self._params.setdefault(params.sorted_json, params.to_dict()),
+                "params": params.to_dict(),
                 "completion": completion,
                 "recorded_at": datetime.now(timezone.utc).isoformat(),
             }
@@ -266,8 +246,7 @@ class TranscriptCache:
                 raise BackendError(
                     f"cannot write transcript cache {self.path}: {exc.strerror}") from exc
             head = self._heads.share(prompt_text)
-            entry["prompt"] = prompt_text[len(head):]
-            self._entries[digest] = (head, entry)
+            self._entries[digest] = (head, prompt_text[len(head):], completion)
 
     def _mend(self, handle) -> None:
         """Make the file end with a complete line before the first append.

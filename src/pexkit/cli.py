@@ -8,7 +8,10 @@ settings plus the result table).
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
 error, 130 interrupted (Ctrl-C). An interrupted command prints one line and no
 traceback; under ``--record`` the answers recorded so far stay in the cache,
-so re-running the same command resumes.
+so re-running the same command resumes. A backend error part-way through a
+dialogue prints one line too, naming the document, setting and activity
+source it stopped at, and for ``run-suite`` where the finished jobs' models
+are.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import json
 import logging
 import sys
 from contextlib import closing
+from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
 from .backend import CachedBackend, LiveBackend, OracleBackend, TranscriptCache
@@ -259,6 +263,22 @@ COMMANDS = {
 }
 
 
+def _resumes(args) -> str:
+    return (f"the answers recorded so far stay in {args.cache}; "
+            f"re-running the same command resumes")
+
+
+def _aborted(args, exc: pipeline.ExtractionAborted) -> str:
+    """The one line of a command that ``exc`` ended."""
+    run = exc.run
+    line = (f"backend error: {exc}; stopped at document {run.doc_id}, setting "
+            f"{run.setting}, activity source {run.activity_source}")
+    if args.command == "run-suite":
+        line += (f"; the models of any jobs before it are in "
+                 f"{Path(args.outdir, 'models')}, and no report was written")
+    return f"{line}; {_resumes(args)}" if args.record else line
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -273,15 +293,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except pipeline.ExtractionAborted as exc:
+        print(_aborted(args, exc), file=sys.stderr)
+        return EXIT_BACKEND
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except KeyboardInterrupt:
-        if getattr(args, "record", False):
-            print(f"interrupted: the answers recorded so far stay in {args.cache}; "
-                  f"re-running the same command resumes", file=sys.stderr)
-        else:
-            print("interrupted", file=sys.stderr)
+        record = getattr(args, "record", False)
+        print(f"interrupted: {_resumes(args)}" if record else "interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except (CorpusError, ModelError, PromptError, PexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,9 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pexkit import cli
+from pexkit import cli, corpus, prompting
 from pexkit.backend import OracleBackend, TranscriptCache
 from pexkit.corpus import EVALUATION_IDS, SHOT_IDS
+from pexkit.errors import BackendError
+
+# synthgen seed 1's document 10.1 with its two shot documents, its noisy
+# answers recorded through the stand-in, and the model and ex scores each
+# recording gave.
+NOISY = Path(__file__).parent / "data" / "noisy"
 
 
 def run_cli(capsys, *argv):
@@ -688,3 +694,73 @@ def test_ctrl_c_without_a_cache_exits_130(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(capsys, "run-suite", "--settings", "raw",
                              "--outdir", str(tmp_path / "out"))
     assert (code, out, err) == (130, "", "interrupted\n")
+
+
+@pytest.mark.parametrize("setting, follows, unknown", [("raw", (5, 1, 3), 1),
+                                                      ("defs+2shots", (5, 3, 3), 2)])
+def test_a_pinned_noisy_recording_replays_to_its_model_and_scores(tmp_path, capsys, setting,
+                                                                  follows, unknown):
+    """A replay of a recording of seeded noisy answers writes the recorded
+    world model, and scoring it writes the recorded ex scores, byte for
+    byte. Its answers miss and add elements, so its scores are not 1.00."""
+    corpus_path, model, scores = NOISY / "corpus.json", tmp_path / "m.json", tmp_path / "s.json"
+    code, out, _ = run_cli(capsys, "extract", "--corpus", str(corpus_path), "--doc", "10.1",
+                           "--setting", setting, "--backend", "replay",
+                           "--cache", str(NOISY / f"{setting}.jsonl"), "--out", str(model))
+    assert code == 0
+    assert f"{unknown} unknown Q3 answers" in out
+    assert model.read_bytes() == (NOISY / f"{setting}-model.json").read_bytes()
+    assert run_cli(capsys, "evaluate", "--corpus", str(corpus_path), "--doc", "10.1",
+                   "--model", str(model), "--mode", "ex", "--out-json", str(scores))[0] == 0
+    assert scores.read_bytes() == (NOISY / f"{setting}-scores.json").read_bytes()
+    row = json.loads(scores.read_text())["-"]["10.1"]["Follows (ex)"]
+    assert (row["tp"], row["fp"], row["fn"]) == follows  # P/R 0.83/0.63 and 0.63/0.63
+
+
+def test_a_backend_error_mid_suite_names_the_job_it_stopped_at(tmp_path, capsys):
+    """A replay of a cache without one line of a middle job exits 3 with one
+    line that names the document, setting and activity source it stopped
+    at, where the earlier jobs' models are, and that no report was written."""
+    cache = tmp_path / "c.jsonl"
+    assert run_cli(capsys, "run-suite", "--backend", "oracle", "--record", "--cache", str(cache),
+                   "--settings", "raw", "--outdir", str(tmp_path / "rec"))[0] == 0
+    doc_id = EVALUATION_IDS[3]
+    doc, _ = corpus.corpus_index(corpus.default_corpus())[doc_id]
+    missing = prompting.render(prompting.Q1, prompting.RAW, doc).digest
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text("".join(line for line in lines if json.loads(line)["digest"] != missing))
+    outdir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run-suite", "--backend", "replay", "--cache", str(cache),
+                           "--settings", "raw", "--outdir", str(outdir))
+    assert code == 3
+    assert err.startswith(f"backend error: transcript cache miss for digest {missing[:12]}")
+    assert err.endswith(f"; stopped at document {doc_id}, setting raw, activity source "
+                        f"extracted; the models of any jobs before it are in "
+                        f"{outdir / 'models'}, and no report was written\n")
+    assert err.count("\n") == 1
+    assert sorted(path.name for path in (outdir / "models").iterdir()) == sorted(
+        f"{d}_raw_{source}.json" for d in EVALUATION_IDS[:3] for source in ("extracted", "gold"))
+    assert not (outdir / "report.csv").exists()
+
+
+def test_a_backend_error_mid_extract_under_record_says_a_rerun_resumes(tmp_path, monkeypatch,
+                                                                       capsys):
+    """A backend error part-way through a recording ends ``extract`` with one
+    line that names where it stopped and says that a re-run resumes; the
+    answer before it stays in the cache."""
+    answer = OracleBackend.complete
+
+    def fail_q2(self, prompt, params):
+        if prompt.question == prompting.Q2:
+            raise BackendError("scripted failure")
+        return answer(self, prompt, params)
+
+    monkeypatch.setattr(OracleBackend, "complete", fail_q2)
+    cache = tmp_path / "c.jsonl"
+    code, _, err = run_cli(capsys, "extract", "--doc", "10.1", "--setting", "raw",
+                           "--backend", "oracle", "--record", "--cache", str(cache),
+                           "--out", str(tmp_path / "m.json"))
+    assert (code, err) == (3, f"backend error: scripted failure; stopped at document 10.1, "
+                              f"setting raw, activity source extracted; the answers recorded "
+                              f"so far stay in {cache}; re-running the same command resumes\n")
+    assert len(TranscriptCache(cache)) == 1
