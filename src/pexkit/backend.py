@@ -324,6 +324,7 @@ class LiveBackend:
             endpoint = urlsplit(base_url.rstrip("/"))
             if endpoint.scheme not in ("http", "https") or not endpoint.hostname:
                 raise ValueError("not an http:// or https:// URL")
+            endpoint.hostname.encode("idna")  # as the resolver will: no empty or long label
             if endpoint.scheme == "https":
                 import ssl
                 kind, options = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
@@ -350,6 +351,9 @@ class LiveBackend:
         api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
             raise BackendError(f"live backend requires an API key ({API_KEY_ENV})")
+        if not all(c == "\t" or " " <= c <= "~" or "\x80" <= c <= "\xff" for c in api_key):
+            raise BackendError(f"{API_KEY_ENV} is not a valid HTTP header value: Latin-1 "
+                               "text with no control character but a tab")
         self._headers = {"Content-Type": "application/json",
                          "Authorization": f"Bearer {api_key}"}
         self.max_concurrency = max_concurrency
@@ -391,7 +395,8 @@ class LiveBackend:
                 if not isinstance(text, str):
                     raise TypeError(f"text is {text!r}")
                 text.encode("utf-8")  # a lone surrogate does not encode
-            except (ValueError, LookupError, TypeError) as exc:  # also a UnicodeEncodeError
+            except (ValueError, LookupError, TypeError,  # also a UnicodeEncodeError
+                    RecursionError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
             return truncate_at_stop(text, params.stop)
         raise BackendError(f"completion retries exhausted: {last_error}")

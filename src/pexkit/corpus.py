@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import CorpusError, ModelError, PexError
-from .worldmodel import index_pairs, normalize_key
+from .worldmodel import follows_pairs, index_pairs, phrases
 
 EVALUATION_IDS = ("1.2", "1.3", "3.3", "5.2", "10.1", "10.6", "10.13")
 SHOT_IDS = ("2.2", "10.9")
@@ -43,29 +43,18 @@ class GoldStandard:
     follows: frozenset[tuple[int, int]]
 
     def validate(self) -> None:
-        for kind, phrases in (("activity surface", self.activities),
-                              ("participant phrase", self.participants)):
-            # The rule ``WorldModel`` keeps: no blank phrase, and no two
-            # phrases with one ``normalize_key``.
-            seen = {}
-            for phrase in phrases:
-                if not phrase.strip():
-                    raise CorpusError(f"document {self.doc_id}: blank {kind} {phrase!r}")
-                key = normalize_key(phrase)
-                if key in seen:
-                    raise CorpusError(f"document {self.doc_id}: duplicate {kind}s "
-                                      f"{seen[key]!r} and {phrase!r}")
-                seen[key] = phrase
-        na, np_ = len(self.activities), len(self.participants)
+        """Check each field, as the list a file holds, with the ``worldmodel``
+        function that keeps its rule for a ``WorldModel`` too (``phrases``,
+        ``index_pairs``, ``follows_pairs``); a break is a ``CorpusError`` naming the document."""
+        na = len(self.activities)
         try:
-            index_pairs(self.performs, "performs", ("participant", np_), ("activity", na))
-            index_pairs(self.follows, "follows", ("activity", na), ("activity", na))
+            phrases(list(self.activities), "activity")
+            phrases(list(self.participants), "participant")
+            index_pairs(list(self.performs), "performs",
+                        ("participant", len(self.participants)), ("activity", na))
+            follows_pairs(list(self.follows), na)
         except ModelError as exc:
             raise CorpusError(f"document {self.doc_id}: {exc}") from exc
-        for src, dst in self.follows:
-            if src == dst:
-                raise CorpusError(
-                    f"document {self.doc_id}: follows pair ({src}, {dst}) is reflexive")
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,8 @@ _TEMPLATE_PARTS = {q: re.split(r"\b([XY])\b", t) for q, t in QUESTION_TEMPLATES.
 
 def instantiate(question: str, x: str | None = None, y: str | None = None) -> str:
     """Fill the X / Y placeholders of a question template verbatim, in one
-    pass. A binding the question takes must be given and not be blank; a
-    binding it does not take must be ``None``."""
+    pass. A binding the question takes must be given, not be blank and
+    encode as UTF-8; a binding it does not take must be ``None``."""
     if question not in _TEMPLATE_PARTS:
         raise PromptError(f"unknown question kind: {question}")
     parts = _TEMPLATE_PARTS[question]
@@ -111,6 +111,8 @@ def instantiate(question: str, x: str | None = None, y: str | None = None) -> st
                 raise PromptError(f"question {question} takes no binding {name}")
         elif value is None or not value.strip():
             raise PromptError(f"question {question} requires a non-blank binding {name}")
+        elif not value.isascii() and re.search("[\ud800-\udfff]", value):  # a lone surrogate
+            raise PromptError(f"question {question} binding {name} {value!r} is not UTF-8 text")
     return "".join(bindings[part] if k % 2 else part for k, part in enumerate(parts))
 
 

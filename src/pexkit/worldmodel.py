@@ -51,20 +51,13 @@ class WorldModel:
         return self._add_phrase("participant", self.participants, surface, prov)
 
     def add_performs(self, participant: int, activity: int, prov) -> None:
-        if not 0 <= participant < len(self.participants):
-            raise ModelError(f"performs participant index {participant} out of range")
-        if not 0 <= activity < len(self.activities):
-            raise ModelError(f"performs activity index {activity} out of range")
-        self.performs.add((participant, activity))
+        self.performs |= index_pairs([(participant, activity)], "performs",
+                                     ("participant", len(self.participants)),
+                                     ("activity", len(self.activities)))
         self.provenance[f"performs:{participant},{activity}"] = tuple(prov)
 
     def add_follows(self, src: int, dst: int, prov) -> None:
-        if src == dst:
-            raise ModelError(f"follows self-loop on activity {src}")
-        for idx in (src, dst):
-            if not 0 <= idx < len(self.activities):
-                raise ModelError(f"follows activity index {idx} out of range")
-        self.follows.add((src, dst))
+        self.follows |= follows_pairs([(src, dst)], len(self.activities))
         self.provenance[f"follows:{src},{dst}"] = tuple(prov)
 
     # -- serialization ------------------------------------------------------
@@ -89,21 +82,15 @@ class WorldModel:
             if not isinstance(doc_id, str) or not doc_id.strip():
                 raise ModelError(f"world-model doc_id {doc_id!r} is not a non-blank string")
             model = cls(doc_id)
-            model.activities = _phrases(data["activities"], "activity")
-            model.participants = _phrases(data["participants"], "participant")
-            n_activities, n_participants = len(model.activities), len(model.participants)
+            model.activities = phrases(data["activities"], "activity")
+            model.participants = phrases(data["participants"], "participant")
             model.performs = index_pairs(data["performs"], "performs",
-                                         ("participant", n_participants),
-                                         ("activity", n_activities))
-            model.follows = index_pairs(data["follows"], "follows",
-                                        ("activity", n_activities),
-                                        ("activity", n_activities))
+                                         ("participant", len(model.participants)),
+                                         ("activity", len(model.activities)))
+            model.follows = follows_pairs(data["follows"], len(model.activities))
             model.provenance = _provenance(data["provenance"], model)
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed world-model JSON: {exc}") from exc
-        for s, d in model.follows:
-            if s == d:
-                raise ModelError(f"follows self-loop on activity {s}")
         return model
 
     def to_dot(self) -> str:
@@ -126,19 +113,21 @@ class WorldModel:
         return self.to_dict() == other.to_dict()
 
 
-def _phrases(items, kind: str) -> list[str]:
-    """``kind`` surfaces as loaded: a list of non-empty strings with distinct
-    ``normalize_key``s, the rule ``add_activity`` and ``add_participant`` keep."""
+def phrases(items, kind: str) -> list[str]:
+    """``kind`` phrases ("activity" or "participant") of a world model or a
+    gold standard: a list of non-blank strings, no two with one
+    ``normalize_key``, the key on which ``add_activity`` and
+    ``add_participant`` take two phrases for one."""
     if not isinstance(items, list):
         raise ModelError(f"{kind} phrases must be a list, not {items!r}")
-    keys = set()
+    seen = {}
     for surface in items:
         if not isinstance(surface, str) or not surface.strip():
             raise ModelError(f"{kind} phrase {surface!r} is not a non-empty string")
         key = normalize_key(surface)
-        if key in keys:
-            raise ModelError(f"duplicate {kind} phrase {surface!r}")
-        keys.add(key)
+        if key in seen:
+            raise ModelError(f"duplicate {kind} phrases {seen[key]!r} and {surface!r}")
+        seen[key] = surface
     return list(items)
 
 
@@ -165,9 +154,11 @@ def _provenance(items, model: WorldModel) -> dict[str, tuple[str, ...]]:
 
 
 def index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:
-    """``kind`` edges as a set of pairs of in-range ``int`` indices, the rule
-    for world models and gold standards alike; ``first`` and ``second`` give
-    each position's element name and element count, which bounds its index."""
+    """``kind`` edges of a world model or a gold standard: a list of pairs
+    of in-range ``int`` indices, returned as a set; ``first`` and ``second``
+    give each position's element name and count, which bounds its index."""
+    if not isinstance(pairs, list):
+        raise ModelError(f"{kind} is a {type(pairs).__name__}, not a list")
     out = set()
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -177,6 +168,16 @@ def index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:
                 raise ModelError(f"{kind} {name} index {idx!r} out of range "
                                  f"(undeclared {name})")
         out.add(tuple(pair))
+    return out
+
+
+def follows_pairs(pairs, n_activities: int) -> set[tuple[int, int]]:
+    """Directly-follows edges: ``index_pairs`` between two activities, none
+    from an activity to itself."""
+    out = index_pairs(pairs, "follows", ("activity", n_activities), ("activity", n_activities))
+    for src, dst in out:
+        if src == dst:
+            raise ModelError(f"follows pair ({src}, {dst}) is reflexive")
     return out
 
 

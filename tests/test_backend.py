@@ -584,7 +584,7 @@ class LoopbackHandler(http.server.BaseHTTPRequestHandler):
         return json.loads(self.rfile.read(int(self.headers["Content-Length"])))
 
     def answer(self, status, headers, payload):
-        body = json.dumps(payload).encode()
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         for name, value in {"Content-Type": "application/json", **headers}.items():
             self.send_header(name, value)
@@ -739,7 +739,8 @@ def test_live_backend_honours_retry_after(loopback, api_key, sleeps):
 
 @pytest.mark.parametrize("payload", [[], {"choices": "x"}, {"choices": [{"text": None}]},
                                      {"choices": [{"text": 5}]},
-                                     {"choices": [{"text": "a lone \ud800"}]}])
+                                     {"choices": [{"text": "a lone \ud800"}]},
+                                     pytest.param(b"[" * 200000, id="nested-too-deep")])
 def test_live_backend_malformed_response_is_a_backend_error(loopback, api_key, sleeps,
                                                             payload):
     server = loopback(script=[(200, {}, payload)])
@@ -753,10 +754,19 @@ def test_live_backend_malformed_response_is_a_backend_error(loopback, api_key, s
 
 @pytest.mark.parametrize("endpoint", ["ftp://x", "localhost:8080/v1", "http:///v1",
                                       "http://x:port/v1", "http://[::1/v1",
-                                      "http://two words/v1"])
+                                      "http://two words/v1",
+                                      f"http://{'a' * 64}.example/v1", "http://a..b/v1"])
 def test_live_backend_rejects_a_non_http_endpoint(api_key, endpoint):
     with pytest.raises(BackendError, match="endpoint"):
         bk.LiveBackend(endpoint, "engine")
+
+
+@pytest.mark.parametrize("key", ["sk-secret\n", "\u043a\u043b\u044e\u0447"])
+def test_live_backend_rejects_a_key_that_is_not_a_header_value(monkeypatch, key):
+    monkeypatch.setenv(bk.API_KEY_ENV, key)
+    with pytest.raises(BackendError, match=f"{bk.API_KEY_ENV} is not a valid HTTP header") as exc:
+        bk.LiveBackend("http://127.0.0.1:9/v1", "engine")
+    assert key.strip() not in str(exc.value)
 
 
 def ask_all(live, texts, width):

@@ -69,6 +69,17 @@ def test_prompt_rejects_a_binding_the_question_does_not_take(capsys, question, b
     assert f"takes no binding {unused}" in err
 
 
+@pytest.mark.parametrize("question, bindings, name", [
+    ("q2", ["--x", "\udcff"], "X"), ("q3", ["--x", "receives the order", "--y", "a\udcffb"], "Y")])
+def test_prompt_rejects_a_binding_that_is_not_utf8(capsys, question, bindings, name):
+    """A byte of argv that is not UTF-8 reaches Python as a lone surrogate."""
+    code, out, err = run_cli(capsys, "prompt", "--question", question,
+                             "--setting", "raw", "--doc", "10.1", *bindings)
+    assert code == 2
+    assert out == ""
+    assert f"binding {name} " in err and "is not UTF-8 text" in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1
@@ -150,6 +161,20 @@ def test_evaluate_rejects_malformed_phrase_list(tmp_path, capsys, mode, activiti
     assert out == ""
     assert "Traceback" not in err
     assert not scores.exists()
+
+
+@pytest.mark.parametrize("key, value", [("performs", {}), ("follows", "")])
+def test_evaluate_rejects_edges_that_are_not_a_list(tmp_path, capsys, key, value):
+    """The shapes a corpus's gold rejects, a world-model file rejects too."""
+    model = {"doc_id": "10.1", "activities": ["check stock"], "participants": [],
+             "performs": [], "follows": [], "provenance": {}}
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({**model, key: value}))
+    code, out, err = run_cli(capsys, "evaluate", "--doc", "10.1", "--model", str(model_path))
+    assert code == 2
+    assert f"{key} is a {type(value).__name__}, not a list" in err
+    assert out == ""
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("settings, message", [

@@ -193,17 +193,19 @@ BAD_RECORD = {
     "activities-dict": ({"activities": {}}, "activities is a dict, not a list"),
     "performs-dict": ({"performs": {}}, "performs is a dict, not a list"),
     "follows-dict": ({"follows": {}}, "follows is a dict, not a list"),
-    "participant-space": ({"participants": [" "]}, "blank participant"),
-    "participant-empty": ({"participants": [""]}, "blank participant"),
+    "participant-space": ({"participants": [" "]},
+                          "document x: participant phrase ' ' is not a non-empty string"),
+    "participant-empty": ({"participants": [""]},
+                          "document x: participant phrase '' is not a non-empty string"),
     "activity-whitespace": ({"activities": [{"surface": "\t\n", "index": 0}]},
-                            "blank activity"),
+                            r"document x: activity phrase '\\t\\n' is not a non-empty string"),
     # Phrases that ``WorldModel`` would take for one (one ``normalize_key``).
     "activity-case": ({"activities": [{"surface": "files it", "index": 0},
                                       {"surface": "Files It", "index": 0}]},
-                      "document x: duplicate activity surfaces 'files it' and 'Files It'"),
+                      "document x: duplicate activity phrases 'files it' and 'Files It'"),
     "activity-spacing": ({"activities": [{"surface": "files it", "index": 0},
                                          {"surface": " files  it", "index": 0}]},
-                         "document x: duplicate activity surfaces 'files it' and ' files  it'"),
+                         "document x: duplicate activity phrases 'files it' and ' files  it'"),
     "participant-case": ({"participants": ["a clerk", "the boss", "A CLERK"]},
                          "document x: duplicate participant phrases 'a clerk' and 'A CLERK'"),
 }

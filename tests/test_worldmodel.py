@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pexkit.errors import ModelError
+from pexkit import corpus
+from pexkit.errors import CorpusError, ModelError
 from pexkit.worldmodel import WorldModel, normalize_key
 
 PROV = ("q1", "deadbeef")
@@ -159,6 +160,9 @@ def test_roundtrip_property(surfaces):
     ("provenance", {"activity:0": ["q9", "-"]}, r"a kind of q1, q2, q3, gold"),
     ("provenance", {"activity:0": ["q9", "not a digest", "extra"]}, r"\[kind, digest\]"),
     ("provenance", {"activity:0": ["q1", " "]}, "a non-blank digest"),
+    # The shapes a corpus's gold rejects.
+    ("performs", {}, "performs is a dict, not a list"),
+    ("follows", "", "follows is a str, not a list"),
 ])
 def test_from_dict_checks_edge_indices(key, pairs, message):
     data = model_with(["a", "b"], ["p"]).to_dict()
@@ -174,3 +178,27 @@ def test_from_dict_takes_a_model_with_no_provenance():
     data = {**m.to_dict(), "provenance": {}}
     assert WorldModel.from_dict(data).follows == {(0, 1)}
     assert WorldModel.from_dict(m.to_dict()) == m
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("follows", [[1, 1]], r"follows pair \(1, 1\) is reflexive"),
+    ("performs", [[1, 0]],
+     r"performs participant index 1 out of range \(undeclared participant\)"),
+    ("activities", ["a", " A"], "duplicate activity phrases 'a' and ' A'"),
+], ids=["self-loop", "undeclared-participant", "duplicate-phrases"])
+def test_a_model_and_a_gold_standard_break_a_rule_in_one_wording(tmp_path, key, value, message):
+    """``add_*``, ``from_dict`` and the corpus loader share one check per
+    rule, so one break reads the same through each."""
+    model = model_with(["a", "b"], ["p"])
+    if key != "activities":
+        with pytest.raises(ModelError, match=message):
+            getattr(model, f"add_{key}")(*value[0], PROV)
+    with pytest.raises(ModelError, match=message):
+        WorldModel.from_dict({**model.to_dict(), key: value})
+    gold = {"activities": [{"surface": s, "index": 0} for s in model.activities],
+            "participants": model.participants, "performs": [], "follows": []}
+    gold[key] = [{"surface": s, "index": 0} for s in value] if key == "activities" else value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([{"id": "t", "body": "a b", "gold": gold}]))
+    with pytest.raises(CorpusError, match="document t: " + message):
+        corpus.load_corpus(path)
