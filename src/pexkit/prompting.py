@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import corpus
 from .errors import BackendError, PromptError
@@ -93,27 +94,41 @@ def setting_has_shots(setting: str) -> bool:
     return setting in (SHOTS2, DEFS_SHOTS2)
 
 
-# Each template split around its placeholders: text, "X", text[, "Y", text].
-_TEMPLATE_PARTS = {q: re.split(r"\b([XY])\b", t) for q, t in QUESTION_TEMPLATES.items()}
+def _compile_template(template: str) -> tuple[str, frozenset]:
+    """A question template as a ``str.format`` string whose fields ``{0}``
+    and ``{1}`` stand for X and Y, with the placeholders it takes."""
+    parts = re.split(r"\b([XY])\b", template.replace("{", "{{").replace("}", "}}"))
+    return ("".join("{%d}" % "XY".index(part) if k % 2 else part
+                    for k, part in enumerate(parts)),
+            frozenset(parts[1::2]))
+
+
+_TEMPLATES = {q: _compile_template(t) for q, t in QUESTION_TEMPLATES.items()}
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def instantiate(question: str, x: str | None = None, y: str | None = None) -> str:
-    """Fill the X / Y placeholders of a question template verbatim, in one
-    pass. A binding the question takes must be given, not be blank and
-    encode as UTF-8; a binding it does not take must be ``None``."""
-    if question not in _TEMPLATE_PARTS:
+    """Fill the X / Y placeholders of a question template verbatim, with
+    the template's text and placeholders split out once at import. A
+    binding the question takes must be given, not be blank and encode as
+    UTF-8; a binding it does not take must be ``None``."""
+    template = _TEMPLATES.get(question)
+    if template is None:
         raise PromptError(f"unknown question kind: {question}")
-    parts = _TEMPLATE_PARTS[question]
-    bindings = {"X": x, "Y": y}
-    for name, value in bindings.items():
-        if name not in parts[1::2]:
-            if value is not None:
-                raise PromptError(f"question {question} takes no binding {name}")
-        elif value is None or not value.strip():
-            raise PromptError(f"question {question} requires a non-blank binding {name}")
-        elif not value.isascii() and re.search("[\ud800-\udfff]", value):  # a lone surrogate
-            raise PromptError(f"question {question} binding {name} {value!r} is not UTF-8 text")
-    return "".join(bindings[part] if k % 2 else part for k, part in enumerate(parts))
+    text, takes = template
+    _check_binding(question, takes, "X", x)
+    _check_binding(question, takes, "Y", y)
+    return text.format(x, y)
+
+
+def _check_binding(question: str, takes: frozenset, name: str, value) -> None:
+    if name not in takes:
+        if value is not None:
+            raise PromptError(f"question {question} takes no binding {name}")
+    elif value is None or not value.strip():
+        raise PromptError(f"question {question} requires a non-blank binding {name}")
+    elif not value.isascii() and _SURROGATE.search(value):  # a lone surrogate
+        raise PromptError(f"question {question} binding {name} {value!r} is not UTF-8 text")
 
 
 @dataclass(frozen=True)
@@ -302,8 +317,12 @@ class HeadMemo:
         return None
 
 
-@dataclass(frozen=True)
-class Prompt:
+class Prompt(NamedTuple):
+    """One rendered prompt, immutable. A named tuple, since ``renderer``
+    builds one per question and a frozen dataclass costs several times as
+    much to build; it is built positionally or by name, and, being a tuple,
+    also unpacks and equals a tuple of its fields."""
+
     text: str
     question: str
     setting: str
@@ -320,7 +339,9 @@ def renderer(question: str, setting: str, doc: corpus.Document,
     prompts' shared head, up to the target block's ``"Q: "``, and hashes it
     once, and returns the function of ``(x, y)`` that renders each prompt of
     the batch, with the question's params and its digest, which hashes only
-    the prompt's own question line."""
+    the prompt's own question line. A prompt then costs ``instantiate``'s
+    check and format, one concatenation with the head, that hash and a
+    ``Prompt`` tuple."""
     if question not in QUESTION_KINDS:
         raise PromptError(f"unknown question kind: {question}")
     if setting not in SETTINGS:

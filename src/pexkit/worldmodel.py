@@ -5,8 +5,9 @@ with per-element provenance, and serializes to canonical JSON or dot.
 """
 from __future__ import annotations
 
-import json
+import functools
 import re
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import ModelError
 
@@ -17,8 +18,14 @@ _WS = re.compile(r"\s+")
 _PROVENANCE_KINDS = ("q1", "q2", "q3", "gold")
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize_key(surface: str) -> str:
-    """Duplicate detection key: case-fold and collapse internal whitespace."""
+    """Duplicate detection key: case-fold and collapse internal whitespace.
+
+    Memoized, bounded: a run keys the same few phrases again and again, as
+    the oracle looks each binding up and ``add_*`` compares each new phrase
+    with those held. ``surface`` must be hashable; ``__wrapped__`` is the
+    function unmemoized."""
     return _WS.sub(" ", surface.strip()).casefold()
 
 
@@ -33,9 +40,7 @@ class WorldModel:
         self.provenance: dict[str, tuple[str, str]] = {}
 
     def _add_phrase(self, kind: str, items: list[str], surface: str, prov) -> int:
-        if not surface or not surface.strip():
-            raise ModelError(f"empty {kind} surface")
-        key = normalize_key(surface)
+        key = normalize_key(_phrase(surface, kind))
         for i, existing in enumerate(items):
             if normalize_key(existing) == key:
                 return i
@@ -51,13 +56,15 @@ class WorldModel:
         return self._add_phrase("participant", self.participants, surface, prov)
 
     def add_performs(self, participant: int, activity: int, prov) -> None:
-        self.performs |= index_pairs([(participant, activity)], "performs",
-                                     ("participant", len(self.participants)),
-                                     ("activity", len(self.activities)))
+        self.performs.add(_index_pair((participant, activity), "performs",
+                                      "participant", len(self.participants),
+                                      "activity", len(self.activities)))
         self.provenance[f"performs:{participant},{activity}"] = tuple(prov)
 
     def add_follows(self, src: int, dst: int, prov) -> None:
-        self.follows |= follows_pairs([(src, dst)], len(self.activities))
+        n = len(self.activities)
+        self.follows.add(_irreflexive(_index_pair((src, dst), "follows",
+                                                  "activity", n, "activity", n)))
         self.provenance[f"follows:{src},{dst}"] = tuple(prov)
 
     # -- serialization ------------------------------------------------------
@@ -73,7 +80,27 @@ class WorldModel:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\\n"``,
+        byte for byte, written for the model's fixed shape: with ``indent``,
+        ``json.dumps`` takes CPython's pure-Python encoder, so this writes
+        the layout itself and escapes each string with the C function that
+        ``json.dumps`` uses for strings. It holds for the shape ``add_*``
+        and ``from_dict`` keep: string phrases, doc id and provenance, and
+        ``int`` index pairs."""
+        pairs = "[\n      {},\n      {}\n    ]".format
+        provenance = [f"{_json_string(key)}: " + _json_block(
+                          "[]", [_json_string(item) for item in value], "    ")
+                      for key, value in sorted(self.provenance.items())]
+        return (f'{{\n  "activities": '
+                f'{_json_block("[]", [_json_string(a) for a in self.activities], "  ")},\n'
+                f'  "doc_id": {_json_string(self.doc_id)},\n'
+                f'  "follows": '
+                f'{_json_block("[]", [pairs(s, d) for s, d in sorted(self.follows)], "  ")},\n'
+                f'  "participants": '
+                f'{_json_block("[]", [_json_string(p) for p in self.participants], "  ")},\n'
+                f'  "performs": '
+                f'{_json_block("[]", [pairs(p, a) for p, a in sorted(self.performs)], "  ")},\n'
+                f'  "provenance": {_json_block("{}", provenance, "  ")}\n}}\n')
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorldModel":
@@ -122,13 +149,18 @@ def phrases(items, kind: str) -> list[str]:
         raise ModelError(f"{kind} phrases must be a list, not {items!r}")
     seen = {}
     for surface in items:
-        if not isinstance(surface, str) or not surface.strip():
-            raise ModelError(f"{kind} phrase {surface!r} is not a non-empty string")
-        key = normalize_key(surface)
+        key = normalize_key(_phrase(surface, kind))
         if key in seen:
             raise ModelError(f"duplicate {kind} phrases {seen[key]!r} and {surface!r}")
         seen[key] = surface
     return list(items)
+
+
+def _phrase(surface, kind: str) -> str:
+    """``surface``, when it is a ``kind`` phrase: a non-blank string."""
+    if not isinstance(surface, str) or not surface.strip():
+        raise ModelError(f"{kind} phrase {surface!r} is not a non-empty string")
+    return surface
 
 
 def _provenance(items, model: WorldModel) -> dict[str, tuple[str, ...]]:
@@ -159,26 +191,46 @@ def index_pairs(pairs, kind: str, first, second) -> set[tuple[int, int]]:
     give each position's element name and count, which bounds its index."""
     if not isinstance(pairs, list):
         raise ModelError(f"{kind} is a {type(pairs).__name__}, not a list")
-    out = set()
-    for pair in pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ModelError(f"{kind} entry {pair!r} is not a pair of indices")
-        for idx, (name, count) in zip(pair, (first, second)):
-            if type(idx) is not int or not 0 <= idx < count:
-                raise ModelError(f"{kind} {name} index {idx!r} out of range "
-                                 f"(undeclared {name})")
-        out.add(tuple(pair))
-    return out
+    return {_index_pair(pair, kind, *first, *second) for pair in pairs}
+
+
+def _index_pair(pair, kind: str, first: str, n_first: int, second: str,
+                n_second: int) -> tuple[int, int]:
+    """One ``index_pairs`` entry, checked, as a tuple."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ModelError(f"{kind} entry {pair!r} is not a pair of indices")
+    a, b = pair
+    for idx, name, count in ((a, first, n_first), (b, second, n_second)):
+        if type(idx) is not int or not 0 <= idx < count:
+            raise ModelError(f"{kind} {name} index {idx!r} out of range "
+                             f"(undeclared {name})")
+    return a, b
 
 
 def follows_pairs(pairs, n_activities: int) -> set[tuple[int, int]]:
     """Directly-follows edges: ``index_pairs`` between two activities, none
     from an activity to itself."""
     out = index_pairs(pairs, "follows", ("activity", n_activities), ("activity", n_activities))
-    for src, dst in out:
-        if src == dst:
-            raise ModelError(f"follows pair ({src}, {dst}) is reflexive")
+    for pair in out:
+        _irreflexive(pair)
     return out
+
+
+def _irreflexive(pair: tuple[int, int]) -> tuple[int, int]:
+    """``pair``, when it is a directly-follows edge: not a self-loop."""
+    if pair[0] == pair[1]:
+        raise ModelError(f"follows pair ({pair[0]}, {pair[1]}) is reflexive")
+    return pair
+
+
+def _json_block(brackets: str, items: list[str], indent: str) -> str:
+    """A JSON list or object, ``brackets`` ``"[]"`` or ``"{}"``, of items
+    already written, laid out as ``json.dumps`` does at ``indent=2`` at a
+    depth whose indent is ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _dot_escape(text: str) -> str:

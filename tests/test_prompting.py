@@ -264,6 +264,39 @@ def test_recorded_oracle_suite_prompts_match_the_fingerprint(tmp_path, capsys):
         "b73efe54bcb7c4527ba3e6b1e922ac6bf6ae042b091e47f38d24e6e50bd0fa23"
 
 
+def test_a_prompt_is_immutable_and_builds_positionally():
+    """A ``Prompt`` keeps its fields, in their order, built positionally or
+    by name, and refuses assignment."""
+    params = default_params(Q2)
+    digest = transcript_digest("t", params)
+    prompt = prompting.Prompt("t", Q2, RAW, "10.1", "x", None, params, digest)
+    assert prompt == prompting.Prompt(text="t", question=Q2, setting=RAW, doc_id="10.1",
+                                      x="x", y=None, params=params, digest=digest)
+    assert prompting.Prompt._fields == ("text", "question", "setting", "doc_id", "x", "y",
+                                        "params", "digest")
+    for field in prompting.Prompt._fields:
+        with pytest.raises(AttributeError):
+            setattr(prompt, field, "changed")
+    with pytest.raises(AttributeError):
+        prompt.extra = 1
+    assert prompt.text == "t" and prompt.digest == digest
+
+
+def test_oracle_suite_model_files_match_the_fingerprint(tmp_path, capsys):
+    """The names and bytes of every model file of an oracle run-suite over
+    all settings: a change to how any model is built or written changes the
+    fingerprint."""
+    assert cli.main(["run-suite", "--backend", "oracle", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    models = sorted((tmp_path / "models").glob("*.json"))
+    assert len(models) == 56
+    fingerprint = hashlib.sha256()
+    for path in models:
+        fingerprint.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert fingerprint.hexdigest() == \
+        "dc4506e5c254005f5ebbe2bf0640b29fbdc82436afa7473b58949ad64e9c86f9"
+
+
 # Pieces of prompt text: the renderer's split point, near misses of it, and
 # non-ASCII characters of each width, to sit next to the split.
 _text_piece = st.sampled_from(["\nQ: ", "Q: ", "\n", "\nA: ", "é", "活動", "\U0001f600", "x"])

@@ -1,14 +1,16 @@
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pexkit import corpus
 from pexkit.errors import CorpusError, ModelError
-from pexkit.worldmodel import WorldModel, normalize_key
+from pexkit.worldmodel import _PROVENANCE_KINDS, WorldModel, normalize_key
 
 PROV = ("q1", "deadbeef")
+PLURAL = {"activity": "activities", "participant": "participants"}
 
 
 def model_with(activities=(), participants=()):
@@ -36,6 +38,19 @@ def test_add_activity_normalized_duplicate():
 def test_add_activity_empty_rejected():
     with pytest.raises(ModelError):
         model_with().add_activity("", PROV)
+
+
+@pytest.mark.parametrize("kind", ["activity", "participant"])
+@pytest.mark.parametrize("surface", [" ", "", "\t\n", 5, None, ["a"], {"a": 1}])
+def test_add_phrase_checks_a_phrase_as_phrases_does(kind, surface):
+    """``add_activity`` and ``add_participant`` refuse what ``from_dict``
+    and the corpus loader refuse, in their wording: also a surface that is
+    not a string, hashable or not."""
+    message = f"{kind} phrase {surface!r} is not a non-empty string"
+    with pytest.raises(ModelError, match=re.escape(message)):
+        getattr(model_with(), f"add_{kind}")(surface, PROV)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        WorldModel.from_dict({**model_with().to_dict(), PLURAL[kind]: [surface]})
 
 
 def test_add_follows_set_semantics():
@@ -202,3 +217,58 @@ def test_a_model_and_a_gold_standard_break_a_rule_in_one_wording(tmp_path, key, 
     path.write_text(json.dumps([{"id": "t", "body": "a b", "gold": gold}]))
     with pytest.raises(CorpusError, match="document t: " + message):
         corpus.load_corpus(path)
+
+
+# Text with what JSON must escape or spell out: quotes, backslashes,
+# control characters, non-ASCII characters of each width and lone surrogates.
+_json_text = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é", "活",
+                     "\U0001f600", "\ud800", "\udfff", " ", "\t", "/"])), max_size=12)
+_non_blank = _json_text.filter(str.strip)
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+_prov = st.tuples(st.sampled_from(_PROVENANCE_KINDS), _non_blank)
+
+
+@st.composite
+def _models(draw):
+    """A model built through ``add_*``, of any size from empty, its
+    provenance sometimes dropped, as ``from_dict`` allows."""
+    model = WorldModel(draw(_non_blank))
+    for surface in draw(st.lists(_non_blank, max_size=5)):
+        model.add_activity(surface, draw(_prov))
+    for surface in draw(st.lists(_non_blank, max_size=3)):
+        model.add_participant(surface, draw(_prov))
+    n_acts, n_parts = len(model.activities), len(model.participants)
+    if n_acts and n_parts:
+        for p, a in draw(st.lists(st.tuples(st.integers(0, n_parts - 1),
+                                            st.integers(0, n_acts - 1)), max_size=4)):
+            model.add_performs(p, a, draw(_prov))
+    if n_acts > 1:
+        for s, d in draw(st.lists(st.tuples(st.integers(0, n_acts - 1),
+                                            st.integers(0, n_acts - 1)), max_size=6)):
+            if s != d:
+                model.add_follows(s, d, draw(_prov))
+    if draw(st.booleans()):
+        model.provenance = {}
+    return model
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models())
+def test_to_json_is_json_dumps_at_indent_2(model):
+    """``to_json`` writes the bytes ``json.dumps`` writes at ``indent=2``
+    with sorted keys, and ``from_dict`` reads them back to the same model,
+    unless a high surrogate is followed by a low one: JSON reads those two
+    escapes as one character, whoever wrote them."""
+    assert model.to_json() == json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n"
+    if not _SURROGATE_PAIR.search(json.dumps(model.to_dict(), ensure_ascii=False)):
+        assert WorldModel.from_dict(json.loads(model.to_json())) == model
+
+
+@given(st.lists(_json_text, max_size=6))
+def test_normalize_key_memo_agrees_with_the_function(surfaces):
+    """The memoized key is the key the function computes, for a phrase met
+    for the first time or again."""
+    for surface in surfaces + surfaces:
+        assert normalize_key(surface) == normalize_key.__wrapped__(surface)
