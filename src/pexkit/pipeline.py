@@ -6,13 +6,11 @@ question for every ordered pair of distinct activities.
 """
 from __future__ import annotations
 
-import queue
 import re
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import groupby, permutations
+from itertools import groupby, islice, permutations
 
 from . import prompting
 from .corpus import Document, GoldStandard
@@ -103,10 +101,9 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     ``schedule``; it returns the ``ExtractionRun``.
 
     It yields each question batch as an iterator of its prompts, rendered
-    lazily, and is resumed with ``None``. Then it yields ``None``
-    once per question of the batch, in question order, and is resumed with
-    ``(prompt, completion)`` or has the call's exception thrown in. So each
-    answer is applied before the next one is taken.
+    lazily, and is sent an iterator of ``(prompt, completion)`` in question
+    order, whose ``next`` raises a failed call's error in that call's place.
+    So each answer is applied before the next one is taken.
     """
     if activity_source not in (EXTRACTED, GOLD_INJECTED):
         raise ValueError(f"unknown activity source: {activity_source}")
@@ -120,10 +117,10 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
         """Ask ``question`` for each (x, y) binding; call ``apply(k, completion,
         digest)`` for the k-th answer, in binding order."""
         fill = prompting.renderer(question, setting, doc, shots)
-        yield (fill(x, y) for x, y in bindings)
+        answers = yield (fill(x, y) for x, y in bindings)
         for k in range(len(bindings)):
             try:
-                prompt, completion = yield
+                prompt, completion = next(answers)
             except BackendError as exc:
                 raise ExtractionAborted(str(exc), run) from exc
             run.counters[question] += 1
@@ -188,18 +185,23 @@ def schedule(jobs, backend):
     """Run ``jobs``, generators that ask the way ``dialogue`` does, against
     ``backend`` and yield each one's result, in job order.
 
-    The run's answers, ``prompt.digest`` -> completion, are kept here, and
-    ``backend`` is asked only for a digest without one; a failed call leaves
-    none. At ``backend.max_concurrency`` 1 (the default) each job runs alone
-    and asks on this thread. At width ``W`` above 1, up to ``W`` jobs advance
-    at once, with up to ``W`` calls in flight on ``W`` ``pex-ask`` threads
-    that only call ``backend`` and store the answer; the earliest job draws
-    first. A drawn prompt that is answered gets a done future, and one whose
-    call is in flight gets that call. Rendering and results stay on this
-    thread. Each job takes its answers in question order, so every result
-    equals a sequential run's. A job that fails raises at its own position,
-    after every earlier result has been yielded; no later job starts or is
-    yielded, and the calls in flight still finish before this ends.
+    A job yields each question batch as an iterator of its prompts and is
+    sent an iterator of ``(prompt, completion)`` in question order, whose
+    ``next`` raises a failed call's error in that call's place. The run's
+    answers, ``prompt.digest`` -> completion, are kept here, and ``backend``
+    is asked only for a digest without one; a failed call leaves none. At
+    ``backend.max_concurrency`` 1 (the default) each job runs alone, and
+    each prompt is rendered, asked and answered in turn on this thread. At
+    width ``W`` above 1, up to ``W`` jobs advance at once. Each batch is
+    rendered whole on this thread and its calls are queued at once for ``W``
+    ``pex-ask`` threads, which only call ``backend`` and store the answer:
+    an answered prompt gets no call, and one whose call is in flight gets
+    that call. A job is sent its answers once every call up to its batch's
+    first failed call has ended, so every result equals a sequential run's.
+    A job that fails raises at its own position, after every earlier result
+    has been yielded; no later job starts or is yielded, the waiting calls
+    that no earlier job holds are cancelled, and the running calls, at most
+    ``W``, finish before this ends.
     """
     answers: dict[str, str] = {}
 
@@ -216,106 +218,94 @@ def schedule(jobs, backend):
         yield from _answer_overlapped(iter(jobs), ask, answers, width)
 
 
-def _answer_inline(gen, ask):
-    job = _Job(gen)
-    while not job.done:
-        prompt = next(job.prompts)
-        try:
-            reply = prompt, ask(prompt)
-        except Exception as exc:
-            job.resume(job.gen.throw, exc)
-        else:
-            job.resume(job.gen.send, reply)
-    if job.error is not None:
-        raise job.error
-    return job.result
+def _answer_inline(job, ask):
+    try:
+        prompts = next(job)
+        while True:
+            prompts = job.send((prompt, ask(prompt)) for prompt in prompts)
+    except StopIteration as stop:
+        return stop.value
 
 
 class _Job:
-    """One job as ``schedule`` runs it: its generator, the prompts of its
-    batch not drawn yet and, at width above 1, the drawn ones whose answers
-    it has not taken."""
+    """One job as ``_answer_overlapped`` runs it: its generator and its
+    current batch, each prompt with its call (``None`` when answered)."""
 
-    def __init__(self, gen):
+    def __init__(self, gen, call_for):
         self.gen = gen
-        self.prompts = iter(())
-        self.window: deque = deque()  # (prompt, future), in question order
+        self.call_for = call_for  # prompt -> its call, or None when answered
+        self.batch: list = []  # (prompt, call), in question order
+        self.ended = 0  # leading calls of the batch that have ended
         self.done = False
         self.result = self.error = None
-        self.resume(gen.send, None)
+        self.send(None)
 
-    def resume(self, resume, value) -> None:
-        """Resume the job with ``resume(value)`` until it waits for an answer."""
+    def send(self, answers) -> None:
+        """Send the job ``answers`` and queue the calls of its next batch."""
         try:
-            step = resume(value)
-            while step is not None:  # a new batch
-                self.prompts = step
-                step = self.gen.send(None)
+            prompts = self.gen.send(answers)
         except StopIteration as stop:
             self.done, self.result = True, stop.value
+            return
         except Exception as exc:
             self.done, self.error = True, exc
-
-    def draw(self, submit) -> bool:
-        """Draw the next prompt and ``submit(prompt)``, the future of its answer;
-        False when the job has no prompt to draw."""
-        if self.done:
-            return False
-        prompt = None
+            return
+        self.batch, self.ended = [], 0
         try:
-            prompt = next(self.prompts, None)
-            if prompt is None:
-                return False
-            future = submit(prompt)
+            for prompt in prompts:
+                self.batch.append((prompt, self.call_for(prompt)))
         except Exception as exc:  # a prompt that does not render fails in its place
-            future = Future()
-            future.set_exception(exc)
-        self.window.append((prompt, future))
-        return True
+            failed = Future()
+            failed.set_exception(exc)
+            self.batch.append((None, failed))
 
-    def ready(self) -> bool:
-        return not self.done and bool(self.window) and self.window[0][1].done()
+    def waiting(self) -> Future | None:
+        """The call the job waits for; None once every call up to the
+        batch's first failed call has ended."""
+        while self.ended < len(self.batch):
+            call = self.batch[self.ended][1]
+            if call is not None:
+                if not call.done():
+                    return call
+                if call.exception() is not None:
+                    return None
+            self.ended += 1
+        return None
 
-    def take(self) -> None:
-        """Give the job the answer, or the error, of its oldest drawn prompt."""
-        prompt, future = self.window.popleft()
-        error = future.exception()
-        if error is None:
-            self.resume(self.gen.send, (prompt, future.result()))
-        else:
-            self.resume(self.gen.throw, error)
+    def take(self, answers: dict) -> None:
+        self.send((prompt, answers[prompt.digest] if call is None else call.result())
+                  for prompt, call in self.batch)
 
 
 def _answer_overlapped(jobs, ask, answers: dict, width: int):
     active: list[_Job] = []  # started and not yet yielded, in job order
-    calls: dict[str, Future] = {}  # digest -> its call, until taken from ``ended``
-    ended = queue.SimpleQueue()  # digests whose call has ended
+    calls: dict[str, Future] = {}  # digest -> its call, while a batch waits for it
     pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="pex-ask")
 
-    def submit(prompt):
-        if prompt.digest in answers:  # no call: the pool and its cap are for calls
-            call = Future()
-            call.set_result(answers[prompt.digest])
-            return call
+    def call_for(prompt):
         call = calls.get(prompt.digest)
-        if call is None:
-            call = calls[prompt.digest] = pool.submit(ask, prompt)
-            call.add_done_callback(lambda _: ended.put(prompt.digest))
+        if call is not None and not call.done():
+            return call
+        if prompt.digest in answers:  # stored before its call is done
+            return None
+        call = calls[prompt.digest] = pool.submit(ask, prompt)
         return call
 
     try:
         while True:
             failed = next((k for k, job in enumerate(active) if job.error is not None), None)
-            if failed is not None:  # no job after a failed one runs
-                for job in active[failed + 1:]:  # its calls run on: an earlier job may share them
+            if failed is not None:  # no job after a failed one runs, nor a call only they hold
+                held = {call for job in active[:failed] for _, call in job.batch}
+                for job in active[failed:]:
+                    for _, call in job.batch:
+                        if call is not None and call not in held:
+                            call.cancel()
+                for job in active[failed + 1:]:
                     job.gen.close()
                 del active[failed + 1:]
                 jobs = iter(())
-            while sum(not job.done for job in active) < width:
-                gen = next(jobs, None)
-                if gen is None:
-                    break
-                active.append(_Job(gen))
+            for gen in islice(jobs, width - sum(not job.done for job in active)):
+                active.append(_Job(gen, call_for))
             while active and active[0].done:
                 job = active.pop(0)
                 if job.error is not None:
@@ -323,19 +313,17 @@ def _answer_overlapped(jobs, ask, answers: dict, width: int):
                 yield job.result
             if not active:
                 return
-            # The earliest job draws first. Up to ``width`` drawn calls wait in
-            # the pool's queue, so a thread whose call ends starts the next at once.
+            waiting = [job.waiting() for job in active if not job.done]
+            if None not in waiting:
+                wait(waiting, return_when=FIRST_COMPLETED)
             for job in active:
-                while len(calls) < 2 * width and len(job.window) < 2 * width:
-                    if not job.draw(submit):
-                        break
-            if not any(job.ready() for job in active):
-                del calls[ended.get()]
-            while not ended.empty():
-                del calls[ended.get()]
-            for job in active:
-                while job.ready():
-                    job.take()
+                if not job.done and job.waiting() is None:
+                    for prompt, call in job.batch[:job.ended]:
+                        if call is not None and calls.get(prompt.digest) is call:
+                            del calls[prompt.digest]
+                    job.take(answers)
+                if job.error is not None:
+                    break
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         for job in active:

@@ -997,10 +997,10 @@ def test_live_backend_backs_off_on_429_then_recovers(loopback, api_key, caplog):
     live = bk.LiveBackend(server.url, "engine")
 
     def job(texts):
-        yield (make_prompt(t) for t in texts)
+        replies = yield (make_prompt(t) for t in texts)
         answers = []
         for _ in texts:
-            _, completion = yield
+            _, completion = next(replies)
             answers.append(completion)
         return answers
 

@@ -143,9 +143,10 @@ def test_query_counts_extracted(index, oracle):
 class ScriptedBackend:
     """Fixed Q1 answer; everything else answered 'No' / empty."""
 
-    def __init__(self, q1_answer, q3_answer="No"):
+    def __init__(self, q1_answer, q3_answer="No", max_concurrency=1):
         self.q1_answer = q1_answer
         self.q3_answer = q3_answer
+        self.max_concurrency = max_concurrency
 
     def complete(self, prompt, params):
         if prompt.question == prompting.Q1:
@@ -159,19 +160,22 @@ class ScriptedBackend:
 @given(st.integers(0, 10))
 def test_query_count_law(n):
     doc = Document("t", "some process text")
-    backend = ScriptedBackend("\n".join(f"step number {i}" for i in range(n)))
-    run = pipeline.extract(doc, prompting.RAW, backend)
-    assert run.counters["q1"] == 1
-    assert run.counters["q2"] == n
-    assert run.counters["q3"] == n * (n - 1)
+    for width in (1, 4):
+        backend = ScriptedBackend("\n".join(f"step number {i}" for i in range(n)),
+                                  max_concurrency=width)
+        run = pipeline.extract(doc, prompting.RAW, backend)
+        assert run.counters["q1"] == 1
+        assert run.counters["q2"] == n
+        assert run.counters["q3"] == n * (n - 1)
 
 
 def test_empty_q1_answer_yields_empty_model():
     doc = Document("t", "text")
-    run = pipeline.extract(doc, prompting.RAW, ScriptedBackend(""))
-    assert run.model.activities == []
-    assert run.model.follows == set()
-    assert run.counters == {"q1": 1, "q2": 0, "q3": 0}
+    for width in (1, 4):
+        run = pipeline.extract(doc, prompting.RAW, ScriptedBackend("", max_concurrency=width))
+        assert run.model.activities == []
+        assert run.model.follows == set()
+        assert run.counters == {"q1": 1, "q2": 0, "q3": 0}
 
 
 def test_edge_orientation():
@@ -205,10 +209,11 @@ def test_oracle_closure_every_document(index, oracle):
 
 
 def test_unknown_q3_counted_not_edged():
-    backend = ScriptedBackend("a\nb", q3_answer="It depends.")
-    run = pipeline.extract(Document("t", "text"), prompting.RAW, backend)
-    assert run.model.follows == set()
-    assert run.unknown_q3 == 2
+    for width in (1, 4):
+        backend = ScriptedBackend("a\nb", q3_answer="It depends.", max_concurrency=width)
+        run = pipeline.extract(Document("t", "text"), prompting.RAW, backend)
+        assert run.model.follows == set()
+        assert run.unknown_q3 == 2
 
 
 def test_backend_failure_keeps_partial_transcripts(index, oracle):
@@ -619,11 +624,11 @@ def ask_each(*texts):
             yield prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None, None,
                                    params, prompting.transcript_digest(text, params))
 
-    yield prompts()
+    answers = yield prompts()
     completions = []
     for _ in texts:
         try:
-            _, completion = yield
+            _, completion = next(answers)
         except BackendError as exc:
             return exc
         completions.append(completion)
@@ -656,12 +661,12 @@ def ask_in_turn(*batches, params=prompting.default_params(prompting.Q1)):
     returns each question's completion, or the error its call raised."""
     answers = []
     for texts in batches:
-        yield (prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None, None,
-                                params, prompting.transcript_digest(text, params))
-               for text in texts)
+        replies = yield (prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None,
+                                          None, params, prompting.transcript_digest(text, params))
+                         for text in texts)
         for _ in texts:
             try:
-                _, completion = yield
+                _, completion = next(replies)
             except BackendError as exc:
                 completion = exc
             answers.append(completion)
@@ -722,25 +727,102 @@ def test_schedule_hands_jobs_that_ask_one_prompt_the_call_in_flight(fail):
     assert not dispatch_threads()
 
 
+def releasing(stub, job):
+    """``job``, which sets ``stub.release`` once it ends or is closed."""
+    try:
+        return (yield from job)
+    finally:
+        stub.release.set()
+
+
+class TextStub:
+    """At width ``max_concurrency``, answers ``ok``, fails ``fail`` and holds
+    every other text until ``release`` is set; records the texts asked."""
+
+    def __init__(self, max_concurrency):
+        self.max_concurrency = max_concurrency
+        self.asked = []
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.asked.append(prompt.text)
+        if prompt.text == "fail":
+            raise BackendError("injected failure")
+        if prompt.text != "ok":
+            assert self.release.wait(timeout=10)
+        return "answer to " + prompt.text
+
+
+def test_a_failed_call_aborts_its_job_while_later_calls_of_its_batch_are_held():
+    """At width 2 a batch's second call fails while its 18 later calls are
+    held or waiting: the job aborts without waiting for them, and the
+    waiting ones are cancelled, so only the two held calls that were running
+    are asked besides the two that ended. The held calls are released when
+    the scheduler closes the job after the aborted one."""
+    inner = TextStub(2)
+    held_when_aborted = []
+
+    def aborting(*texts):
+        completions = yield from ask_each(*texts)
+        if isinstance(completions, BackendError):
+            held_when_aborted.append(not inner.release.is_set())
+            raise completions
+        return completions
+
+    jobs = [aborting("ok", "fail", *(f"h{i}" for i in range(3, 21))),
+            releasing(inner, ask_each("later"))]
+    with pytest.raises(BackendError, match="injected failure"):
+        list(pipeline.schedule(jobs, inner))
+    assert held_when_aborted == [True]
+    assert len(inner.asked) <= 4
+    assert inner.asked[:2] in (["ok", "fail"], ["fail", "ok"])
+    assert not dispatch_threads()
+
+
+def test_a_job_after_a_failed_one_is_closed_without_its_answers():
+    """Two jobs share one held call, which fails once released: the first
+    job aborts on it, and the second, whose answers are ready in the same
+    pass, is closed without being sent them. The call is released once the
+    second job's batch has been given it."""
+    inner = HeldStub(fail_first=1)
+    sent = []
+
+    def aborting():
+        raise (yield from ask_each("p"))
+
+    def later():
+        def prompts():
+            yield from next(ask_each("p"))  # the prompt ask_each asks
+            inner.release.set()
+        sent.append((yield prompts()))
+
+    with pytest.raises(BackendError, match="injected failure"):
+        list(pipeline.schedule([aborting(), later()], inner))
+    assert sent == []
+    assert inner.calls == 1
+    assert not dispatch_threads()
+
+
 def test_a_call_shared_with_a_job_after_a_failed_one_still_answers_the_earlier_job():
     """The first job's call for ``p`` waits in the pool's queue behind four
-    held calls when the third job draws ``p`` too; then the second job
-    fails. The third job is dropped, and the call it shares still answers
-    the first job, before the second job's error is raised."""
-    inner = HeldStub()
-    jobs = [ask_each("h1", "h2", "h3", "h4", "p"), ask_each(None), ask_each("p")]
-    results = []
-    release = threading.Timer(0.2, inner.release.set)
-    release.start()
-    try:
+    held calls when the third job draws ``p`` too, alone or with ``q`` and
+    ``r``; then the second job fails. The third job is dropped, and the call
+    it shares still answers the first job, before the second job's error is
+    raised; its other prompts are never asked. The held calls are released
+    when the third job is closed."""
+    for later in [("p",), ("p", "q", "r")]:
+        inner = HeldStub()
+        jobs = [ask_each("h1", "h2", "h3", "h4", "p"), ask_each(None),
+                releasing(inner, ask_each(*later))]
+        results = []
         with pytest.raises(ValueError, match="does not render"):
             for result in pipeline.schedule(jobs, inner):
                 results.append(result)
-    finally:
-        release.join()
-    assert results == [["answer to h1", "answer to h2", "answer to h3", "answer to h4",
-                        "answer to p"]]
-    assert inner.calls == 5
+        assert results == [["answer to h1", "answer to h2", "answer to h3", "answer to h4",
+                            "answer to p"]], later
+        assert inner.calls == 5, later
     assert not dispatch_threads()
 
 
