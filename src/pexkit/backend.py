@@ -19,6 +19,7 @@ import os
 import threading
 import time
 from datetime import datetime, timezone
+from json.decoder import scanstring
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -47,29 +48,76 @@ BACKOFF = 1.0
 
 # How a cache line that ``record`` writes starts, up to the first character
 # of its prompt: these two keys, with a digest of 64 letters and digits
-# between them, which escapes nothing.
+# between them, which escapes nothing; and the keys that follow its prompt,
+# each up to its value.
 _DIGEST_KEY, _PROMPT_KEY = b'{"digest": "', b'", "prompt": "'
 _DIGEST_END = len(_DIGEST_KEY) + 64
 _PROMPT_AT = _DIGEST_END + len(_PROMPT_KEY)
-
-# The end of a "prompt" key, with its "p" and "t" as letters or as \u
-# escapes: a line in which one follows the head may hold a second "prompt"
-# key, whose value json.loads keeps, and is decoded whole.
-_PROMPT_KEY_ENDS = (b'pt"', b'0t"', b'\\u0074"')
+_PARAMS_KEY, _COMPLETION_KEY, _RECORDED_AT_KEY = (
+    ', "params": ', ', "completion": "', ', "recorded_at": "')
 
 
-def _cut_head(raw: bytes, memo: HeadMemo) -> tuple[int, tuple | None]:
-    """Where the prompt head of the cache line ``raw`` ends, and the head
-    with its sha256 state, when ``raw`` starts as ``record`` writes a line,
-    its prompt starts with the JSON of a head ``memo`` split already and no
-    "prompt" key can follow that head; else ``(0, None)``."""
+def _read_by_position(raw: bytes, memo: HeadMemo, params_texts: dict) -> tuple | None:
+    """The fields of the cache line ``raw``, ``(digest, (head, state), rest
+    of the prompt, params, completion)``, when it is laid out as ``record``
+    writes a line: ASCII, its keys in that order with those separators, a
+    prompt that starts with the JSON of a head ``memo`` split already,
+    params whose JSON text ``params_texts`` holds, and nothing after its
+    ``recorded_at`` string but ``}`` and a newline. Each string is read by
+    ``scanstring``, the scanner ``json.loads`` uses. Else None, and the line
+    is decoded whole."""
     if not (raw.startswith(_DIGEST_KEY) and raw.startswith(_PROMPT_KEY, _DIGEST_END)
             and raw[len(_DIGEST_KEY):_DIGEST_END].isalnum()):
-        return 0, None
+        return None
     found = memo.find_json(raw, _PROMPT_AT)
-    if found is None or any(raw.find(key_end, found[0]) >= 0 for key_end in _PROMPT_KEY_ENDS):
-        return 0, None
-    return found
+    if found is None:
+        return None
+    head_end, shared = found
+    try:
+        line = raw[head_end:].decode("ascii")  # the line up to the head is ASCII
+        rest, end = scanstring(line, 0)
+        if not line.startswith(_PARAMS_KEY, end):
+            return None
+        end += len(_PARAMS_KEY)
+        params_end = line.index(_COMPLETION_KEY, end)
+        params = params_texts.get(line[end:params_end])
+        if params is None:
+            return None
+        completion, end = scanstring(line, params_end + len(_COMPLETION_KEY))
+        if not line.startswith(_RECORDED_AT_KEY, end):
+            return None
+        end = scanstring(line, end + len(_RECORDED_AT_KEY))[1]
+    except ValueError:  # not ASCII, no completion key, or a string that does not scan
+        return None
+    if line[end:] not in ("}", "}\n"):
+        return None
+    return raw[len(_DIGEST_KEY):_DIGEST_END].decode(), shared, rest, params, completion
+
+
+def _read_whole(entry, memo: HeadMemo, known_params: dict, params_texts: dict) -> tuple:
+    """The fields of a cache line decoded whole, as ``_read_by_position``
+    gives them, once they have their types and the params are in range
+    (else a ``KeyError``, ``TypeError``, ``UnicodeEncodeError`` or
+    ``BackendError``). ``known_params`` maps the ``repr`` of each params
+    dict loaded, and ``params_texts`` its JSON text as ``record`` writes it,
+    to the params built from the first dict with it: both tell ``0``,
+    ``0.0`` and ``false``, extra keys and key order apart."""
+    stored = entry["params"]
+    key = repr(stored)
+    params = known_params.get(key)
+    if params is None:
+        fields = (stored["temperature"], stored["nucleus"], stored["max_tokens"],
+                  tuple(stored["stop"]))
+        hash(fields)  # a list or an object among the stop strings is malformed
+        params = known_params[key] = CompletionParams(*fields)  # checks the range
+        params_texts[json.dumps(stored)] = params
+    prompt, digest, completion = entry["prompt"], entry["digest"], entry["completion"]
+    if not isinstance(prompt, str):
+        raise TypeError(f"prompt is {prompt!r}")
+    if not isinstance(completion, str):
+        raise TypeError(f"completion is {completion!r}")
+    shared = memo.split(prompt)  # a lone surrogate in a new head raises
+    return digest, shared, prompt[len(shared[0]):], params, completion
 
 
 class TranscriptCache:
@@ -85,14 +133,14 @@ class TranscriptCache:
     then dropped, as the digest already keys the prompt with its params. A
     load decodes, hashes and holds each distinct head once
     (``prompting.HeadMemo``: a prompt up to its last ``"\\nQ: "``), however
-    many lines repeat it. A line that starts as ``record`` writes one, whose
-    prompt starts with the JSON of a head an earlier line loaded, and in
-    which nothing after that head could end a second "prompt" key, is
-    decoded with the head cut out of its bytes. Any other line is decoded
-    whole. Either way its digest check hashes only the rest of its prompt,
-    on a copy of the head's state. An entry that ``record`` appends shares
-    the heads already held, but its head is not hashed: its digest is the
-    caller's.
+    many lines repeat it. A line in the layout ``record`` writes, whose
+    head and params text earlier lines loaded, is read by position
+    (``_read_by_position``); any other line (keys re-ordered, text
+    unescaped, a ``"model"`` key, a CRLF line end) is decoded whole, with
+    the same checks and errors, only slower. Either way its digest check
+    hashes only the rest of its prompt, on a copy of the head's state. An
+    entry that ``record`` appends shares the heads already held, but its
+    head is not hashed: its digest is the caller's.
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
@@ -127,6 +175,7 @@ class TranscriptCache:
         tail: list[bytes] = []
         memo = self._heads
         known_params: dict[str, CompletionParams] = {}
+        params_texts: dict[str, CompletionParams] = {}
         # A 64 KB buffer: with the default 8 KB one, readline takes a slow
         # path on lines of a few KB.
         with self.path.open("rb", buffering=1 << 16) as handle:
@@ -137,15 +186,28 @@ class TranscriptCache:
                     continue
                 if torn is not None:
                     raise CacheCorruptError(f"{self.path}:{torn}: cache line does not parse")
-                end, shared = _cut_head(raw, memo)
+                read = _read_by_position(raw, memo, params_texts)
+                if read is None:
+                    try:
+                        entry = json.loads(raw.decode("utf-8"))
+                    except (ValueError, RecursionError):  # also a UnicodeDecodeError
+                        torn = number
+                        tail.append(raw)
+                        continue
                 try:
-                    entry = json.loads((raw[:_PROMPT_AT] + raw[end:] if shared else raw)
-                                       .decode("utf-8"))
-                except (ValueError, RecursionError):  # also a UnicodeDecodeError
-                    torn = number
-                    tail.append(raw)
-                    continue
-                digest, held = self._check_entry(entry, number, shared, memo, known_params)
+                    if read is None:
+                        read = _read_whole(entry, memo, known_params, params_texts)
+                    digest, (head, state), rest, params, completion = read
+                    expected = transcript_digest(rest, params, state)  # a lone surrogate raises,
+                    completion.encode("utf-8")  # in the rest of the prompt or the completion
+                except (KeyError, TypeError, UnicodeEncodeError, BackendError) as exc:
+                    raise CacheCorruptError(
+                        f"{self.path}:{number}: malformed cache entry: {exc!r}") from exc
+                if digest != expected:
+                    raise CacheConflictError(
+                        f"{self.path}:{number}: cache entry digest {str(digest)[:12]} does "
+                        f"not recompute from its stored prompt and params")
+                held = (head, rest, completion)
                 if self._entries.setdefault(digest, held)[2] != held[2]:
                     raise CacheConflictError(
                         f"{self.path}:{number}: digest {digest[:12]} is "
@@ -157,46 +219,6 @@ class TranscriptCache:
             self._resume = (good_end, b"".join(tail))
         if torn is not None:
             log.warning("%s:%d: skipping a torn final cache line", self.path, torn)
-
-    def _check_entry(self, entry: dict, number: int, shared, memo: HeadMemo,
-                     known_params: dict) -> tuple[str, tuple[str, str, str]]:
-        """Check one decoded entry: its fields, params in range, and that its
-        digest recomputes from its prompt and params; return the digest and
-        the entry as held, ``(head, rest of the prompt, completion)``.
-
-        ``shared`` is the ``(head, state)`` cut out of the line, so that
-        ``entry["prompt"]`` holds only the rest; otherwise ``memo`` splits
-        the whole prompt. ``known_params`` maps the ``repr`` of each params
-        dict loaded, which tells ``0``, ``0.0`` and ``False``, extra keys and
-        key order apart, to the params built from the first dict with it.
-        """
-        try:
-            stored = entry["params"]
-            key = repr(stored)
-            params = known_params.get(key)
-            if params is None:
-                fields = (stored["temperature"], stored["nucleus"], stored["max_tokens"],
-                          tuple(stored["stop"]))
-                hash(fields)  # a list or an object among the stop strings is malformed
-                params = known_params[key] = CompletionParams(*fields)  # checks the range
-            prompt, digest, completion = entry["prompt"], entry["digest"], entry["completion"]
-            if not isinstance(prompt, str):
-                raise TypeError(f"prompt is {prompt!r}")
-            if not isinstance(completion, str):
-                raise TypeError(f"completion is {completion!r}")
-            head, state = shared or memo.split(prompt)  # a lone surrogate in a new head raises
-            if not shared:
-                prompt = prompt[len(head):]
-            expected = transcript_digest(prompt, params, state)  # one in the rest raises here
-            completion.encode("utf-8")  # and one in the completion here
-        except (KeyError, TypeError, UnicodeEncodeError, BackendError) as exc:
-            raise CacheCorruptError(
-                f"{self.path}:{number}: malformed cache entry: {exc!r}") from exc
-        if digest != expected:
-            raise CacheConflictError(
-                f"{self.path}:{number}: cache entry digest {str(digest)[:12]} does not "
-                f"recompute from its stored prompt and params")
-        return digest, (head, prompt, completion)
 
     def __len__(self) -> int:
         return len(self._entries)

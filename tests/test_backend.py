@@ -228,8 +228,8 @@ def test_cache_rejects_tampered_digest(tmp_path):
     path.write_text(json.dumps(entry) + "\n")
     with pytest.raises(CacheConflictError, match=r"c\.jsonl:1: cache entry digest"):
         bk.TranscriptCache(path)
-    # A tampered question line after an entry with the same head, so that its
-    # head is cut out of the line before decoding, is named as line 2.
+    # A tampered question line after an entry with the same head and params,
+    # so that the line is read by position, is named as line 2.
     path.unlink()
     cache = bk.TranscriptCache(path)
     cache.record(HEAD + "first?\nA: ", PARAMS, "a")
@@ -426,6 +426,25 @@ _STORED_PARAMS = [PARAMS.to_dict(), {**PARAMS.to_dict(), "temperature": 0},
                   {"temperature": 0.5, "nucleus": True, "max_tokens": 8, "stop": []}]
 
 
+# How a line ends or differs from ``record``'s layout after its prompt,
+# each of which the load reads by position or decodes whole: as ``record``
+# writes it; a ``recorded_at`` missing or not a string; a key after
+# ``recorded_at``; a CRLF or whitespace line end; a JSON value after the
+# closing brace; or params written with compact separators.
+_RECORDED_AT = ', "recorded_at": "2024-01-01T00:00:00+00:00"'
+_VARIANTS = {
+    "record": lambda text, params: text,
+    "no recorded_at": lambda text, params: text.replace(_RECORDED_AT, ""),
+    "recorded_at 5": lambda text, params: text.replace(_RECORDED_AT, ', "recorded_at": 5'),
+    "key after": lambda text, params: text[:-1] + ', "model": "m"}',
+    "CRLF": lambda text, params: text + "\r",
+    "whitespace": lambda text, params: text + " \t ",
+    "value after": lambda text, params: text + " {}",
+    "compact params": lambda text, params: text.replace(
+        json.dumps(params), json.dumps(params, separators=(",", ":"))),
+}
+
+
 def _mostly(usual, *others):
     """``usual`` four times in five, else one of ``others``: most lines share
     the first head, and are written as ``record`` writes them, with no second
@@ -440,28 +459,34 @@ def _mostly(usual, *others):
            st.integers(0, 2),
            _mostly("record", *sorted(set(_ENCODINGS) - {"record"})),
            _mostly(None, '"prompt"', '"\\u0070rompt"', '"prom\\u0070t"', '"promp\\u0074"'),
-           _line_text),
+           _line_text,
+           _mostly("record", *sorted(set(_VARIANTS) - {"record"}))),
            min_size=2, max_size=10),
-       surrogate=st.one_of(st.none(), st.integers(0, 9)),
+       surrogate=st.one_of(st.none(), st.tuples(st.integers(0, 9),
+                                                 st.sampled_from(["prompt", "completion"]))),
        tampered=st.one_of(st.none(), st.integers(0, 9)),
        torn=st.one_of(st.none(), st.integers(0, 300)))
 def test_cache_load_matches_a_whole_line_load(heads, lines, surrogate, tampered, torn):
-    """Loading a cache, with each loaded head cut out of the lines that start
-    with its JSON, gives what decoding every line whole gives: each digest's
-    entry, or the same error class at the same line. Lines share heads, also
-    heads that share only their lookup key, with escapes and non-ASCII next
-    to the split; hold ``"\\nQ: "`` and ``"prompt"`` in their question lines
-    and completions; are re-encoded with sorted keys, unescaped or with
-    ``C``-style escapes; or repeat their "prompt" key, whose last value
-    json.loads keeps. One line may have a lone surrogate in its head, one a
-    digest that does not recompute, and the last may be torn."""
+    """Loading a cache, with each line in ``record``'s layout whose head and
+    params an earlier line loaded read by position, gives what decoding
+    every line whole gives: each digest's entry, or the same error class at
+    the same line. Lines share heads, also heads that share only their
+    lookup key, with escapes and non-ASCII next to the split; hold
+    ``"\\nQ: "``, ``"prompt"``, quotes, backslashes and ``\\u`` escapes in
+    their question lines and completions; are re-encoded with sorted keys,
+    unescaped or with ``C``-style escapes; repeat their "prompt" key, whose
+    last value json.loads keeps; or end as ``_VARIANTS`` has them. One line
+    may have a lone surrogate at the start of its head or at the end of its
+    completion, one a digest that does not recompute, and the last may be
+    torn."""
     stems = [stem + head + "\nQ: " for head in heads for stem in ("", "x" * 70, "y" * 70)]
     stems.append("")
     data = b""
     for k, (stem, number, question, completion, params, encoding, repeat,
-            repeated) in enumerate(lines):
-        prompt = ("\ud800" if k == surrogate else "") + stems[stem % len(stems)] + \
-            f"{number}? {question}\nA: "
+            repeated, variant) in enumerate(lines):
+        prompt = ("\ud800" if (k, "prompt") == surrogate else "") + \
+            stems[stem % len(stems)] + f"{number}? {question}\nA: "
+        completion += "\udc00" if (k, "completion") == surrogate else ""
         stored = _STORED_PARAMS[params]
         payload = ((repeated if repeat else prompt) + "x" * (k == tampered) + "\x00"
                    + json.dumps(stored, sort_keys=True))
@@ -471,6 +496,7 @@ def test_cache_load_matches_a_whole_line_load(heads, lines, surrogate, tampered,
         text = _ENCODINGS[encoding](entry)
         if repeat:
             text = f"{text[:-1]}, {repeat}: {json.dumps(repeated)}}}"
+        text = _VARIANTS[variant](text, stored)
         data += text.encode("utf-8", "surrogatepass") + b"\n"
     if torn is not None:
         data = data[:max(0, len(data) - 1 - torn)]

@@ -551,6 +551,24 @@ def test_cache_load_hashes_each_distinct_head_once(entries, oracle, monkeypatch,
     assert sum(fed) <= 250_000  # 1,443,062 bytes when each entry hashed its whole prompt
 
 
+def test_cache_load_decodes_whole_only_the_lines_with_a_new_head_or_params(
+        entries, oracle, monkeypatch, tmp_path):
+    """Loading a recording decodes a line whole only when it brings a new
+    head or a new params text: every other line, in the layout ``record``
+    writes, is read by position."""
+    from pexkit import backend
+    from pexkit.suite import run_suite
+
+    path = tmp_path / "c.jsonl"
+    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2],
+              CachedBackend(TranscriptCache(path), oracle), tmp_path / "out")
+    decoded = []
+    loads = backend.json.loads
+    monkeypatch.setattr(backend.json, "loads", lambda text: decoded.append(text) or loads(text))
+    assert len(TranscriptCache(path)) == 734
+    assert len(decoded) <= 28 + 3  # one per distinct head and one per distinct params text
+
+
 def test_an_answered_prompt_never_enters_the_pool(entries, oracle, monkeypatch, tmp_path):
     """A suite whose gs runs repeat its ex runs' prompts submits one pool
     call per distinct prompt: a prompt already answered gets its answer
