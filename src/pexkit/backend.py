@@ -139,8 +139,10 @@ class TranscriptCache:
     unescaped, a ``"model"`` key, a CRLF line end) is decoded whole, with
     the same checks and errors, only slower. Either way its digest check
     hashes only the rest of its prompt, on a copy of the head's state. An
-    entry that ``record`` appends shares the heads already held, but its
-    head is not hashed: its digest is the caller's.
+    entry that ``record`` appends holds the head of the prompt it is given,
+    which every prompt of its batch shares (``prompting.Prompt``), and
+    hashes nothing: its digest is the prompt's. So a recording holds one head
+    for each batch it recorded, apart from the heads it loaded.
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
@@ -160,7 +162,6 @@ class TranscriptCache:
         # file does not end with a complete line; the next append mends it.
         self._resume: tuple[int, bytes] | None = None
         self._dir_made = False  # the file's directory, made by the first append
-        self._heads = HeadMemo()  # the heads of the entries held
         if self.path.exists():
             try:
                 self._load()
@@ -173,7 +174,7 @@ class TranscriptCache:
         offset = good_end = 0
         newline = True
         tail: list[bytes] = []
-        memo = self._heads
+        memo = HeadMemo()
         known_params: dict[str, CompletionParams] = {}
         params_texts: dict[str, CompletionParams] = {}
         # A 64 KB buffer: with the default 8 KB one, readline takes a slow
@@ -214,7 +215,6 @@ class TranscriptCache:
                         f"already loaded with a different completion")
                 good_end, newline = offset, raw.endswith(b"\n")
                 tail.clear()
-        memo.drop_json()  # record shares the heads, never their JSON
         if torn is not None or not newline:
             self._resume = (good_end, b"".join(tail))
         if torn is not None:
@@ -232,14 +232,13 @@ class TranscriptCache:
         head, rest, completion = held
         return {"digest": digest, "prompt": head + rest, "completion": completion}
 
-    def record(self, prompt_text: str, params: CompletionParams,
-               completion: str, digest: str | None = None) -> None:
-        """Append an entry; ``digest``, when given, is the caller's
-        ``transcript_digest(prompt_text, params)``, so it is not hashed again.
-        The line holds the params and the time; the entry is held as a load
-        holds it, with its prompt's head shared with the entries held."""
-        if digest is None:
-            digest = transcript_digest(prompt_text, params)
+    def record(self, prompt: Prompt, completion: str) -> None:
+        """Append an entry for ``prompt`` under its digest, which is not
+        hashed again. The line holds the prompt's text, joined for it alone,
+        its params and the time; the entry is held as a load holds it, as
+        ``(prompt.head, prompt.tail, completion)``, so the entries of one
+        batch hold its one head."""
+        digest = prompt.digest
         with self._lock:
             existing = self._entries.get(digest)
             if existing is not None:
@@ -250,8 +249,8 @@ class TranscriptCache:
                 return
             entry = {
                 "digest": digest,
-                "prompt": prompt_text,
-                "params": params.to_dict(),
+                "prompt": prompt.text,
+                "params": prompt.params.to_dict(),
                 "completion": completion,
                 "recorded_at": datetime.now(timezone.utc).isoformat(),
             }
@@ -267,8 +266,7 @@ class TranscriptCache:
             except OSError as exc:
                 raise BackendError(
                     f"cannot write transcript cache {self.path}: {exc.strerror}") from exc
-            head = self._heads.share(prompt_text)
-            self._entries[digest] = (head, prompt_text[len(head):], completion)
+            self._entries[digest] = (prompt.head, prompt.tail, completion)
 
     def _mend(self, handle) -> None:
         """Make the file end with a complete line before the first append.
@@ -381,11 +379,12 @@ class LiveBackend:
         self.max_concurrency = max_concurrency
 
     def complete(self, prompt: Prompt, params: CompletionParams) -> str:
-        if not prompt.text:
+        text = prompt.text
+        if not text:
             raise BackendError("empty prompt")
         body = json.dumps({
             "model": self.model,
-            "prompt": prompt.text,
+            "prompt": text,
             "temperature": params.temperature,
             "top_p": params.nucleus,
             "max_tokens": params.max_tokens,
@@ -518,7 +517,7 @@ class CachedBackend:
                 f"transcript cache miss for digest {prompt.digest[:12]} "
                 f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
         completion = self.inner.complete(prompt, prompt.params)
-        self.cache.record(prompt.text, prompt.params, completion, prompt.digest)
+        self.cache.record(prompt, completion)
         return completion
 
     def close(self) -> None:

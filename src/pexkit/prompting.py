@@ -210,15 +210,15 @@ def default_params(question: str) -> CompletionParams:
 
 
 def transcript_digest(prompt_text: str, params: CompletionParams,
-                      head=None) -> str:
+                      head_state=None) -> str:
     """Cache key of a prompt text and its params; also what provenance records.
 
-    ``head``, when given, is the sha256 state of the UTF-8 bytes of the
+    ``head_state``, when given, is the sha256 state of the UTF-8 bytes of the
     prompt's head, the text before ``prompt_text``. It is copied, never
     updated, so only ``prompt_text`` is hashed here, and the digest is that of
     the head and ``prompt_text`` joined.
     """
-    state = head.copy() if head is not None else hashlib.sha256()
+    state = head_state.copy() if head_state is not None else hashlib.sha256()
     state.update((prompt_text + "\x00" + params.sorted_json).encode("utf-8"))
     return state.hexdigest()
 
@@ -243,64 +243,41 @@ class HeadMemo:
     text[len(head):], params, state)`` is ``transcript_digest(text, params)``.
     A head ends after the text's last ``"\\nQ: "``, where ``renderer``
     splits a prompt; a text that holds none has the head ``""`` and the
-    state ``None``. Each distinct head is kept, and every later text that
-    starts with it gets that same ``head`` object, so a caller can hold the
-    head once for all of them. A head is looked up by its length and its last
-    characters, and a candidate is used only when the text starts with it,
-    so two heads that share that key are kept apart. ``share(text)`` returns
-    the head alone, and hashes nothing. A head is hashed once, by the first
-    ``split`` that meets it, and keeps that state. ``text`` must be a
-    ``str``; a lone surrogate in a head ``split`` hashes raises
-    ``UnicodeEncodeError``, as ``transcript_digest`` does.
+    state ``None``. Each distinct head is hashed once, when first met, and
+    kept, and every later text that starts with it gets that same ``head``
+    object and state, so a caller can hold the head once for all of them. A
+    head is looked up by its length and its last characters, and a candidate
+    is used only when the text starts with it, so two heads that share that
+    key are kept apart. ``text`` must be a ``str``; a lone surrogate in a new
+    head raises ``UnicodeEncodeError``, as ``transcript_digest`` does.
 
     ``find_json(raw, start)`` finds a head already split at the start of a
-    JSON string's bytes, so that a caller can skip decoding it; a caller
-    done with JSON calls ``drop_json`` to let go of what it needs.
+    JSON string's bytes, so that a caller can skip decoding it.
     """
 
     def __init__(self):
-        # Each head with its state, None until ``split`` hashes it.
-        self._heads: dict[tuple[int, str], list[list]] = {}
-        # The hashed heads, each with its JSON as json.dumps escapes it, keyed
-        # by that JSON's length and last bytes.
+        # Each head with its state, keyed by its length and last characters.
+        self._heads: dict[tuple[int, str], list[tuple[str, object]]] = {}
+        # The same, each with its JSON as json.dumps escapes it, keyed by that
+        # JSON's length and last bytes.
         self._json_heads: dict[tuple[int, bytes], list[tuple[bytes, str, object]]] = {}
 
-    def share(self, text: str) -> str:
-        """The head ``split(text)`` gives, without hashing it."""
-        held = self._held(text)
-        return "" if held is None else held[0]
-
     def split(self, text: str) -> tuple[str, object]:
-        held = self._held(text)
-        if held is None:
-            return "", None
-        head, state = held
-        if state is None:
-            state = held[1] = hashlib.sha256(head.encode("utf-8"))
-            escaped = json.dumps(head)[1:-1].encode("ascii")
-            self._json_heads.setdefault((len(escaped), escaped[-_HEAD_KEY_CHARS:]), []).append(
-                (escaped, head, state))
-        return head, state
-
-    def _held(self, text: str) -> list | None:
-        """The ``[head, state]`` kept for the head of ``text``, kept now if it
-        is new; None when ``text`` has no head."""
         split = text.rfind(_HEAD_END)
         if split < 0:
-            return None
+            return "", None
         length = split + len(_HEAD_END)
         key = (length, text[max(0, length - _HEAD_KEY_CHARS):length])
         for held in self._heads.get(key, ()):
             if text.startswith(held[0]):
                 return held
-        held = [text[:length], None]
+        head = text[:length]
+        held = head, hashlib.sha256(head.encode("utf-8"))
         self._heads.setdefault(key, []).append(held)
+        escaped = json.dumps(head)[1:-1].encode("ascii")
+        self._json_heads.setdefault((len(escaped), escaped[-_HEAD_KEY_CHARS:]), []).append(
+            (escaped, *held))
         return held
-
-    def drop_json(self) -> None:
-        """Let go of the heads' JSON, which only ``find_json`` reads; it then
-        finds only the heads that ``split`` hashes after this."""
-        self._json_heads = {}
 
     def find_json(self, raw: bytes, start: int) -> tuple[int, tuple[str, object]] | None:
         """Where a head already split ends in ``raw``, with the head and its
@@ -321,9 +298,15 @@ class Prompt(NamedTuple):
     """One rendered prompt, immutable. A named tuple, since ``renderer``
     builds one per question and a frozen dataclass costs several times as
     much to build; it is built positionally or by name, and, being a tuple,
-    also unpacks and equals a tuple of its fields."""
+    also unpacks and equals a tuple of its fields.
 
-    text: str
+    Its text is ``head`` and ``tail`` joined, held apart: every prompt of a
+    batch holds its batch's one ``head`` string by reference, and ``text``
+    joins a new string on each read, so only what sends or writes a whole
+    prompt reads it."""
+
+    head: str  # the batch's blocks, up to the target block's "Q: "
+    tail: str  # the question line and the answer cue
     question: str
     setting: str
     doc_id: str
@@ -332,16 +315,19 @@ class Prompt(NamedTuple):
     params: CompletionParams  # ``default_params(question)`` when rendered
     digest: str  # ``transcript_digest(text, params)``: the cache key
 
+    @property
+    def text(self) -> str:
+        return self.head + self.tail
+
 
 def renderer(question: str, setting: str, doc: corpus.Document,
              shots: list[ShotExample] | None = None):
     """The renderer of one question batch on one document: it joins the
     prompts' shared head, up to the target block's ``"Q: "``, and hashes it
     once, and returns the function of ``(x, y)`` that renders each prompt of
-    the batch, with the question's params and its digest, which hashes only
-    the prompt's own question line. A prompt then costs ``instantiate``'s
-    check and format, one concatenation with the head, that hash and a
-    ``Prompt`` tuple."""
+    the batch on that head, with the question's params and its digest, which
+    hashes only the prompt's own question line. A prompt then costs
+    ``instantiate``'s check and format, that hash and a ``Prompt`` tuple."""
     if question not in QUESTION_KINDS:
         raise PromptError(f"unknown question kind: {question}")
     if setting not in SETTINGS:
@@ -370,9 +356,9 @@ def renderer(question: str, setting: str, doc: corpus.Document,
     params = default_params(question)
 
     def fill(x: str | None, y: str | None) -> Prompt:
-        line = instantiate(question, x, y) + "\nA: "
-        return Prompt(head + line, question, setting, doc.id, x, y, params,
-                      transcript_digest(line, params, hashed))
+        tail = instantiate(question, x, y) + "\nA: "
+        return Prompt(head, tail, question, setting, doc.id, x, y, params,
+                      transcript_digest(tail, params, hashed))
     return fill
 
 

@@ -33,9 +33,11 @@ PARAMS = bk.CompletionParams()
 HEAD = "Consider the following process:\n" + "The clerk files the form. " * 8 + "\nQ: "
 
 
-def make_prompt(text="hello", question=Q1, doc_id="10.1", x=None, y=None, params=PARAMS):
-    return Prompt(text, question, RAW, doc_id, x, y, params,
-                  bk.transcript_digest(text, params))
+def make_prompt(text="hello", question=Q1, doc_id="10.1", x=None, y=None, params=PARAMS,
+                head=""):
+    """A prompt whose text is ``head`` and ``text`` joined."""
+    return Prompt(head, text, question, RAW, doc_id, x, y, params,
+                  bk.transcript_digest(head + text, params))
 
 
 def _held(entry: dict) -> dict:
@@ -63,7 +65,7 @@ def test_default_params_are_reproducible():
 
 def test_cache_record_lookup_roundtrip(tmp_path):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
-    cache.record("p", PARAMS, "done")
+    cache.record(make_prompt("p"), "done")
     digest = bk.transcript_digest("p", PARAMS)
     assert cache.lookup(digest)["completion"] == "done"
     assert cache.lookup("0" * 64) is None
@@ -71,10 +73,10 @@ def test_cache_record_lookup_roundtrip(tmp_path):
 
 def test_cache_conflict(tmp_path):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
-    cache.record("p", PARAMS, "one")
-    cache.record("p", PARAMS, "one")  # idempotent re-record
+    cache.record(make_prompt("p"), "one")
+    cache.record(make_prompt("p"), "one")  # idempotent re-record
     with pytest.raises(CacheConflictError):
-        cache.record("p", PARAMS, "two")
+        cache.record(make_prompt("p"), "two")
 
 
 def test_cache_load_rejects_a_digest_loaded_with_another_completion(tmp_path):
@@ -82,7 +84,7 @@ def test_cache_load_rejects_a_digest_loaded_with_another_completion(tmp_path):
     could append them, are a conflict that names the second line, as
     recording the second completion would be."""
     path = tmp_path / "c.jsonl"
-    bk.TranscriptCache(path).record("p", PARAMS, "a")
+    bk.TranscriptCache(path).record(make_prompt("p"), "a")
     entry = json.loads(path.read_text())
     path.write_text(path.read_text() + json.dumps({**entry, "completion": "b"}) + "\n")
     with pytest.raises(CacheConflictError, match=":2: digest"):
@@ -91,7 +93,7 @@ def test_cache_load_rejects_a_digest_loaded_with_another_completion(tmp_path):
 
 def test_cache_load_keeps_the_first_of_identical_duplicates(tmp_path):
     path = tmp_path / "c.jsonl"
-    bk.TranscriptCache(path).record("p", PARAMS, "a")
+    bk.TranscriptCache(path).record(make_prompt("p"), "a")
     entry = json.loads(path.read_text())
     path.write_text(path.read_text() + json.dumps({**entry, "recorded_at": "later"}) + "\n")
     cache = bk.TranscriptCache(path)
@@ -125,7 +127,7 @@ def test_cache_load_holds_a_shared_head_once(tmp_path):
     head = "Consider the following process:\n" + "The clerk files the form. " * 156 + "\nQ: "
     cache = bk.TranscriptCache(path)
     for k in range(500):
-        cache.record(f"{head}question {k}?\nA: ", PARAMS, f"answer {k}")
+        cache.record(make_prompt(f"question {k}?\nA: ", head=head), f"answer {k}")
     tracemalloc.start()
     try:
         loaded = bk.TranscriptCache(path)
@@ -137,15 +139,15 @@ def test_cache_load_holds_a_shared_head_once(tmp_path):
 
 
 def test_cache_record_holds_a_shared_head_once(tmp_path):
-    """500 entries recorded with prompts that share one 4 kB head hold that
-    head once, as a load does: what recording leaves allocated is far below
-    500 copies of it."""
+    """500 entries recorded with prompts built on one 4 kB head object, as
+    a batch's prompts are, hold that head once: what recording leaves
+    allocated is far below 500 copies of it."""
     head = "Consider the following process:\n" + "The clerk files the form. " * 156 + "\nQ: "
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
     tracemalloc.start()
     try:
         for k in range(500):
-            cache.record(f"{head}question {k}?\nA: ", PARAMS, f"answer {k}")
+            cache.record(make_prompt(f"question {k}?\nA: ", head=head), f"answer {k}")
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -165,7 +167,7 @@ def test_cache_holds_one_params_dict_per_distinct_params(tmp_path):
     tracemalloc.start()
     try:
         for k in range(2000):
-            cache.record(f"question {k}?\nA: ", PARAMS, f"answer {k}")
+            cache.record(make_prompt(f"question {k}?\nA: "), f"answer {k}")
         recorded, _ = tracemalloc.get_traced_memory()
         tracemalloc.clear_traces()
         loaded = bk.TranscriptCache(path)
@@ -211,18 +213,18 @@ def test_cache_lookup_gives_each_line_its_own_prompt_and_completion(tmp_path):
 def test_cache_append_preserves_entries(tmp_path):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
-    cache.record("p1", PARAMS, "a")
-    cache.record("p2", PARAMS, "b")
+    cache.record(make_prompt("p1"), "a")
+    cache.record(make_prompt("p2"), "b")
     reloaded = bk.TranscriptCache(path)
     assert len(reloaded) == 2
-    reloaded.record("p3", PARAMS, "c")
+    reloaded.record(make_prompt("p3"), "c")
     assert len(bk.TranscriptCache(path)) == 3
 
 
 def test_cache_rejects_tampered_digest(tmp_path):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
-    cache.record("p", PARAMS, "a")
+    cache.record(make_prompt("p"), "a")
     entry = json.loads(path.read_text().strip())
     entry["prompt"] = "tampered"
     path.write_text(json.dumps(entry) + "\n")
@@ -232,8 +234,8 @@ def test_cache_rejects_tampered_digest(tmp_path):
     # so that the line is read by position, is named as line 2.
     path.unlink()
     cache = bk.TranscriptCache(path)
-    cache.record(HEAD + "first?\nA: ", PARAMS, "a")
-    cache.record(HEAD + "second?\nA: ", PARAMS, "b")
+    cache.record(make_prompt("first?\nA: ", head=HEAD), "a")
+    cache.record(make_prompt("second?\nA: ", head=HEAD), "b")
     path.write_text(path.read_text().replace("second?", "altered?"))
     with pytest.raises(CacheConflictError, match=r"c\.jsonl:2: cache entry digest"):
         bk.TranscriptCache(path)
@@ -241,7 +243,7 @@ def test_cache_rejects_tampered_digest(tmp_path):
 
 def test_cache_skips_torn_final_line(tmp_path, caplog):
     path = tmp_path / "c.jsonl"
-    bk.TranscriptCache(path).record("p1", PARAMS, "a")
+    bk.TranscriptCache(path).record(make_prompt("p1"), "a")
     with path.open("a") as handle:
         handle.write('{"digest": "ab')
     cache = bk.TranscriptCache(path)
@@ -251,10 +253,10 @@ def test_cache_skips_torn_final_line(tmp_path, caplog):
 
 def test_cache_append_after_torn_line_starts_fresh(tmp_path):
     path = tmp_path / "c.jsonl"
-    bk.TranscriptCache(path).record("p1", PARAMS, "a")
+    bk.TranscriptCache(path).record(make_prompt("p1"), "a")
     with path.open("a") as handle:
         handle.write('{"digest": "ab')
-    bk.TranscriptCache(path).record("p2", PARAMS, "b")
+    bk.TranscriptCache(path).record(make_prompt("p2"), "b")
     lines = path.read_text().splitlines()
     assert [json.loads(line)["completion"] for line in lines] == ["a", "b"]
     assert len(bk.TranscriptCache(path)) == 2
@@ -262,20 +264,20 @@ def test_cache_append_after_torn_line_starts_fresh(tmp_path):
 
 def test_cache_append_after_unterminated_line_starts_fresh(tmp_path):
     path = tmp_path / "c.jsonl"
-    bk.TranscriptCache(path).record("p1", PARAMS, "a")
+    bk.TranscriptCache(path).record(make_prompt("p1"), "a")
     path.write_text(path.read_text().rstrip("\n"))
-    bk.TranscriptCache(path).record("p2", PARAMS, "b")
+    bk.TranscriptCache(path).record(make_prompt("p2"), "b")
     assert len(bk.TranscriptCache(path)) == 2
 
 
 @pytest.mark.parametrize("tear", ['{"digest": "ab', ""])
 def test_cache_mend_keeps_lines_appended_since_load(tmp_path, tear):
     path = tmp_path / "c.jsonl"
-    bk.TranscriptCache(path).record("p1", PARAMS, "a")
+    bk.TranscriptCache(path).record(make_prompt("p1"), "a")
     path.write_text(path.read_text() + tear if tear else path.read_text().rstrip("\n"))
     first, second = bk.TranscriptCache(path), bk.TranscriptCache(path)
-    second.record("p2", PARAMS, "b")
-    first.record("p3", PARAMS, "c")
+    second.record(make_prompt("p2"), "b")
+    first.record(make_prompt("p3"), "c")
     assert len(bk.TranscriptCache(path)) == 3
 
 
@@ -284,7 +286,7 @@ def test_cache_appends_from_two_caches_on_one_path_keep_every_entry(tmp_path, mo
     the torn tail they loaded and append from four threads: every line
     parses, and no entry is lost."""
     path = tmp_path / "c.jsonl"
-    bk.TranscriptCache(path).record("p0", PARAMS, "a")
+    bk.TranscriptCache(path).record(make_prompt("p0"), "a")
     path.write_text(path.read_text() + '{"digest": "ab')
     caches = [bk.TranscriptCache(path), bk.TranscriptCache(path)]
     pread = os.pread
@@ -305,7 +307,7 @@ def test_cache_appends_from_two_caches_on_one_path_keep_every_entry(tmp_path, mo
     try:
         def record(k):
             for i in range(5):
-                caches[k % 2].record(f"p{k}.{i}", PARAMS, f"c{k}.{i}")
+                caches[k % 2].record(make_prompt(f"p{k}.{i}"), f"c{k}.{i}")
         with ThreadPoolExecutor(8) as pool:
             list(pool.map(record, range(8), timeout=30))
     finally:
@@ -322,8 +324,8 @@ def test_cache_rejects_a_head_altered_before_its_key(tmp_path):
     does not recompute to its digest."""
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
-    cache.record(HEAD + "first?\nA: ", PARAMS, "a")
-    cache.record(HEAD + "second?\nA: ", PARAMS, "b")
+    cache.record(make_prompt("first?\nA: ", head=HEAD), "a")
+    cache.record(make_prompt("second?\nA: ", head=HEAD), "b")
     first, second = path.read_text().splitlines()
     entry = json.loads(second)
     entry["prompt"] = "c" + entry["prompt"][1:]
@@ -340,7 +342,7 @@ def test_cache_loads_heads_that_share_only_their_key(tmp_path):
              for question in ("first?\nA: ", "second?\nA: ")]
     cache = bk.TranscriptCache(path)
     for k, text in enumerate(texts):
-        cache.record(text, PARAMS, f"answer {k}")
+        cache.record(make_prompt(text), f"answer {k}")
     reloaded = bk.TranscriptCache(path)
     assert len(reloaded) == 4
     for k, text in enumerate(texts):
@@ -366,8 +368,8 @@ def test_cache_loads_heads_that_share_only_their_key(tmp_path):
 def test_cache_corrupt_line_mid_file(tmp_path, bad):
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
-    cache.record("p1", PARAMS, "a")
-    cache.record("p2", PARAMS, "b")
+    cache.record(make_prompt("p1"), "a")
+    cache.record(make_prompt("p2"), "b")
     first, second = path.read_text().splitlines()
     path.write_text("\n".join([first, bad, second]) + "\n")
     with pytest.raises(CacheCorruptError, match=":2:"):
@@ -518,7 +520,7 @@ def test_cache_load_matches_a_whole_line_load(heads, lines, surrogate, tampered,
 def test_cached_backend_without_inner_replays(tmp_path):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
     prompt = make_prompt("the prompt")
-    cache.record(prompt.text, PARAMS, "recorded")
+    cache.record(prompt, "recorded")
     replay = bk.CachedBackend(cache)
     assert replay.complete(prompt, PARAMS) == "recorded"
     assert replay.complete(prompt, PARAMS) == "recorded"
@@ -545,7 +547,7 @@ def test_recording_backend_write_through(tmp_path):
     makes no inner call and leaves the file as it was."""
     path = tmp_path / "c.jsonl"
     cache = bk.TranscriptCache(path)
-    cache.record("recorded", PARAMS, "answer to recorded")
+    cache.record(make_prompt("recorded"), "answer to recorded")
     inner = CountingStub()
     cached = bk.CachedBackend(cache, inner)
     assert cached.complete(make_prompt("recorded"), PARAMS) == "answer to recorded"
@@ -567,7 +569,7 @@ def test_cache_write_failure_is_a_backend_error(tmp_path):
     blocker.write_text("")
     cache = bk.TranscriptCache(blocker / "c.jsonl")
     with pytest.raises(BackendError, match="cannot write transcript cache"):
-        cache.record("p", PARAMS, "a")
+        cache.record(make_prompt("p"), "a")
     assert cache.lookup(bk.transcript_digest("p", PARAMS)) is None
 
 

@@ -639,8 +639,8 @@ def ask_each(*texts):
             if text is None:
                 raise ValueError("does not render")
             params = prompting.default_params(prompting.Q1)
-            yield prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None, None,
-                                   params, prompting.transcript_digest(text, params))
+            yield prompting.Prompt("", text, prompting.Q1, prompting.RAW, "10.1", None,
+                                   None, params, prompting.transcript_digest(text, params))
 
     answers = yield prompts()
     completions = []
@@ -679,8 +679,9 @@ def ask_in_turn(*batches, params=prompting.default_params(prompting.Q1)):
     returns each question's completion, or the error its call raised."""
     answers = []
     for texts in batches:
-        replies = yield (prompting.Prompt(text, prompting.Q1, prompting.RAW, "10.1", None,
-                                          None, params, prompting.transcript_digest(text, params))
+        replies = yield (prompting.Prompt("", text, prompting.Q1, prompting.RAW, "10.1",
+                                          None, None, params,
+                                          prompting.transcript_digest(text, params))
                          for text in texts)
         for _ in texts:
             try:
