@@ -238,9 +238,7 @@ def cmd_evaluate(args) -> int:
     if args.out_csv:
         atomic_write(args.out_csv, evaluation.render_table(report, ["-"], "csv"))
     if args.out_json:
-        atomic_write(args.out_json,
-                     json.dumps(evaluation.report_to_dict(report, ["-"]),
-                                indent=2, sort_keys=True) + "\n")
+        atomic_write(args.out_json, evaluation.report_json(report, ["-"]))
     return EXIT_OK
 
 

@@ -7,13 +7,15 @@ modes, and macro averaging across documents.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .corpus import GoldStandard, read_json
 from .errors import PexError
-from .worldmodel import WorldModel, normalize_key
+from .worldmodel import WorldModel, _json_block, normalize_key
 
 GS = "gs"
 EX = "ex"
@@ -42,18 +44,17 @@ class MatchConfig:
         return cls(aliases=data, **kwargs)
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize(phrase: str) -> frozenset:
     """Token set: lowercased, punctuation-free, free of ``STOPWORDS``, and
-    de-pluralized (a final ``s`` cut off a token of four or more letters)."""
+    de-pluralized (a final ``s`` cut off a token of four or more letters).
+
+    Memoized, bounded, as ``normalize_key`` is: a suite scores each gold
+    phrase list once per setting and activity source, so most phrases are
+    met again. ``__wrapped__`` is the function unmemoized."""
     tokens = _PUNCT.sub(" ", phrase.lower()).split()
     return frozenset(t[:-1] if len(t) > 3 and t.endswith("s") else t
                      for t in tokens if t not in STOPWORDS)
-
-
-def _jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
 
 
 def match_phrase(extracted: str, gold: str,
@@ -67,8 +68,10 @@ def _judge(extracted: str, gold: str, ea: frozenset, ga: frozenset,
     """``match_phrase``'s verdict, given both phrases' normalized token sets."""
     if gold in cfg.aliases.get(extracted, ()):
         return True, 1.0
-    score = _jaccard(ea, ga)
-    if ea and ga and (ea <= ga or ga <= ea):
+    shared = len(ea & ga)
+    # Jaccard: |ea & ga| / |ea | ga|, 0 for two empty sets.
+    score = shared / (len(ea) + len(ga) - shared) if ea or ga else 0.0
+    if shared and (shared == len(ea) or shared == len(ga)):  # one set holds the other
         return True, score
     return score >= cfg.jaccard_threshold, score
 
@@ -212,7 +215,15 @@ def mean(values) -> float:
 
 def round2(value: float) -> float:
     """Half-up rounding to two decimals, applied only at render time."""
-    return float(Decimal(repr(value)).quantize(Decimal("0.01"), ROUND_HALF_UP))
+    return _round2(repr(value))
+
+
+@functools.lru_cache(maxsize=4096)
+def _round2(text: str) -> float:
+    """``round2`` of the number ``text`` spells, memoized by that text (so
+    ``0.0`` and ``-0.0`` stay apart): a report renders a few distinct scores
+    many times."""
+    return float(Decimal(text).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
 def fmt2(value: float) -> str:
@@ -278,3 +289,39 @@ def report_to_dict(report: dict, settings: list[str]) -> dict:
             row: {"precision": p, "recall": r, "f1": f}
             for row, (p, r, f) in avg.items()}
     return out
+
+
+# One row's scores, and one macro-average row, as ``json.dumps`` lays them
+# out at ``indent=2`` with sorted keys, at the depth ``report_json`` puts them.
+_SCORES = ('{{\n        "f1": {},\n        "fn": {},\n        "fp": {},\n'
+           '        "precision": {},\n        "recall": {},\n        "tp": {}\n      }}').format
+_AVERAGES = ('{{\n        "f1": {},\n        "precision": {},\n'
+             '        "recall": {}\n      }}').format
+
+
+def report_json(report: dict, settings: list[str]) -> str:
+    """``json.dumps(report_to_dict(report, settings), indent=2,
+    sort_keys=True) + "\\n"``, byte for byte, written for the report's fixed
+    shape, as ``WorldModel.to_json`` writes a model's: with ``indent``,
+    ``json.dumps`` takes CPython's pure-Python encoder. Keys sort as strings,
+    so ``macro_average`` sorts among the document ids; strings are escaped by
+    the C function ``json.dumps`` uses, scores written by ``float.__repr__``
+    and counts by ``int.__repr__``, as ``json.dumps`` writes finite floats
+    and ints."""
+    def block(items: dict, indent: str) -> str:
+        return _json_block("{}", [f"{_json_string(key)}: {text}"
+                                  for key, text in sorted(items.items())], indent)
+
+    score, count = float.__repr__, int.__repr__
+    out = {}
+    for setting in settings:
+        docs = {doc_id: block({row: _SCORES(score(s.f1), count(s.fn), count(s.fp),
+                                            score(s.precision), score(s.recall),
+                                            count(s.tp))
+                               for row, s in rows.items()}, "    ")
+                for doc_id, rows in report[setting].items()}
+        average = macro_average(list(report[setting].values()))
+        docs["macro_average"] = block({row: _AVERAGES(score(f1), score(p), score(r))
+                                       for row, (p, r, f1) in average.items()}, "    ")
+        out[setting] = block(docs, "  ")
+    return block(out, "") + "\n"

@@ -1,8 +1,8 @@
 """Drive extract + evaluate for all evaluation documents and settings."""
 from __future__ import annotations
 
-import json
 import os
+import threading
 from contextlib import closing, suppress
 from pathlib import Path
 
@@ -12,15 +12,26 @@ from .evaluation import MatchConfig
 
 
 def atomic_write(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all: it is written
+    to a temp file beside ``path``, named for this process and thread, so two
+    writers of one path never share one, then moved over ``path``. The
+    parent directory is made only when the first write finds it missing, so
+    a suite's many files into one directory cost no ``mkdir`` each. Any
+    ``OSError`` removes the temp file and raises ``PexError``."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        try:
+            file = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            file = open(tmp, "w", encoding="utf-8")
+        with file:
+            file.write(text)
         os.replace(tmp, path)
     except OSError as exc:
         with suppress(OSError):
-            tmp.unlink()
+            os.unlink(tmp)
         raise PexError(f"cannot write {path}: {exc.strerror}") from exc
 
 
@@ -35,6 +46,11 @@ def run_suite(entries, settings, backend, outdir,
     equals a sequential run's. ``pipeline.schedule`` keeps the answers of
     the whole suite and asks ``backend`` each distinct prompt once, so the
     gs run reuses the ex run's answers wherever their questions agree.
+
+    Each file goes through ``atomic_write``, which makes ``outdir`` and
+    ``outdir/models`` on their first write. ``report.json`` is written by
+    ``evaluation.report_json`` (the bytes of ``json.dumps`` at ``indent=2``
+    with sorted keys), and ``report.csv`` by ``render_table``.
 
     Returns the report mapping setting -> doc_id -> row -> ElementScores.
     """
@@ -64,7 +80,5 @@ def run_suite(entries, settings, backend, outdir,
 
     atomic_write(outdir / "report.csv",
                  evaluation.render_table(report, list(settings), "csv"))
-    atomic_write(outdir / "report.json",
-                 json.dumps(evaluation.report_to_dict(report, list(settings)),
-                            indent=2, sort_keys=True) + "\n")
+    atomic_write(outdir / "report.json", evaluation.report_json(report, list(settings)))
     return report

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from pexkit import cli, corpus, prompting
 from pexkit.backend import OracleBackend, TranscriptCache
 from pexkit.corpus import EVALUATION_IDS, SHOT_IDS
-from pexkit.errors import BackendError
+from pexkit.errors import BackendError, PexError
+from pexkit.suite import atomic_write
 
 # synthgen seed 1's document 10.1 with its two shot documents, its noisy
 # answers recorded through the stand-in, and the model and ex scores each
@@ -419,6 +420,54 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out}")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_atomic_write_makes_a_missing_parent(tmp_path):
+    path = tmp_path / "a" / "b" / "report.csv"
+    atomic_write(path, "x\n")
+    atomic_write(path, "y\n")
+    assert path.read_text() == "y\n"
+    assert [p.name for p in path.parent.iterdir()] == ["report.csv"]
+
+
+def test_atomic_write_under_a_file_raises_and_leaves_nothing(tmp_path):
+    (tmp_path / "file").write_text("kept")
+    for path in (tmp_path / "file" / "report.csv", tmp_path / "file" / "models" / "m.json"):
+        with pytest.raises(PexError, match=f"cannot write {path}"):
+            atomic_write(path, "x")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_two_writers_of_one_path_each_publish_a_whole_text(tmp_path):
+    """Each writer writes its own temp file, so one never moves the other's
+    half-written text over the path: every write succeeds, the path holds
+    one whole text, and no temp file is left."""
+    path = tmp_path / "report.json"
+    texts = [ch * 1_000_000 for ch in "abcd"]
+    errors = []
+
+    def write(text):
+        try:
+            for _ in range(5):
+                atomic_write(path, text)
+        except PexError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=write, args=(text,)) for text in texts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert path.read_text() in texts
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_run_suite_oracle_single_setting(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,15 @@ def test_normalize_plural_stripping():
 
 def test_normalize_empty():
     assert normalize("") == frozenset()
+
+
+@given(st.lists(st.text(st.sampled_from("Sends the a invoices,. Ivé\u0130ß\t")
+                        | st.characters(), max_size=12), max_size=6))
+def test_normalize_memo_agrees_with_the_function(phrases):
+    """The memoized token set is the one the function computes, for a phrase
+    met for the first time or again."""
+    for phrase in phrases + phrases:
+        assert normalize(phrase) == normalize.__wrapped__(phrase)
 
 
 def test_normalize_short_tokens_keep_s():
@@ -64,6 +75,31 @@ def test_match_threshold():
     matched, score = match_phrase("send customer invoice", "send invoice", cfg)
     # 2/3 overlap: below 0.9 threshold, but containment still matches
     assert matched and score == pytest.approx(2 / 3)
+
+
+def ref_match_phrase(extracted, gold, cfg):
+    """The matcher as first written: Jaccard from the union, containment as
+    subset tests."""
+    if gold in cfg.aliases.get(extracted, ()):
+        return True, 1.0
+    a, b = normalize(extracted), normalize(gold)
+    score = len(a & b) / len(a | b) if a or b else 0.0
+    if a and b and (a <= b or b <= a):
+        return True, score
+    return score >= cfg.jaccard_threshold, score
+
+
+_short_phrase = st.lists(st.sampled_from(("send", "sends", "invoice", "the", "a", "pay",
+                                          "order", "clerk", "", ".")),
+                         max_size=4).map(" ".join)
+
+
+@given(_short_phrase, _short_phrase, st.sampled_from((0.5, 1.0, 1e-9)) | st.floats(0, 1),
+       st.booleans())
+def test_match_phrase_equals_the_first_matcher(extracted, gold, threshold, alias):
+    cfg = MatchConfig(jaccard_threshold=threshold,
+                      aliases={extracted: [gold]} if alias else {})
+    assert match_phrase(extracted, gold, cfg) == ref_match_phrase(extracted, gold, cfg)
 
 
 # -- align ------------------------------------------------------------------
@@ -455,9 +491,11 @@ def test_macro_average_empty():
 
 
 def test_round2_half_up():
-    assert round2(2 / 3) == 0.67
-    assert round2(0.825) == 0.83
-    assert round2(0.005) == 0.01
+    for _warm in range(2):  # the second pass reads the memo
+        assert round2(2 / 3) == 0.67
+        assert round2(0.825) == 0.83
+        assert round2(0.005) == 0.01
+        assert ev.fmt2(0.0) == "0.00" and ev.fmt2(-0.0) == "-0.00"
 
 
 def test_render_table_layouts():
@@ -469,6 +507,37 @@ def test_render_table_layouts():
     assert "Average,Activity,1.00,1.00,1.00" in csv
     text = ev.render_table(report, ["raw"], "text")
     assert "Activity" in text
+
+
+# Scores that ``repr`` writes in every form: short and long decimals, an
+# exponent, the smallest subnormal, and the ends of the range.
+_score = st.sampled_from((2 / 3, 0.1 + 0.2, 1e-05, 5e-324, 0.0, 1.0, 0.5)) | st.floats(0, 1)
+_count = st.integers(0, 10**6)
+
+
+@st.composite
+def _reports(draw):
+    """A suite report and its settings: ids that sort on both sides of
+    ``macro_average``, ids, settings and rows in any text, each document
+    with its own rows, and ``evaluate``'s single ``-`` setting."""
+    settings_ = draw(st.lists(st.sampled_from(("-", "raw", "defs", "2shots", "defs+2shots"))
+                              | st.text(max_size=4), min_size=1, max_size=3, unique=True))
+    doc_ids = draw(st.lists(st.sampled_from(("10.1", "2", "m", "z", "macro", "macro_b", "é"))
+                            | st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    rows = st.lists(st.sampled_from(ev.ROWS) | st.text(max_size=3), max_size=6, unique=True)
+    scores = st.builds(ElementScores, _count, _count, _count, _score, _score, _score)
+    report = {setting: {doc_id: {row: draw(scores) for row in draw(rows)}
+                        for doc_id in doc_ids}
+              for setting in settings_}
+    return report, settings_
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports())
+def test_report_json_is_json_dumps_at_indent_2(case):
+    report, settings_ = case
+    assert ev.report_json(report, settings_) == json.dumps(
+        ev.report_to_dict(report, settings_), indent=2, sort_keys=True) + "\n"
 
 
 def test_table2_f1_recomputes(index):
