@@ -247,8 +247,8 @@ def cmd_run_suite(args) -> int:
     entries = _load_entries(args.corpus)
     with closing(_make_backend(args, entries)) as backend:
         cfg = _match_config(args)
-        report = run_suite(entries, args.settings, backend, args.outdir, cfg=cfg)
-    sys.stdout.write(evaluation.render_table(report, args.settings, "text"))
+        rows = run_suite(entries, args.settings, backend, args.outdir, cfg=cfg)
+    sys.stdout.write(evaluation.render_table(rows, args.settings, "text"))
     return EXIT_OK
 
 

@@ -262,8 +262,10 @@ def report_rows(report: dict, settings: list[str]) -> list[list[str]]:
     return lines
 
 
-def render_table(report: dict, settings: list[str], layout: str = "text") -> str:
-    rows = report_rows(report, settings)
+def render_table(report, settings: list[str], layout: str = "text") -> str:
+    """``report``, a suite report or its ``report_rows`` already built, as a
+    table in ``layout``: ``"csv"`` or ``"text"``."""
+    rows = report if isinstance(report, list) else report_rows(report, settings)
     if layout == "csv":
         return "\n".join(",".join(line) for line in rows) + "\n"
     if layout == "text":

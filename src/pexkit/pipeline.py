@@ -6,6 +6,7 @@ question for every ordered pair of distinct activities.
 """
 from __future__ import annotations
 
+import functools
 import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import closing
@@ -55,21 +56,31 @@ def parse_list_answer(completion: str) -> list[str]:
 
 
 def parse_participant_answer(completion: str) -> list[str]:
-    """Parse a Q2 answer into participant phrases (no normalization)."""
+    """Parse a Q2 answer into participant phrases (no normalization): a new
+    list on each call, of the phrases ``_participants`` memoizes."""
+    return list(_participants(completion))
+
+
+@functools.lru_cache(maxsize=4096)
+def _participants(completion: str) -> tuple[str, ...]:
+    """``parse_participant_answer``'s phrases, memoized by completion text: a
+    suite's gs runs meet its ex runs' answers again."""
     text = completion.strip()
     if not text:
-        return []
+        return ()
     first = re.split(r"(?<=[.!?])\s", text, maxsplit=1)[0].strip()
     first = _Q2_BOILERPLATE.sub("", first)
     first = first.rstrip(".").strip()
     if not first:
-        return []
-    return [p.strip() for p in _COORD_SPLIT.split(first) if p.strip()]
+        return ()
+    return tuple(p.strip() for p in _COORD_SPLIT.split(first) if p.strip())
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_yesno(completion: str) -> str:
     """Classify a Q3 completion by its first alphabetic run (``str.isalpha``),
-    case-folded: ``"Àno"`` is neither yes nor no."""
+    case-folded: ``"Àno"`` is neither yes nor no. Memoized by completion
+    text, as a suite meets a few distinct answers many times."""
     for alphabetic, run in groupby(completion, str.isalpha):
         if alphabetic:
             return {"yes": YES, "no": NO}.get("".join(run).casefold(), UNKNOWN)
@@ -96,7 +107,8 @@ class ExtractionAborted(BackendError):
 
 
 def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
-             activity_source: str = EXTRACTED, shots: list | None = None):
+             activity_source: str = EXTRACTED, shots: list | None = None,
+             prompts: dict | None = None):
     """The question dialogue for one document and setting, as a job for
     ``schedule``; it returns the ``ExtractionRun``.
 
@@ -104,6 +116,13 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     lazily, and is sent an iterator of ``(prompt, completion)`` in question
     order, whose ``next`` raises a failed call's error in that call's place.
     So each answer is applied before the next one is taken.
+
+    ``prompts``, when given, is a render memo, ``(question, x, y)`` ->
+    ``Prompt``, that dialogues of this document, setting and shots share: a
+    binding found there takes that prompt, with its head and digest, and only
+    a miss is rendered and stored. A batch builds its ``renderer``, which
+    joins and hashes the head, on its first miss, so a batch that misses none
+    builds none.
     """
     if activity_source not in (EXTRACTED, GOLD_INJECTED):
         raise ValueError(f"unknown activity source: {activity_source}")
@@ -116,8 +135,19 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     def ask(question: str, bindings: list, apply):
         """Ask ``question`` for each (x, y) binding; call ``apply(k, completion,
         digest)`` for the k-th answer, in binding order."""
-        fill = prompting.renderer(question, setting, doc, shots)
-        answers = yield (fill(x, y) for x, y in bindings)
+        fill = None
+
+        def render(x, y):
+            nonlocal fill
+            prompt = prompts.get((question, x, y)) if prompts is not None else None
+            if prompt is None:
+                fill = fill or prompting.renderer(question, setting, doc, shots)
+                prompt = fill(x, y)
+                if prompts is not None:
+                    prompts[question, x, y] = prompt
+            return prompt
+
+        answers = yield (render(x, y) for x, y in bindings)
         for k in range(len(bindings)):
             try:
                 prompt, completion = next(answers)

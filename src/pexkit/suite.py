@@ -36,7 +36,7 @@ def atomic_write(path, text: str) -> None:
 
 
 def run_suite(entries, settings, backend, outdir,
-              cfg: MatchConfig = MatchConfig()) -> dict:
+              cfg: MatchConfig = MatchConfig()) -> list[list[str]]:
     """Extract every document under every setting (both activity sources),
     score the six report rows, and write models plus CSV/JSON reports.
 
@@ -45,14 +45,19 @@ def run_suite(entries, settings, backend, outdir,
     and their results are scored and written in job order, so every file
     equals a sequential run's. ``pipeline.schedule`` keeps the answers of
     the whole suite and asks ``backend`` each distinct prompt once, so the
-    gs run reuses the ex run's answers wherever their questions agree.
+    gs run reuses the ex run's answers wherever their questions agree. A job
+    also keeps one render memo for its two dialogues, so the gs run takes
+    the ex run's prompt, head and digest included, for each question they
+    share: each job renders and hashes each distinct question once. The
+    memo dies with its job.
 
     Each file goes through ``atomic_write``, which makes ``outdir`` and
     ``outdir/models`` on their first write. ``report.json`` is written by
     ``evaluation.report_json`` (the bytes of ``json.dumps`` at ``indent=2``
     with sorted keys), and ``report.csv`` by ``render_table``.
 
-    Returns the report mapping setting -> doc_id -> row -> ElementScores.
+    Returns the report's table, as ``evaluation.report_rows`` builds it once
+    for ``report.csv``, for ``render_table`` to lay out again.
     """
     docs = corpus.evaluation_documents(entries)
     # Known defect: shots come from the bundled corpus, not from ``entries``;
@@ -62,8 +67,11 @@ def run_suite(entries, settings, backend, outdir,
     models_dir = outdir / "models"
 
     def both_runs(doc, setting, gold):
-        ex_run = yield from pipeline.dialogue(doc, setting, gold, pipeline.EXTRACTED, shots)
-        gs_run = yield from pipeline.dialogue(doc, setting, gold, pipeline.GOLD_INJECTED, shots)
+        prompts: dict = {}  # the job's render memo, which dies with it
+        ex_run = yield from pipeline.dialogue(doc, setting, gold, pipeline.EXTRACTED, shots,
+                                              prompts)
+        gs_run = yield from pipeline.dialogue(doc, setting, gold, pipeline.GOLD_INJECTED, shots,
+                                              prompts)
         return ex_run, gs_run
 
     jobs = [(setting, doc, gold) for setting in settings for doc, gold in docs]
@@ -78,7 +86,7 @@ def run_suite(entries, settings, backend, outdir,
             report[setting][doc.id] = evaluation.evaluate_document(
                 gold, ex_model=ex_run.model, gs_model=gs_run.model, cfg=cfg)
 
-    atomic_write(outdir / "report.csv",
-                 evaluation.render_table(report, list(settings), "csv"))
+    rows = evaluation.report_rows(report, list(settings))
+    atomic_write(outdir / "report.csv", evaluation.render_table(rows, list(settings), "csv"))
     atomic_write(outdir / "report.json", evaluation.report_json(report, list(settings)))
-    return report
+    return rows

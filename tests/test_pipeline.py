@@ -109,6 +109,25 @@ def test_parse_yesno_reads_the_first_alphabetic_run(completion):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(_answer_text, max_size=4))
+def test_parser_memos_agree_with_the_functions(completions):
+    """The memoized Q2 and Q3 parsers answer as their functions do, for a
+    completion met for the first time or again."""
+    for completion in completions + completions:
+        assert parse_yesno(completion) == parse_yesno.__wrapped__(completion)
+        assert parse_participant_answer(completion) == list(
+            pipeline._participants.__wrapped__(completion))
+
+
+def test_parse_participant_answer_returns_a_new_list_each_call():
+    first = parse_participant_answer("Alice and Bob")
+    first[0] = "Eve"
+    first.append("Mallory")
+    second = parse_participant_answer("Alice and Bob")
+    assert second == ["Alice", "Bob"] and second is not first
+
+
+@settings(max_examples=200, deadline=None)
 @given(_answer_text)
 def test_parse_list_answer_items_are_stripped_and_distinct(completion):
     items = parse_list_answer(completion)
@@ -530,10 +549,112 @@ def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_p
     cache = TranscriptCache(tmp_path / "c.jsonl")
     backend = CachedBackend(cache, oracle if width == 1 else JitteryBackend(oracle, width))
     run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path / "out")
-    assert len(made) == 70  # one head state per batch
+    assert len(made) == 42  # one per batch that renders: each ex run's Q1, Q2 and Q3
     assert len(cache) == len(set(digests)) == 734
-    assert len(digests) <= 1454
+    assert len(digests) == 734
     assert sum(fed) <= 450_000  # 2,872,062 bytes when each prompt hashed its whole text
+
+
+def count_prompts(monkeypatch):
+    """Patch a counting ``Prompt`` into ``prompting``: the list of the prompts
+    it builds."""
+    built = []
+
+    class Counted(prompting.Prompt):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            prompt = super().__new__(cls, *fields)
+            built.append(prompt)
+            return prompt
+
+    monkeypatch.setattr(prompting, "Prompt", Counted)
+    return built
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_run_suite_builds_each_distinct_prompt_once(entries, oracle, monkeypatch, tmp_path,
+                                                    width):
+    """An oracle suite's gs runs ask exactly its ex runs' questions, so each
+    job's render memo hands the gs run the ex run's prompts: one ``Prompt``
+    per distinct digest, where a render per question built 1454."""
+    from pexkit.suite import run_suite
+
+    built = count_prompts(monkeypatch)
+    backend = oracle if width == 1 else JitteryBackend(oracle, width)
+    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path)
+    assert len(built) == len({prompt.digest for prompt in built}) == 734
+
+
+class DropsAndRewords:
+    """Oracle answers, except that Q1 lists a document's gold activities
+    without the last one and with the first one upper-cased, a surface the
+    oracle still knows: the gs run shares only some of the ex run's questions."""
+
+    def __init__(self, oracle, index, max_concurrency):
+        self.oracle = oracle
+        self.index = index
+        self.max_concurrency = max_concurrency
+
+    def complete(self, prompt, params):
+        if prompt.question == prompting.Q1:
+            surfaces = self.index[prompt.doc_id][1].activities
+            return "\n".join([surfaces[0].upper(), *surfaces[1:-1]])
+        return self.oracle.complete(prompt, params)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_gs_run_renders_only_the_questions_the_ex_run_did_not(entries, index, oracle, shots,
+                                                              monkeypatch, tmp_path, width):
+    """Where Q1 drops one gold activity and rewords another, a job's gs run
+    takes the ex run's prompts for the questions they share and renders only
+    the others, and both runs equal two ``extract`` runs, which keep no memo."""
+    from pexkit.suite import run_suite
+
+    runs, memos = {}, {}
+    dialogue = pipeline.dialogue
+
+    def kept_dialogue(doc, setting, gold, source, shots, prompts):
+        memos.setdefault((doc.id, setting), []).append(prompts)
+        run = yield from dialogue(doc, setting, gold, source, shots, prompts)
+        runs[doc.id, setting, source] = run
+        return run
+
+    monkeypatch.setattr(pipeline, "dialogue", kept_dialogue)
+    built = count_prompts(monkeypatch)
+    backend = DropsAndRewords(oracle, index, width)
+    settings_ = [prompting.RAW, prompting.DEFS_SHOTS2]
+    run_suite(entries, settings_, backend, tmp_path)
+    monkeypatch.undo()
+
+    def keys(run):
+        return [(run.doc_id, run.setting, t["question"], t["x"], t["y"])
+                for t in run.transcripts]
+
+    renders = [(p.doc_id, p.setting, p.question, p.x, p.y) for p in built]
+    assert len(renders) == len(set(renders))
+    assert len(memos) == 14
+    partial = 0
+    for doc_id, setting in memos:
+        [ex_memo, gs_memo] = memos[doc_id, setting]
+        assert ex_memo is gs_memo and isinstance(ex_memo, dict)
+        ex_keys = keys(runs[doc_id, setting, EXTRACTED])
+        gs_keys = keys(runs[doc_id, setting, GOLD_INJECTED])
+        # The job's renders, in order: the ex run's questions, then the gs
+        # run's that the ex run did not ask.
+        assert [r for r in renders if r[:2] == (doc_id, setting)] == (
+            ex_keys + [k for k in gs_keys if k not in set(ex_keys)])
+        partial += bool(set(ex_keys) & set(gs_keys)) and bool(set(gs_keys) - set(ex_keys))
+        doc, gold = index[doc_id]
+        for source in (EXTRACTED, GOLD_INJECTED):
+            alone = pipeline.extract(doc, setting, backend, gold=gold, activity_source=source,
+                                     shots=shots)
+            run = runs[doc_id, setting, source]
+            assert run.model.to_json() == alone.model.to_json()
+            assert run.transcripts == alone.transcripts
+            assert run.counters == alone.counters
+            assert run.unknown_q3 == alone.unknown_q3
+    assert partial == 14
 
 
 def test_cache_load_hashes_each_distinct_head_once(entries, oracle, monkeypatch, tmp_path):
