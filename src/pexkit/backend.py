@@ -94,23 +94,22 @@ def _read_by_position(raw: bytes, memo: HeadMemo, params_texts: dict) -> tuple |
     return raw[len(_DIGEST_KEY):_DIGEST_END].decode(), shared, rest, params, completion
 
 
-def _read_whole(entry, memo: HeadMemo, known_params: dict, params_texts: dict) -> tuple:
+def _read_whole(entry, memo: HeadMemo, params_texts: dict) -> tuple:
     """The fields of a cache line decoded whole, as ``_read_by_position``
     gives them, once they have their types and the params are in range
     (else a ``KeyError``, ``TypeError``, ``UnicodeEncodeError`` or
-    ``BackendError``). ``known_params`` maps the ``repr`` of each params
-    dict loaded, and ``params_texts`` its JSON text as ``record`` writes it,
-    to the params built from the first dict with it: both tell ``0``,
-    ``0.0`` and ``false``, extra keys and key order apart."""
+    ``BackendError``). ``params_texts`` maps the JSON text of each params
+    value loaded, as ``record`` writes it, to the params built from the
+    first value with that text: it tells ``0``, ``0.0`` and ``false``, extra
+    keys and key order apart."""
     stored = entry["params"]
-    key = repr(stored)
-    params = known_params.get(key)
+    key = json.dumps(stored)
+    params = params_texts.get(key)
     if params is None:
         fields = (stored["temperature"], stored["nucleus"], stored["max_tokens"],
                   tuple(stored["stop"]))
         hash(fields)  # a list or an object among the stop strings is malformed
-        params = known_params[key] = CompletionParams(*fields)  # checks the range
-        params_texts[json.dumps(stored)] = params
+        params = params_texts[key] = CompletionParams(*fields)  # checks the range
     prompt, digest, completion = entry["prompt"], entry["digest"], entry["completion"]
     if not isinstance(prompt, str):
         raise TypeError(f"prompt is {prompt!r}")
@@ -175,7 +174,6 @@ class TranscriptCache:
         newline = True
         tail: list[bytes] = []
         memo = HeadMemo()
-        known_params: dict[str, CompletionParams] = {}
         params_texts: dict[str, CompletionParams] = {}
         # A 64 KB buffer: with the default 8 KB one, readline takes a slow
         # path on lines of a few KB.
@@ -197,7 +195,7 @@ class TranscriptCache:
                         continue
                 try:
                     if read is None:
-                        read = _read_whole(entry, memo, known_params, params_texts)
+                        read = _read_whole(entry, memo, params_texts)
                     digest, (head, state), rest, params, completion = read
                     expected = transcript_digest(rest, params, state)  # a lone surrogate raises,
                     completion.encode("utf-8")  # in the rest of the prompt or the completion

@@ -29,8 +29,6 @@ from .evaluation import MatchConfig
 from .suite import atomic_write, run_suite
 from .worldmodel import WorldModel
 
-log = logging.getLogger("pexkit")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -209,8 +207,6 @@ def cmd_extract(args) -> int:
         run = pipeline.extract(doc, args.setting, backend, gold=gold,
                                activity_source=args.activity_source,
                                shots=_shots(entries, args.setting))
-    for t in run.transcripts:
-        log.debug("issued %s prompt %s", t["question"], t["digest"])
     atomic_write(args.out, run.model.to_json())
     if args.dot:
         atomic_write(args.dot, run.model.to_dot())
@@ -233,10 +229,10 @@ def cmd_evaluate(args) -> int:
     kwargs = {"ex_model": model} if args.mode == evaluation.EX else {"gs_model": model}
     rows = evaluation.evaluate_document(gold, cfg=cfg, **kwargs)
     report = {"-": {args.doc: rows}}
-    text = evaluation.render_table(report, ["-"], "text")
-    sys.stdout.write(text)
+    table = evaluation.report_rows(report, ["-"])
+    sys.stdout.write(evaluation.render_table(table, "text"))
     if args.out_csv:
-        atomic_write(args.out_csv, evaluation.render_table(report, ["-"], "csv"))
+        atomic_write(args.out_csv, evaluation.render_table(table, "csv"))
     if args.out_json:
         atomic_write(args.out_json, evaluation.report_json(report, ["-"]))
     return EXIT_OK
@@ -248,7 +244,7 @@ def cmd_run_suite(args) -> int:
     with closing(_make_backend(args, entries)) as backend:
         cfg = _match_config(args)
         rows = run_suite(entries, args.settings, backend, args.outdir, cfg=cfg)
-    sys.stdout.write(evaluation.render_table(rows, args.settings, "text"))
+    sys.stdout.write(evaluation.render_table(rows, "text"))
     return EXIT_OK
 
 

@@ -262,10 +262,9 @@ def report_rows(report: dict, settings: list[str]) -> list[list[str]]:
     return lines
 
 
-def render_table(report, settings: list[str], layout: str = "text") -> str:
-    """``report``, a suite report or its ``report_rows`` already built, as a
-    table in ``layout``: ``"csv"`` or ``"text"``."""
-    rows = report if isinstance(report, list) else report_rows(report, settings)
+def render_table(rows: list[list[str]], layout: str = "text") -> str:
+    """A report's ``report_rows`` as a table in ``layout``: ``"csv"`` or
+    ``"text"``."""
     if layout == "csv":
         return "\n".join(",".join(line) for line in rows) + "\n"
     if layout == "text":

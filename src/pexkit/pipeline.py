@@ -7,6 +7,7 @@ question for every ordered pair of distinct activities.
 from __future__ import annotations
 
 import functools
+import logging
 import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import closing
@@ -17,6 +18,8 @@ from . import prompting
 from .corpus import Document, GoldStandard
 from .errors import BackendError
 from .worldmodel import WorldModel, normalize_key
+
+log = logging.getLogger(__name__)
 
 EXTRACTED = "extracted"
 GOLD_INJECTED = "gold"
@@ -93,13 +96,13 @@ class ExtractionRun:
     setting: str
     activity_source: str
     model: WorldModel
-    transcripts: list = field(default_factory=list)
     counters: dict = field(default_factory=lambda: {"q1": 0, "q2": 0, "q3": 0})
     unknown_q3: int = 0
 
 
 class ExtractionAborted(BackendError):
-    """Backend failure mid-run; partial transcripts are kept on ``run``."""
+    """Backend failure mid-run; ``run`` keeps the model, counters and
+    ``unknown_q3`` of the answers applied before it."""
 
     def __init__(self, message: str, run: ExtractionRun):
         super().__init__(message)
@@ -120,9 +123,13 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     ``prompts``, when given, is a render memo, ``(question, x, y)`` ->
     ``Prompt``, that dialogues of this document, setting and shots share: a
     binding found there takes that prompt, with its head and digest, and only
-    a miss is rendered and stored. A batch builds its ``renderer``, which
-    joins and hashes the head, on its first miss, so a batch that misses none
-    builds none.
+    a miss is rendered. An extracted run stores its renders there; a
+    gold-injected run, its job's last reader, stores none. A batch builds its
+    ``renderer``, which joins and hashes the head, on its first miss, so a
+    batch that misses none builds none.
+
+    Each answer, as it is applied, is logged at DEBUG as ``issued <question>
+    prompt <digest>``.
     """
     if activity_source not in (EXTRACTED, GOLD_INJECTED):
         raise ValueError(f"unknown activity source: {activity_source}")
@@ -131,6 +138,7 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
 
     run = ExtractionRun(doc.id, setting, activity_source, WorldModel(doc.id))
     model = run.model
+    store = prompts is not None and activity_source == EXTRACTED
 
     def ask(question: str, bindings: list, apply):
         """Ask ``question`` for each (x, y) binding; call ``apply(k, completion,
@@ -143,10 +151,11 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
             if prompt is None:
                 fill = fill or prompting.renderer(question, setting, doc, shots)
                 prompt = fill(x, y)
-                if prompts is not None:
+                if store:
                     prompts[question, x, y] = prompt
             return prompt
 
+        debug = log.isEnabledFor(logging.DEBUG)
         answers = yield (render(x, y) for x, y in bindings)
         for k in range(len(bindings)):
             try:
@@ -154,15 +163,8 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
             except BackendError as exc:
                 raise ExtractionAborted(str(exc), run) from exc
             run.counters[question] += 1
-            run.transcripts.append({
-                "question": question,
-                "doc_id": doc.id,
-                "setting": setting,
-                "x": prompt.x,
-                "y": prompt.y,
-                "digest": prompt.digest,
-                "completion": completion,
-            })
+            if debug:
+                log.debug("issued %s prompt %s", question, prompt.digest)
             apply(k, completion, prompt.digest)
 
     def listed(_, completion, digest):

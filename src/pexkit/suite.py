@@ -46,10 +46,11 @@ def run_suite(entries, settings, backend, outdir,
     equals a sequential run's. ``pipeline.schedule`` keeps the answers of
     the whole suite and asks ``backend`` each distinct prompt once, so the
     gs run reuses the ex run's answers wherever their questions agree. A job
-    also keeps one render memo for its two dialogues, so the gs run takes
-    the ex run's prompt, head and digest included, for each question they
-    share: each job renders and hashes each distinct question once. The
-    memo dies with its job.
+    also keeps one render memo for its two dialogues: the ex run stores its
+    prompts there, and the gs run takes the ex run's prompt, head and digest
+    included, for each question they share and stores nothing, so each job
+    renders and hashes each distinct question once. The memo dies with its
+    job.
 
     Each file goes through ``atomic_write``, which makes ``outdir`` and
     ``outdir/models`` on their first write. ``report.json`` is written by
@@ -87,6 +88,6 @@ def run_suite(entries, settings, backend, outdir,
                 gold, ex_model=ex_run.model, gs_model=gs_run.model, cfg=cfg)
 
     rows = evaluation.report_rows(report, list(settings))
-    atomic_write(outdir / "report.csv", evaluation.render_table(rows, list(settings), "csv"))
+    atomic_write(outdir / "report.csv", evaluation.render_table(rows, "csv"))
     atomic_write(outdir / "report.json", evaluation.report_json(report, list(settings)))
     return rows

@@ -3,6 +3,7 @@ import http.server
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -108,6 +109,21 @@ def test_extract_oracle_and_evaluate(tmp_path, capsys):
     assert code == 0
     assert "1.00" in out
     assert "0.00" not in out.replace("Follows", "")
+
+
+def test_extract_verbose_logs_one_issued_line_per_question(tmp_path, capsys, caplog):
+    """``-v`` logs ``issued <question> prompt <digest>`` once for each question
+    the dialogue asks, in question order, as many as the summary line counts."""
+    caplog.set_level("DEBUG", logger="pexkit")
+    code, out, _ = run_cli(capsys, "-v", "extract", "--doc", "10.1", "--setting", "raw",
+                           "--backend", "oracle", "--out", str(tmp_path / "model.json"))
+    assert code == 0
+    issued = [r.getMessage().split() for r in caplog.records
+              if r.getMessage().startswith("issued ")]
+    counts = re.search(r"\((\d+) Q1 / (\d+) Q2 / (\d+) Q3 queries", out)
+    assert len(issued) == sum(map(int, counts.groups())) == 1 + 4 + 12
+    assert [question for _, question, _, _ in issued] == ["q1"] + ["q2"] * 4 + ["q3"] * 12
+    assert all(word == "prompt" and len(digest) == 64 for _, _, word, digest in issued)
 
 
 def test_evaluate_oracle_model_all_ones(tmp_path, capsys):

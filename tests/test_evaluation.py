@@ -500,12 +500,12 @@ def test_round2_half_up():
 
 def test_render_table_layouts():
     scores = {row: ElementScores.from_counts(1, 0, 0) for row in ev.ROWS}
-    report = {"raw": {"d1": scores}}
-    csv = ev.render_table(report, ["raw"], "csv")
+    rows = ev.report_rows({"raw": {"d1": scores}}, ["raw"])
+    csv = ev.render_table(rows, "csv")
     assert csv.splitlines()[0] == "doc,element,raw_prec,raw_rec,raw_f1"
     assert "d1,Activity,1.00,1.00,1.00" in csv
     assert "Average,Activity,1.00,1.00,1.00" in csv
-    text = ev.render_table(report, ["raw"], "text")
+    text = ev.render_table(rows, "text")
     assert "Activity" in text
 
 

@@ -6,6 +6,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 from datetime import timedelta
 from itertools import permutations
@@ -145,6 +146,32 @@ def test_parse_participant_answer_items_are_stripped(completion):
 # -- extraction runs --------------------------------------------------------
 
 
+def observed(job, sent: list):
+    """``job``, a dialogue, that appends each ``(prompt, completion)`` pair
+    it takes from the answers it is sent to ``sent``, in order."""
+    def taken(answers):
+        for pair in answers:
+            sent.append(pair)
+            yield pair
+
+    with closing(job):
+        answers = None
+        while True:
+            try:
+                batch = job.send(answers)
+            except StopIteration as stop:
+                return stop.value
+            answers = taken((yield batch))
+
+
+def extract_observed(sent: list, doc, setting, backend, **kwargs):
+    """``pipeline.extract``, with the pairs its dialogue takes appended to ``sent``."""
+    with closing(pipeline.schedule([observed(pipeline.dialogue(doc, setting, **kwargs), sent)],
+                                   backend)) as runs:
+        [run] = runs
+    return run
+
+
 def test_query_counts_gold_injected(index, oracle):
     doc, gold = index["10.1"]
     run = pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
@@ -252,7 +279,7 @@ def test_backend_failure_keeps_partial_transcripts(index, oracle):
     with pytest.raises(ExtractionAborted) as excinfo:
         pipeline.extract(doc, prompting.RAW, Flaky(), gold=gold,
                          activity_source=GOLD_INJECTED)
-    assert len(excinfo.value.run.transcripts) == 3
+    assert excinfo.value.run.counters == {"q1": 0, "q2": 3, "q3": 0}
 
 
 def test_gold_injected_requires_gold(index, oracle):
@@ -279,14 +306,15 @@ def test_provenance_joins_the_transcript_cache(index, oracle, shots, tmp_path):
     """Every Q1/Q2/Q3 provenance digest is the key of its cache entry."""
     doc, gold = index["10.1"]
     cache = TranscriptCache(tmp_path / "c.jsonl")
-    run = pipeline.extract(doc, prompting.DEFS_SHOTS2,
-                           CachedBackend(cache, oracle), gold=gold,
-                           activity_source=EXTRACTED, shots=shots)
+    sent = []
+    run = extract_observed(sent, doc, prompting.DEFS_SHOTS2, CachedBackend(cache, oracle),
+                           gold=gold, activity_source=EXTRACTED, shots=shots)
     provenance = list(run.model.provenance.values())
     assert {q for q, _ in provenance} == set(prompting.QUESTION_KINDS)
     for question, digest in provenance:
         assert cache.lookup(digest) is not None, (question, digest)
-    assert all(cache.lookup(t["digest"]) for t in run.transcripts)
+    assert len(sent) == sum(run.counters.values())
+    assert all(cache.lookup(prompt.digest) for prompt, _ in sent)
 
 
 @pytest.mark.parametrize("settings", [prompting.SETTINGS,
@@ -365,17 +393,18 @@ def dispatch_threads():
 
 def test_concurrent_extract_equals_sequential(index, oracle, shots):
     doc, gold = index["1.3"]
-    runs, backends = {}, {}
+    runs, backends, sent = {}, {}, {}
     for width in (1, 4):
         backends[width] = JitteryBackend(oracle, width)
-        runs[width] = pipeline.extract(doc, prompting.DEFS_SHOTS2, backends[width],
+        sent[width] = []
+        runs[width] = extract_observed(sent[width], doc, prompting.DEFS_SHOTS2, backends[width],
                                        gold=gold, shots=shots)
     seq, conc = runs[1], runs[4]
     assert conc.model.to_json() == seq.model.to_json()
-    assert conc.transcripts == seq.transcripts
+    assert sent[4] == sent[1]
     assert conc.counters == seq.counters == {"q1": 1, "q2": 11, "q3": 110}
     assert conc.unknown_q3 == seq.unknown_q3 > 0
-    asked = [(t["x"], t["y"]) for t in seq.transcripts]
+    asked = [(prompt.x, prompt.y) for prompt, _ in sent[1]]
     assert backends[1].finished == asked
     assert backends[1].threads == {threading.main_thread().name}
     assert len(backends[4].threads) > 1
@@ -404,13 +433,14 @@ def test_concurrent_abort_keeps_the_sequential_partial_run(index, oracle, k):
     n = len(gold.activities)
     i, j = list(permutations(range(n), 2))[k]
     fail = (gold.activities[j], gold.activities[i])
-    aborted = {}
+    aborted, sent = {}, {}
     for width in (1, 4):
         backend = JitteryBackend(oracle, width, fail=fail)
+        sent[width] = []
         with pytest.raises(ExtractionAborted) as excinfo:
-            pipeline.extract(doc, prompting.RAW, backend, gold=gold)
+            extract_observed(sent[width], doc, prompting.RAW, backend, gold=gold)
         aborted[width] = excinfo.value.run
-    assert aborted[4].transcripts == aborted[1].transcripts
+    assert sent[4] == sent[1]
     assert aborted[4].counters == aborted[1].counters == {"q1": 1, "q2": n, "q3": k}
     assert not dispatch_threads()
 
@@ -419,8 +449,9 @@ def test_concurrent_abort_keeps_the_sequential_partial_run(index, oracle, k):
 @given(st.data())
 def test_schedule_at_any_width_equals_width_1(index, shots, data):
     """Random jobs, a width from 1 to 16, random call latencies and maybe
-    one failing question: the results, transcripts, counters and the
-    position of an ``ExtractionAborted`` equal those at width 1."""
+    one failing question: the results, the answers each job takes, the
+    counters and the position of an ``ExtractionAborted`` equal those at
+    width 1."""
     doc_ids = sorted(index)
     jobs = data.draw(st.lists(st.tuples(
         st.sampled_from(doc_ids), st.sampled_from([prompting.RAW, prompting.DEFS_SHOTS2]),
@@ -436,21 +467,23 @@ def test_schedule_at_any_width_equals_width_1(index, shots, data):
         fail = data.draw(st.sampled_from([(None, None), (activities[i], None),
                                           (activities[j], activities[i])]), label="fail")
 
-    def fields(run):
+    def fields(run, sent):
         return (run.doc_id, run.setting, run.activity_source, run.model.to_json(),
-                run.transcripts, run.counters, run.unknown_q3)
+                sent, run.counters, run.unknown_q3)
 
     def outcome(width):
         backend = JitteryBackend(OracleBackend(index), width, fail=fail, salt=salt,
                                  latency=(0, 0.0005))
-        dialogues = (pipeline.dialogue(index[doc_id][0], setting, index[doc_id][1], source,
-                                       shots) for doc_id, setting, source in jobs)
+        sent = [[] for _ in jobs]
+        dialogues = (observed(pipeline.dialogue(index[doc_id][0], setting, index[doc_id][1],
+                                                source, shots), sent[k])
+                     for k, (doc_id, setting, source) in enumerate(jobs))
         results = []
         try:
             for run in pipeline.schedule(dialogues, backend):
-                results.append(fields(run))
+                results.append(fields(run, sent[len(results)]))
         except ExtractionAborted as exc:
-            return results, fields(exc.run)
+            return results, fields(exc.run, sent[len(results)])
         return results, None
 
     assert outcome(width) == outcome(1)
@@ -611,13 +644,15 @@ def test_gs_run_renders_only_the_questions_the_ex_run_did_not(entries, index, or
     the others, and both runs equal two ``extract`` runs, which keep no memo."""
     from pexkit.suite import run_suite
 
-    runs, memos = {}, {}
+    runs, memos, sent = {}, {}, {}
     dialogue = pipeline.dialogue
 
     def kept_dialogue(doc, setting, gold, source, shots, prompts):
         memos.setdefault((doc.id, setting), []).append(prompts)
-        run = yield from dialogue(doc, setting, gold, source, shots, prompts)
-        runs[doc.id, setting, source] = run
+        key = doc.id, setting, source
+        run = yield from observed(dialogue(doc, setting, gold, source, shots, prompts),
+                                  sent.setdefault(key, []))
+        runs[key] = run
         return run
 
     monkeypatch.setattr(pipeline, "dialogue", kept_dialogue)
@@ -627,9 +662,8 @@ def test_gs_run_renders_only_the_questions_the_ex_run_did_not(entries, index, or
     run_suite(entries, settings_, backend, tmp_path)
     monkeypatch.undo()
 
-    def keys(run):
-        return [(run.doc_id, run.setting, t["question"], t["x"], t["y"])
-                for t in run.transcripts]
+    def keys(pairs):
+        return [(p.doc_id, p.setting, p.question, p.x, p.y) for p, _ in pairs]
 
     renders = [(p.doc_id, p.setting, p.question, p.x, p.y) for p in built]
     assert len(renders) == len(set(renders))
@@ -638,8 +672,8 @@ def test_gs_run_renders_only_the_questions_the_ex_run_did_not(entries, index, or
     for doc_id, setting in memos:
         [ex_memo, gs_memo] = memos[doc_id, setting]
         assert ex_memo is gs_memo and isinstance(ex_memo, dict)
-        ex_keys = keys(runs[doc_id, setting, EXTRACTED])
-        gs_keys = keys(runs[doc_id, setting, GOLD_INJECTED])
+        ex_keys = keys(sent[doc_id, setting, EXTRACTED])
+        gs_keys = keys(sent[doc_id, setting, GOLD_INJECTED])
         # The job's renders, in order: the ex run's questions, then the gs
         # run's that the ex run did not ask.
         assert [r for r in renders if r[:2] == (doc_id, setting)] == (
@@ -647,14 +681,42 @@ def test_gs_run_renders_only_the_questions_the_ex_run_did_not(entries, index, or
         partial += bool(set(ex_keys) & set(gs_keys)) and bool(set(gs_keys) - set(ex_keys))
         doc, gold = index[doc_id]
         for source in (EXTRACTED, GOLD_INJECTED):
-            alone = pipeline.extract(doc, setting, backend, gold=gold, activity_source=source,
-                                     shots=shots)
+            alone_sent = []
+            alone = extract_observed(alone_sent, doc, setting, backend, gold=gold,
+                                     activity_source=source, shots=shots)
             run = runs[doc_id, setting, source]
             assert run.model.to_json() == alone.model.to_json()
-            assert run.transcripts == alone.transcripts
+            assert sent[doc_id, setting, source] == alone_sent
             assert run.counters == alone.counters
             assert run.unknown_q3 == alone.unknown_q3
     assert partial == 14
+
+
+def test_a_jobs_render_memo_holds_only_its_ex_runs_prompts(entries, index, oracle,
+                                                          monkeypatch, tmp_path):
+    """After a job whose Q1 drops one gold activity and rewords another, its
+    render memo holds exactly the ex run's prompts: the gs run, the memo's
+    last reader, renders questions of its own and stores none of them."""
+    from pexkit.suite import run_suite
+
+    memos, sent = {}, {}
+    dialogue = pipeline.dialogue
+
+    def kept_dialogue(doc, setting, gold, source, shots, prompts):
+        memos[doc.id, setting] = prompts
+        return (yield from observed(dialogue(doc, setting, gold, source, shots, prompts),
+                                    sent.setdefault((doc.id, setting, source), [])))
+
+    monkeypatch.setattr(pipeline, "dialogue", kept_dialogue)
+    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2],
+              DropsAndRewords(oracle, index, 1), tmp_path)
+    assert len(memos) == 14
+    for (doc_id, setting), memo in memos.items():
+        ex = {(p.question, p.x, p.y): p for p, _ in sent[doc_id, setting, EXTRACTED]}
+        gs = {(p.question, p.x, p.y) for p, _ in sent[doc_id, setting, GOLD_INJECTED]}
+        assert gs - set(ex)
+        assert memo.keys() == ex.keys()
+        assert all(memo[key] is prompt for key, prompt in ex.items())
 
 
 def test_cache_load_hashes_each_distinct_head_once(entries, oracle, monkeypatch, tmp_path):
@@ -1053,7 +1115,7 @@ def test_run_suite_keeps_cpu_work_on_the_calling_thread(entries, oracle, monkeyp
 
 
 def test_run_suite_abort_in_a_middle_job_keeps_the_sequential_partial_run(entries, oracle,
-                                                                          tmp_path):
+                                                                          monkeypatch, tmp_path):
     """A failing Q3 in the fourth job raises the same ``ExtractionAborted``
     at widths 1 and 4, and leaves the same files: the first three jobs'
     models, and no report."""
@@ -1063,8 +1125,16 @@ def test_run_suite_abort_in_a_middle_job_keeps_the_sequential_partial_run(entrie
     doc, gold = corpus.evaluation_documents(entries)[3]
     i, j = list(permutations(range(len(gold.activities)), 2))[5]
     fail = (gold.activities[j], gold.activities[i])
-    aborted, written = {}, {}
+    aborted, written, sent = {}, {}, {}
+    dialogue = pipeline.dialogue
+
+    def observed_dialogue(doc, setting, gold, source, shots, prompts):
+        return (yield from observed(dialogue(doc, setting, gold, source, shots, prompts),
+                                    taken.setdefault((doc.id, source), [])))
+
+    monkeypatch.setattr(pipeline, "dialogue", observed_dialogue)
     for width in (1, 4):
+        taken = sent[width] = {}
         outdir = tmp_path / f"w{width}"
         with pytest.raises(ExtractionAborted, match="injected failure") as excinfo:
             run_suite(entries, [prompting.RAW], JitteryBackend(oracle, width, fail=fail),
@@ -1074,7 +1144,7 @@ def test_run_suite_abort_in_a_middle_job_keeps_the_sequential_partial_run(entrie
                           for p in outdir.rglob("*") if p.is_file()}
     assert aborted[4].doc_id == aborted[1].doc_id == doc.id
     assert aborted[4].activity_source == aborted[1].activity_source == EXTRACTED
-    assert aborted[4].transcripts == aborted[1].transcripts
+    assert all(sent[4][key] == pairs for key, pairs in sent[1].items())
     assert aborted[4].counters == aborted[1].counters == \
         {"q1": 1, "q2": len(gold.activities), "q3": 5}
     assert aborted[4].model.to_json() == aborted[1].model.to_json()
