@@ -551,10 +551,7 @@ class OracleBackend:
         if prompt.question == Q1:
             return "\n".join(gold.activities)
         if prompt.question == Q2:
-            idx = self._activity_index(prompt.doc_id, prompt.x)
-            performers = [gold.participants[p] for p, a in sorted(gold.performs)
-                          if a == idx]
-            return " and ".join(performers)
+            return " and ".join(gold.performers(self._activity_index(prompt.doc_id, prompt.x)))
         if prompt.question == Q3:
             x = self._activity_index(prompt.doc_id, prompt.x)
             y = self._activity_index(prompt.doc_id, prompt.y)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
 from .backend import CachedBackend, LiveBackend, OracleBackend, TranscriptCache
-from .errors import BackendError, CorpusError, ModelError, PexError, PromptError
+from .errors import BackendError, CorpusError, ModelError, PexError
 from .evaluation import MatchConfig
 from .suite import atomic_write, run_suite
 from .worldmodel import WorldModel
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         record = getattr(args, "record", False)
         print(f"interrupted: {_resumes(args)}" if record else "interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except (CorpusError, ModelError, PromptError, PexError) as exc:
+    except PexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

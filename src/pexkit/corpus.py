@@ -56,6 +56,11 @@ class GoldStandard:
         except ModelError as exc:
             raise CorpusError(f"document {self.doc_id}: {exc}") from exc
 
+    def performers(self, activity: int) -> list[str]:
+        """The participants performing activity index ``activity``, in
+        participant order."""
+        return [self.participants[p] for p, a in sorted(self.performs) if a == activity]
+
 
 @dataclass(frozen=True)
 class RawBehaviorGraph:

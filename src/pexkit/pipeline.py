@@ -12,7 +12,7 @@ import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import groupby, islice, permutations
+from itertools import groupby, permutations
 
 from . import prompting
 from .corpus import Document, GoldStandard
@@ -115,10 +115,11 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     """The question dialogue for one document and setting, as a job for
     ``schedule``; it returns the ``ExtractionRun``.
 
-    It yields each question batch as an iterator of its prompts, rendered
-    lazily, and is sent an iterator of ``(prompt, completion)`` in question
-    order, whose ``next`` raises a failed call's error in that call's place.
-    So each answer is applied before the next one is taken.
+    It yields each question batch as a list of its rendered prompts, and is
+    sent an iterator of their completions, in order, whose ``next`` raises a
+    failed call's error in that call's place. So each answer is applied
+    before the next one is taken, and a prompt that does not render fails the
+    dialogue before any of its batch is asked.
 
     ``prompts``, when given, is a render memo, ``(question, x, y)`` ->
     ``Prompt``, that dialogues of this document, setting and shots share: a
@@ -156,10 +157,11 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
             return prompt
 
         debug = log.isEnabledFor(logging.DEBUG)
-        answers = yield (render(x, y) for x, y in bindings)
-        for k in range(len(bindings)):
+        batch = [render(x, y) for x, y in bindings]
+        answers = yield batch
+        for k, prompt in enumerate(batch):
             try:
-                prompt, completion = next(answers)
+                completion = next(answers)
             except BackendError as exc:
                 raise ExtractionAborted(str(exc), run) from exc
             run.counters[question] += 1
@@ -217,20 +219,20 @@ def schedule(jobs, backend):
     """Run ``jobs``, generators that ask the way ``dialogue`` does, against
     ``backend`` and yield each one's result, in job order.
 
-    A job yields each question batch as an iterator of its prompts and is
-    sent an iterator of ``(prompt, completion)`` in question order, whose
-    ``next`` raises a failed call's error in that call's place. The run's
-    answers, ``prompt.digest`` -> completion, are kept here, and ``backend``
-    is asked only for a digest without one; a failed call leaves none. At
-    ``backend.max_concurrency`` 1 (the default) each job runs alone, and
-    each prompt is rendered, asked and answered in turn on this thread. At
-    width ``W`` above 1, up to ``W`` jobs advance at once. Each batch is
-    rendered whole on this thread and its calls are queued at once for ``W``
-    ``pex-ask`` threads, which only call ``backend`` and store the answer:
-    an answered prompt gets no call, and one whose call is in flight gets
-    that call. A job is sent its answers once every call up to its batch's
-    first failed call has ended, so every result equals a sequential run's.
-    A job that fails raises at its own position, after every earlier result
+    A job yields each question batch as a list of rendered prompts and is
+    sent an iterator of their completions, in order, whose ``next`` raises a
+    failed call's error in that call's place. The run's answers,
+    ``prompt.digest`` -> completion, are kept here, and ``backend`` is asked
+    only for a digest without one; a failed call leaves none. At
+    ``backend.max_concurrency`` 1 (the default) each job runs alone, and the
+    prompts of each batch are asked and answered in turn on this thread. At
+    width ``W`` above 1, up to ``W`` jobs advance at once, and each batch's
+    calls are queued at once for ``W`` ``pex-ask`` threads, which only call
+    ``backend`` and store the answer: an answered prompt gets no call, and
+    one whose call is in flight gets that call. A job is sent its answers
+    once every call up to its batch's first failed call has ended, so every
+    result equals a sequential run's. A job that fails, on a call or before
+    its first batch, raises at its own position, after every earlier result
     has been yielded; no later job starts or is yielded, the waiting calls
     that no earlier job holds are cancelled, and the running calls, at most
     ``W``, finish before this ends.
@@ -252,16 +254,17 @@ def schedule(jobs, backend):
 
 def _answer_inline(job, ask):
     try:
-        prompts = next(job)
+        batch = next(job)
         while True:
-            prompts = job.send((prompt, ask(prompt)) for prompt in prompts)
+            batch = job.send(map(ask, batch))
     except StopIteration as stop:
         return stop.value
 
 
 class _Job:
     """One job as ``_answer_overlapped`` runs it: its generator and its
-    current batch, each prompt with its call (``None`` when answered)."""
+    current batch, each prompt with its call (``None`` when answered). A job
+    that raises, on its first send or a later one, is done with ``error``."""
 
     def __init__(self, gen, call_for):
         self.gen = gen
@@ -282,14 +285,7 @@ class _Job:
         except Exception as exc:
             self.done, self.error = True, exc
             return
-        self.batch, self.ended = [], 0
-        try:
-            for prompt in prompts:
-                self.batch.append((prompt, self.call_for(prompt)))
-        except Exception as exc:  # a prompt that does not render fails in its place
-            failed = Future()
-            failed.set_exception(exc)
-            self.batch.append((None, failed))
+        self.batch, self.ended = [(prompt, self.call_for(prompt)) for prompt in prompts], 0
 
     def waiting(self) -> Future | None:
         """The call the job waits for; None once every call up to the
@@ -305,7 +301,7 @@ class _Job:
         return None
 
     def take(self, answers: dict) -> None:
-        self.send((prompt, answers[prompt.digest] if call is None else call.result())
+        self.send(answers[prompt.digest] if call is None else call.result()
                   for prompt, call in self.batch)
 
 
@@ -324,7 +320,7 @@ def _answer_overlapped(jobs, ask, answers: dict, width: int):
         return call
 
     try:
-        while True:
+        while True:  # each pass handles a failed job before it starts a job or waits
             failed = next((k for k, job in enumerate(active) if job.error is not None), None)
             if failed is not None:  # no job after a failed one runs, nor a call only they hold
                 held = {call for job in active[:failed] for _, call in job.batch}
@@ -336,8 +332,11 @@ def _answer_overlapped(jobs, ask, answers: dict, width: int):
                     job.gen.close()
                 del active[failed + 1:]
                 jobs = iter(())
-            for gen in islice(jobs, width - sum(not job.done for job in active)):
-                active.append(_Job(gen, call_for))
+            if sum(not job.done for job in active) < width:
+                gen = next(jobs, None)
+                if gen is not None:
+                    active.append(_Job(gen, call_for))
+                    continue
             while active and active[0].done:
                 job = active.pop(0)
                 if job.error is not None:

@@ -135,7 +135,6 @@ def _check_binding(question: str, takes: frozenset, name: str, value) -> None:
 class ShotExample:
     """A sample document with worked question/answer pairs per question kind."""
 
-    doc_id: str
     body: str
     qa: dict  # question kind -> list of (question text, answer text)
 
@@ -151,14 +150,13 @@ def build_shot(doc: corpus.Document, gold: corpus.GoldStandard) -> ShotExample:
     qa = {Q1: [(instantiate(Q1), ", ".join(surfaces))]}
     q2 = []
     for a, surface in enumerate(surfaces):
-        performers = [gold.participants[p] for p, act in sorted(gold.performs)
-                      if act == a]
+        performers = gold.performers(a)
         if performers:
             q2.append((instantiate(Q2, x=surface), " and ".join(performers)))
     qa[Q2] = q2
     qa[Q3] = [(instantiate(Q3, x=surfaces[dst], y=surfaces[src]), "Yes")
               for src, dst in sorted(gold.follows)]
-    return ShotExample(doc.id, doc.body, qa)
+    return ShotExample(doc.body, qa)
 
 
 def build_shots(entries) -> list[ShotExample]:

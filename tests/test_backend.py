@@ -1025,12 +1025,8 @@ def test_live_backend_backs_off_on_429_then_recovers(loopback, api_key, caplog):
     live = bk.LiveBackend(server.url, "engine")
 
     def job(texts):
-        replies = yield (make_prompt(t) for t in texts)
-        answers = []
-        for _ in texts:
-            _, completion = next(replies)
-            answers.append(completion)
-        return answers
+        replies = yield [make_prompt(t) for t in texts]
+        return [next(replies) for _ in texts]
 
     batches = [[f"j{j}.{i}" for i in range(30)] for j in range(8)]
     try:

@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import replace
 from datetime import timedelta
@@ -148,20 +148,20 @@ def test_parse_participant_answer_items_are_stripped(completion):
 
 def observed(job, sent: list):
     """``job``, a dialogue, that appends each ``(prompt, completion)`` pair
-    it takes from the answers it is sent to ``sent``, in order."""
-    def taken(answers):
-        for pair in answers:
-            sent.append(pair)
-            yield pair
+    it takes from the completions it is sent to ``sent``, in order."""
+    def taken(batch, completions):
+        for prompt, completion in zip(batch, completions):
+            sent.append((prompt, completion))
+            yield completion
 
     with closing(job):
-        answers = None
+        completions = None
         while True:
             try:
-                batch = job.send(answers)
+                batch = job.send(completions)
             except StopIteration as stop:
                 return stop.value
-            answers = taken((yield batch))
+            completions = taken(batch, (yield batch))
 
 
 def extract_observed(sent: list, doc, setting, backend, **kwargs):
@@ -813,26 +813,25 @@ class HeldStub:
         return "answer to " + prompt.text
 
 
+def text_prompt(text, params=prompting.default_params(prompting.Q1)):
+    """A Q1 prompt whose text is ``text``; a text of None does not render."""
+    if text is None:
+        raise ValueError("does not render")
+    return prompting.Prompt("", text, prompting.Q1, prompting.RAW, "10.1", None, None,
+                            params, prompting.transcript_digest(text, params))
+
+
 def ask_each(*texts):
     """A job that asks one prompt of each text, in one batch, and returns
     their completions, or the error a call raised; a text of None does not
-    render."""
-    def prompts():
-        for text in texts:
-            if text is None:
-                raise ValueError("does not render")
-            params = prompting.default_params(prompting.Q1)
-            yield prompting.Prompt("", text, prompting.Q1, prompting.RAW, "10.1", None,
-                                   None, params, prompting.transcript_digest(text, params))
-
-    answers = yield prompts()
+    render, so the job fails before its batch is asked."""
+    answers = yield [text_prompt(text) for text in texts]
     completions = []
     for _ in texts:
         try:
-            _, completion = next(answers)
+            completions.append(next(answers))
         except BackendError as exc:
             return exc
-        completions.append(completion)
     return completions
 
 
@@ -862,13 +861,10 @@ def ask_in_turn(*batches, params=prompting.default_params(prompting.Q1)):
     returns each question's completion, or the error its call raised."""
     answers = []
     for texts in batches:
-        replies = yield (prompting.Prompt("", text, prompting.Q1, prompting.RAW, "10.1",
-                                          None, None, params,
-                                          prompting.transcript_digest(text, params))
-                         for text in texts)
+        replies = yield [text_prompt(text, params) for text in texts]
         for _ in texts:
             try:
-                _, completion = next(replies)
+                completion = next(replies)
             except BackendError as exc:
                 completion = exc
             answers.append(completion)
@@ -939,10 +935,12 @@ def releasing(stub, job):
 
 class TextStub:
     """At width ``max_concurrency``, answers ``ok``, fails ``fail`` and holds
-    every other text until ``release`` is set; records the texts asked."""
+    every other text until ``release`` is set, then for ``delay`` seconds;
+    records the texts asked."""
 
-    def __init__(self, max_concurrency):
+    def __init__(self, max_concurrency, delay=0):
         self.max_concurrency = max_concurrency
+        self.delay = delay
         self.asked = []
         self.release = threading.Event()
         self._lock = threading.Lock()
@@ -954,6 +952,7 @@ class TextStub:
             raise BackendError("injected failure")
         if prompt.text != "ok":
             assert self.release.wait(timeout=10)
+            time.sleep(self.delay)
         return "answer to " + prompt.text
 
 
@@ -994,11 +993,15 @@ def test_a_job_after_a_failed_one_is_closed_without_its_answers():
     def aborting():
         raise (yield from ask_each("p"))
 
-    def later():
-        def prompts():
-            yield from next(ask_each("p"))  # the prompt ask_each asks
+    class Releasing(list):
+        """A batch that sets ``inner.release`` once it has been iterated."""
+
+        def __iter__(self):
+            yield from super().__iter__()
             inner.release.set()
-        sent.append((yield prompts()))
+
+    def later():
+        sent.append((yield Releasing(next(ask_each("p")))))  # the batch ask_each asks
 
     with pytest.raises(BackendError, match="injected failure"):
         list(pipeline.schedule([aborting(), later()], inner))
@@ -1010,13 +1013,18 @@ def test_a_job_after_a_failed_one_is_closed_without_its_answers():
 def test_a_call_shared_with_a_job_after_a_failed_one_still_answers_the_earlier_job():
     """The first job's call for ``p`` waits in the pool's queue behind four
     held calls when the third job draws ``p`` too, alone or with ``q`` and
-    ``r``; then the second job fails. The third job is dropped, and the call
-    it shares still answers the first job, before the second job's error is
-    raised; its other prompts are never asked. The held calls are released
-    when the third job is closed."""
+    ``r``; then the second job, whose first batch is empty, fails on its
+    second. The third job is dropped, and the call it shares still answers
+    the first job, before the second job's error is raised; its other
+    prompts are never asked. The held calls are released when the third job
+    is closed."""
+    def after_an_empty_batch(job):
+        yield []
+        return (yield from job)
+
     for later in [("p",), ("p", "q", "r")]:
         inner = HeldStub()
-        jobs = [ask_each("h1", "h2", "h3", "h4", "p"), ask_each(None),
+        jobs = [ask_each("h1", "h2", "h3", "h4", "p"), after_an_empty_batch(ask_each(None)),
                 releasing(inner, ask_each(*later))]
         results = []
         with pytest.raises(ValueError, match="does not render"):
@@ -1025,6 +1033,61 @@ def test_a_call_shared_with_a_job_after_a_failed_one_still_answers_the_earlier_j
         assert results == [["answer to h1", "answer to h2", "answer to h3", "answer to h4",
                             "answer to p"]], later
         assert inner.calls == 5, later
+    assert not dispatch_threads()
+
+
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("held", [False, True], ids=["sleeping", "held"])
+def test_no_job_starts_after_one_that_fails_before_its_first_batch(width, held, monkeypatch):
+    """Of three jobs, the second raises before its first batch while the
+    first job's calls run, each for 50 ms or held until the scheduler first
+    waits. The third job never starts, and none of its prompts is submitted;
+    the first job's result is yielded, then the second job's own error is
+    raised. The scheduler handles that failure before it waits on any call,
+    and its calls and results equal the width-1 run's."""
+    started, submitted, waited = [], [], []
+    submit = pipeline.ThreadPoolExecutor.submit
+
+    def recording_submit(pool, fn, prompt):
+        submitted.append(prompt.text)
+        return submit(pool, fn, prompt)
+
+    def recording_wait(calls, return_when):
+        waited.append(list(started))
+        inner.release.set()
+        return wait(calls, return_when=return_when)
+
+    def job(k, *texts):
+        started.append(k)
+        return (yield from ask_each(*texts))
+
+    def fails_at_once():
+        started.append(1)
+        raise ValueError("fails before its first batch")
+        yield
+
+    def outcome(backend):
+        started.clear()
+        results = []
+        jobs = [job(0, "h1", "h2", "h3", "h4", "p"), fails_at_once(), job(2, "p", "q")]
+        with pytest.raises(ValueError, match="fails before its first batch"):
+            for result in pipeline.schedule(jobs, backend):
+                results.append(result)
+        return results, list(started), sorted(backend.asked)
+
+    alone = TextStub(1)
+    alone.release.set()
+    expected = outcome(alone)
+    assert expected == ([[f"answer to {t}" for t in ("h1", "h2", "h3", "h4", "p")]], [0, 1],
+                        ["h1", "h2", "h3", "h4", "p"])
+    monkeypatch.setattr(pipeline.ThreadPoolExecutor, "submit", recording_submit)
+    monkeypatch.setattr(pipeline, "wait", recording_wait)
+    inner = TextStub(width, delay=0 if held else 0.05)
+    if not held:
+        inner.release.set()
+    assert outcome(inner) == expected
+    assert sorted(submitted) == expected[2]
+    assert waited and all(jobs == [0, 1] for jobs in waited)
     assert not dispatch_threads()
 
 
