@@ -27,7 +27,7 @@ from . import worldmodel
 from .corpus import Document, GoldStandard
 from .errors import (BackendError, CacheConflictError, CacheCorruptError,
                      CacheMissError)
-from .prompting import (Q1, Q2, Q3, CompletionParams, HeadMemo, Prompt,
+from .prompting import (HEAD_END, Q1, Q2, Q3, CompletionParams, Prompt, head_state,
                         transcript_digest)
 
 log = logging.getLogger(__name__)
@@ -46,33 +46,44 @@ MAX_ATTEMPTS = 5
 BACKOFF = 1.0
 
 
-# How a cache line that ``record`` writes starts, up to the first character
-# of its prompt: these two keys, with a digest of 64 letters and digits
-# between them, which escapes nothing; and the keys that follow its prompt,
-# each up to its value.
+# The cache line layout, which only this module knows. How a line that
+# ``record`` writes starts, up to the first character of its prompt: these
+# two keys, with a digest of 64 letters and digits between them, which
+# escapes nothing; and the keys that follow its prompt, each up to its value.
 _DIGEST_KEY, _PROMPT_KEY = b'{"digest": "', b'", "prompt": "'
 _DIGEST_END = len(_DIGEST_KEY) + 64
 _PROMPT_AT = _DIGEST_END + len(_PROMPT_KEY)
 _PARAMS_KEY, _COMPLETION_KEY, _RECORDED_AT_KEY = (
     ', "params": ', ', "completion": "', ', "recorded_at": "')
 
+# A head's end as ``json.dumps`` escapes it in a line, and the trailing bytes
+# of a head's JSON that, with that JSON's length, key a load's JSON index.
+_JSON_HEAD_END = json.dumps(HEAD_END)[1:-1].encode("ascii")
+_HEAD_KEY_BYTES = 64
 
-def _read_by_position(raw: bytes, memo: HeadMemo, params_texts: dict) -> tuple | None:
+
+def _read_by_position(raw: bytes, json_heads: dict, params_texts: dict) -> tuple | None:
     """The fields of the cache line ``raw``, ``(digest, (head, state), rest
     of the prompt, params, completion)``, when it is laid out as ``record``
     writes a line: ASCII, its keys in that order with those separators, a
-    prompt that starts with the JSON of a head ``memo`` split already,
-    params whose JSON text ``params_texts`` holds, and nothing after its
-    ``recorded_at`` string but ``}`` and a newline. Each string is read by
+    prompt that starts with the JSON of a head in ``json_heads``, the load's
+    index of the heads it has met (``_read_whole``), ending at the line's
+    last escaped ``HEAD_END``, params whose JSON text ``params_texts``
+    holds, and nothing after its ``recorded_at`` string but ``}`` and a
+    newline. JSON string escapes are a prefix code, so the head's JSON
+    decodes to exactly that head; each other string is read by
     ``scanstring``, the scanner ``json.loads`` uses. Else None, and the line
     is decoded whole."""
     if not (raw.startswith(_DIGEST_KEY) and raw.startswith(_PROMPT_KEY, _DIGEST_END)
             and raw[len(_DIGEST_KEY):_DIGEST_END].isalnum()):
         return None
-    found = memo.find_json(raw, _PROMPT_AT)
-    if found is None:
+    head_end = raw.rfind(_JSON_HEAD_END) + len(_JSON_HEAD_END)
+    key = (head_end - _PROMPT_AT, raw[max(_PROMPT_AT, head_end - _HEAD_KEY_BYTES):head_end])
+    for escaped, shared in json_heads.get(key, ()):
+        if raw.startswith(escaped, _PROMPT_AT):
+            break
+    else:
         return None
-    head_end, shared = found
     try:
         line = raw[head_end:].decode("ascii")  # the line up to the head is ASCII
         rest, end = scanstring(line, 0)
@@ -94,14 +105,22 @@ def _read_by_position(raw: bytes, memo: HeadMemo, params_texts: dict) -> tuple |
     return raw[len(_DIGEST_KEY):_DIGEST_END].decode(), shared, rest, params, completion
 
 
-def _read_whole(entry, memo: HeadMemo, params_texts: dict) -> tuple:
+def _read_whole(entry, heads: dict, json_heads: dict, params_texts: dict) -> tuple:
     """The fields of a cache line decoded whole, as ``_read_by_position``
     gives them, once they have their types and the params are in range
     (else a ``KeyError``, ``TypeError``, ``UnicodeEncodeError`` or
-    ``BackendError``). ``params_texts`` maps the JSON text of each params
-    value loaded, as ``record`` writes it, to the params built from the
-    first value with that text: it tells ``0``, ``0.0`` and ``false``, extra
-    keys and key order apart."""
+    ``BackendError``).
+
+    The prompt's head is its text up to its last ``HEAD_END``, or ``""``
+    when it holds none. ``heads`` maps each head the load has met to its
+    held ``(head, state)``, ``""`` to ``("", None)``. A new head is hashed
+    once, a lone surrogate in it raising, and entered there and, keyed by
+    its JSON's length and last bytes, in ``json_heads``, so that every later
+    line with it shares that head object and state.
+    ``params_texts`` maps the JSON text of each params value loaded, as
+    ``record`` writes it, to the params built from the first value with
+    that text: it tells ``0``, ``0.0`` and ``false``, extra keys and key
+    order apart."""
     stored = entry["params"]
     key = json.dumps(stored)
     params = params_texts.get(key)
@@ -115,8 +134,15 @@ def _read_whole(entry, memo: HeadMemo, params_texts: dict) -> tuple:
         raise TypeError(f"prompt is {prompt!r}")
     if not isinstance(completion, str):
         raise TypeError(f"completion is {completion!r}")
-    shared = memo.split(prompt)  # a lone surrogate in a new head raises
-    return digest, shared, prompt[len(shared[0]):], params, completion
+    split = prompt.rfind(HEAD_END)
+    head = prompt[:split + len(HEAD_END)] if split >= 0 else ""
+    shared = heads.get(head)
+    if shared is None:
+        shared = heads[head] = head, head_state(head)
+        escaped = json.dumps(head)[1:-1].encode("ascii")
+        json_heads.setdefault((len(escaped), escaped[-_HEAD_KEY_BYTES:]), []).append(
+            (escaped, shared))
+    return digest, shared, prompt[len(head):], params, completion
 
 
 class TranscriptCache:
@@ -130,18 +156,20 @@ class TranscriptCache:
     Each entry is held as a tuple of its prompt's head, the rest of its
     prompt and its completion: its params and ``recorded_at`` are checked,
     then dropped, as the digest already keys the prompt with its params. A
-    load decodes, hashes and holds each distinct head once
-    (``prompting.HeadMemo``: a prompt up to its last ``"\\nQ: "``), however
-    many lines repeat it. A line in the layout ``record`` writes, whose
-    head and params text earlier lines loaded, is read by position
-    (``_read_by_position``); any other line (keys re-ordered, text
-    unescaped, a ``"model"`` key, a CRLF line end) is decoded whole, with
-    the same checks and errors, only slower. Either way its digest check
-    hashes only the rest of its prompt, on a copy of the head's state. An
-    entry that ``record`` appends holds the head of the prompt it is given,
-    which every prompt of its batch shares (``prompting.Prompt``), and
-    hashes nothing: its digest is the prompt's. So a recording holds one head
-    for each batch it recorded, apart from the heads it loaded.
+    load decodes, hashes and holds each distinct head (a prompt up to its
+    last ``"\\nQ: "``) once, however many lines repeat it: the first line
+    with it is decoded whole (``_read_whole``), which enters the head in the
+    load's tables by its text and by its JSON. A later line in the layout
+    ``record`` writes, whose head and params text earlier lines loaded, is
+    read by position (``_read_by_position``); any other line (keys
+    re-ordered, text unescaped, a ``"model"`` key, a CRLF line end) is
+    decoded whole, with the same checks and errors, only slower. Either way
+    its digest check hashes only the rest of its prompt, on a copy of the
+    head's state. An entry that ``record`` appends holds the head of the
+    prompt it is given, which every prompt of its batch shares
+    (``prompting.Prompt``), and hashes nothing: its digest is the prompt's.
+    So a recording holds one head for each batch it recorded, apart from
+    the heads it loaded.
 
     A final line that does not parse is what a crash part-way through an
     append leaves behind: loading skips it with a warning, and the next
@@ -173,7 +201,9 @@ class TranscriptCache:
         offset = good_end = 0
         newline = True
         tail: list[bytes] = []
-        memo = HeadMemo()
+        # The heads met, with their states, by text and by JSON (``_read_whole``).
+        heads: dict[str, tuple[str, object]] = {"": ("", None)}
+        json_heads: dict[tuple[int, bytes], list[tuple[bytes, tuple[str, object]]]] = {}
         params_texts: dict[str, CompletionParams] = {}
         # A 64 KB buffer: with the default 8 KB one, readline takes a slow
         # path on lines of a few KB.
@@ -185,7 +215,7 @@ class TranscriptCache:
                     continue
                 if torn is not None:
                     raise CacheCorruptError(f"{self.path}:{torn}: cache line does not parse")
-                read = _read_by_position(raw, memo, params_texts)
+                read = _read_by_position(raw, json_heads, params_texts)
                 if read is None:
                     try:
                         entry = json.loads(raw.decode("utf-8"))
@@ -195,7 +225,7 @@ class TranscriptCache:
                         continue
                 try:
                     if read is None:
-                        read = _read_whole(entry, memo, params_texts)
+                        read = _read_whole(entry, heads, json_heads, params_texts)
                     digest, (head, state), rest, params, completion = read
                     expected = transcript_digest(rest, params, state)  # a lone surrogate raises,
                     completion.encode("utf-8")  # in the rest of the prompt or the completion

@@ -183,22 +183,23 @@ def corpus_index(entries) -> dict[str, tuple[Document, GoldStandard]]:
     return {doc.id: (doc, gs) for doc, gs in entries}
 
 
+def _select(entries, ids, kind: str) -> list[tuple[Document, GoldStandard]]:
+    """The entries of the documents ``ids``, in that order."""
+    index = corpus_index(entries)
+    missing = [i for i in ids if i not in index]
+    if missing:
+        raise CorpusError(f"{kind} documents missing from corpus: {missing}")
+    return [index[i] for i in ids]
+
+
 def shot_documents(entries) -> list[tuple[Document, GoldStandard]]:
     """The two few-shot sample documents, in prompt order."""
-    index = corpus_index(entries)
-    missing = [i for i in SHOT_IDS if i not in index]
-    if missing:
-        raise CorpusError(f"shot documents missing from corpus: {missing}")
-    return [index[i] for i in SHOT_IDS]
+    return _select(entries, SHOT_IDS, "shot")
 
 
 def evaluation_documents(entries) -> list[tuple[Document, GoldStandard]]:
     """The seven evaluation documents, in fixed report order."""
-    index = corpus_index(entries)
-    missing = [i for i in EVALUATION_IDS if i not in index]
-    if missing:
-        raise CorpusError(f"evaluation documents missing from corpus: {missing}")
-    return [index[i] for i in EVALUATION_IDS]
+    return _select(entries, EVALUATION_IDS, "evaluation")
 
 
 def import_raw(path) -> list[dict]:

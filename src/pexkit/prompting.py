@@ -1,7 +1,9 @@
 """Prompt rendering for the three extraction questions and four settings,
 and the key format of a rendered prompt: its completion params and its
-transcript digest, the cache key, which ``HeadMemo`` helps recompute, once
-per distinct prompt head, for a transcript cache's stored prompts.
+transcript digest, the cache key. A prompt's head, its text up to its last
+``HEAD_END``, is hashed once (``head_state``), by ``renderer`` for a batch
+and by a transcript cache's load for its stored prompts, and each digest
+hashes only the rest of its prompt on a copy of that state.
 
 Layout contract (frozen by the golden-file tests): lines are joined with a
 single newline, blocks with one blank line, and every prompt ends with the
@@ -222,74 +224,14 @@ def transcript_digest(prompt_text: str, params: CompletionParams,
 
 
 # Where ``renderer`` splits a prompt: its head ends with the target block's
-# question cue, and only the question line and the answer cue follow. How a
-# JSON string, as ``json.dumps`` escapes it, writes that end.
-_HEAD_END = "\nQ: "
-_JSON_HEAD_END = json.dumps(_HEAD_END)[1:-1].encode("ascii")
-
-# Trailing characters, or bytes of its JSON, of a head that, with its
-# length, key the memo's lookups.
-_HEAD_KEY_CHARS = 64
+# question cue, and only the question line and the answer cue follow.
+HEAD_END = "\nQ: "
 
 
-class HeadMemo:
-    """Splits each of a stream of prompt texts that share heads, as the lines
-    of a transcript cache do, into its head and the sha256 state of the
-    head's UTF-8 bytes, and finds those heads again in JSON.
-
-    ``split(text)`` returns ``(head, state)``: ``transcript_digest(
-    text[len(head):], params, state)`` is ``transcript_digest(text, params)``.
-    A head ends after the text's last ``"\\nQ: "``, where ``renderer``
-    splits a prompt; a text that holds none has the head ``""`` and the
-    state ``None``. Each distinct head is hashed once, when first met, and
-    kept, and every later text that starts with it gets that same ``head``
-    object and state, so a caller can hold the head once for all of them. A
-    head is looked up by its length and its last characters, and a candidate
-    is used only when the text starts with it, so two heads that share that
-    key are kept apart. ``text`` must be a ``str``; a lone surrogate in a new
-    head raises ``UnicodeEncodeError``, as ``transcript_digest`` does.
-
-    ``find_json(raw, start)`` finds a head already split at the start of a
-    JSON string's bytes, so that a caller can skip decoding it.
-    """
-
-    def __init__(self):
-        # Each head with its state, keyed by its length and last characters.
-        self._heads: dict[tuple[int, str], list[tuple[str, object]]] = {}
-        # The same, each with its JSON as json.dumps escapes it, keyed by that
-        # JSON's length and last bytes.
-        self._json_heads: dict[tuple[int, bytes], list[tuple[bytes, str, object]]] = {}
-
-    def split(self, text: str) -> tuple[str, object]:
-        split = text.rfind(_HEAD_END)
-        if split < 0:
-            return "", None
-        length = split + len(_HEAD_END)
-        key = (length, text[max(0, length - _HEAD_KEY_CHARS):length])
-        for held in self._heads.get(key, ()):
-            if text.startswith(held[0]):
-                return held
-        head = text[:length]
-        held = head, hashlib.sha256(head.encode("utf-8"))
-        self._heads.setdefault(key, []).append(held)
-        escaped = json.dumps(head)[1:-1].encode("ascii")
-        self._json_heads.setdefault((len(escaped), escaped[-_HEAD_KEY_CHARS:]), []).append(
-            (escaped, *held))
-        return held
-
-    def find_json(self, raw: bytes, start: int) -> tuple[int, tuple[str, object]] | None:
-        """Where a head already split ends in ``raw``, with the head and its
-        state, when the JSON string whose first byte after its opening quote
-        is ``raw[start]`` starts with that head as ``json.dumps`` escapes it,
-        and its escaped ``"\\nQ: "`` is the last one in ``raw``; else None.
-        JSON string escapes are a prefix code, so those bytes decode to
-        exactly that head."""
-        end = raw.rfind(_JSON_HEAD_END) + len(_JSON_HEAD_END)
-        key = (end - start, raw[max(start, end - _HEAD_KEY_CHARS):end])
-        for escaped, head, state in self._json_heads.get(key, ()):
-            if raw.startswith(escaped, start):
-                return end, (head, state)
-        return None
+def head_state(head: str):
+    """The sha256 state of ``head``'s UTF-8 bytes, which ``transcript_digest``
+    takes as ``head_state``; a lone surrogate raises ``UnicodeEncodeError``."""
+    return hashlib.sha256(head.encode("utf-8"))
 
 
 class Prompt(NamedTuple):
@@ -350,7 +292,7 @@ def renderer(question: str, setting: str, doc: corpus.Document,
             blocks.append(lines)
     blocks.append([PROCESS_CUE, doc.body, "Q: "])
     head = "\n\n".join("\n".join(lines) for lines in blocks)
-    hashed = hashlib.sha256(head.encode("utf-8"))
+    hashed = head_state(head)
     params = default_params(question)
 
     def fill(x: str | None, y: str | None) -> Prompt:

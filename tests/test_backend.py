@@ -15,6 +15,7 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,8 @@ from pexkit.prompting import Q1, Q2, Q3, RAW, Prompt, default_params
 
 PARAMS = bk.CompletionParams()
 
-# A prompt head longer than the load's head key, which is its length and
-# its last 64 characters.
+# A prompt head longer than the load's JSON index key, which is its JSON's
+# length and its last 64 bytes.
 HEAD = "Consider the following process:\n" + "The clerk files the form. " * 8 + "\nQ: "
 
 
@@ -347,6 +348,75 @@ def test_cache_loads_heads_that_share_only_their_key(tmp_path):
     assert len(reloaded) == 4
     for k, text in enumerate(texts):
         assert reloaded.lookup(bk.transcript_digest(text, PARAMS))["completion"] == f"answer {k}"
+
+
+# Pieces of prompt text: the renderer's split point, near misses of it, and
+# non-ASCII characters of each width, to sit next to the split.
+_text_piece = st.sampled_from(["\nQ: ", "Q: ", "\n", "\nA: ", "é", "活動", "\U0001f600", "x"])
+_text = st.lists(_text_piece, max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(heads=st.lists(_text, min_size=1, max_size=3),
+       lines=st.lists(st.tuples(st.integers(0, 9), _text, st.sampled_from((Q1, Q2, Q3))),
+                      min_size=1, max_size=12))
+def test_cache_load_gives_each_prompt_its_shared_head_and_state(heads, lines):
+    """A load splits each prompt, in any order, after its last ``"\\nQ: "``
+    into a head, one held object for every entry with that head, and that
+    head's state, hashed once, from which the rest hashes to the prompt's
+    digest: prompts with no, one or several ``"\\nQ: "``, prompts that share
+    a head, and heads whose JSON shares only the load's JSON index key, its
+    length and its last 64 bytes (``"ab"`` or ``"ba"`` before a common
+    end). A line is decoded whole only when its head is ``""`` or new, or
+    its params text is new: every other line, each of two heads that share
+    the index key too, is read by position."""
+    common = "活" * 64 + "\nQ: "
+    stems = [""]
+    for head in heads:
+        stems += [head, "ab" + head + common, "ba" + head + common]
+    texts, data = [], b""
+    for stem, rest, question in lines:
+        text = stems[stem % len(stems)] + rest
+        digest = bk.transcript_digest(text, default_params(question))
+        texts.append((text, question, digest))
+        data += (json.dumps({"digest": digest, "prompt": text,
+                             "params": default_params(question).to_dict(),
+                             "completion": digest[:8],
+                             "recorded_at": "2024-01-01T00:00:00+00:00"}) + "\n").encode()
+    hashed, whole = [], []
+    state_of, read_whole = bk.head_state, bk._read_whole
+
+    def counted_state(head):
+        hashed.append((head, state_of(head)))
+        return hashed[-1][1]
+
+    def counted_read(entry, *tables):
+        whole.append(entry["prompt"])
+        return read_whole(entry, *tables)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes(data)
+        with mock.patch.object(bk, "head_state", counted_state), \
+                mock.patch.object(bk, "_read_whole", counted_read):
+            cache = bk.TranscriptCache(path)
+    states = dict(hashed)
+    assert len(states) == len(hashed)  # each head hashed once
+    held, expected_whole, heads_met, questions_met = {}, [], {""}, set()
+    for text, question, digest in texts:
+        head = text[:text.rfind("\nQ: ") + 4] if "\nQ: " in text else ""
+        loaded = cache._entries[digest][0]
+        assert loaded == head
+        assert held.setdefault(head, loaded) is loaded
+        assert cache.lookup(digest)["prompt"] == text
+        assert bk.transcript_digest(text[len(head):], default_params(question),
+                                    states.get(head)) == digest
+        if not head or head not in heads_met or question not in questions_met:
+            expected_whole.append(text)
+        heads_met.add(head)
+        questions_met.add(question)
+    assert set(states) == set(held) - {""}
+    assert whole == expected_whole
 
 
 @pytest.mark.parametrize("bad", [

@@ -38,6 +38,16 @@ def test_shot_documents(entries):
     assert not set(corpus.SHOT_IDS) & set(TABLE1)
 
 
+def test_missing_documents_are_named(entries):
+    """Each selector names the documents of its kind that a corpus lacks."""
+    kept = [(doc, gold) for doc, gold in entries if doc.id not in ("10.9", "1.3", "5.2")]
+    with pytest.raises(CorpusError, match=r"^shot documents missing from corpus: \['10.9'\]$"):
+        corpus.shot_documents(kept)
+    with pytest.raises(CorpusError,
+                       match=r"^evaluation documents missing from corpus: \['1.3', '5.2'\]$"):
+        corpus.evaluation_documents(kept)
+
+
 def test_gold_standards_validate(entries):
     for _, gold in entries:
         gold.validate()

@@ -738,7 +738,8 @@ def test_cache_load_decodes_whole_only_the_lines_with_a_new_head_or_params(
         entries, oracle, monkeypatch, tmp_path):
     """Loading a recording decodes a line whole only when it brings a new
     head or a new params text: every other line, in the layout ``record``
-    writes, is read by position."""
+    writes, is read by position. The 734 entries hold one head object per
+    distinct head: 7 raw and 21 defs+2shots."""
     from pexkit import backend
     from pexkit.suite import run_suite
 
@@ -748,8 +749,12 @@ def test_cache_load_decodes_whole_only_the_lines_with_a_new_head_or_params(
     decoded = []
     loads = backend.json.loads
     monkeypatch.setattr(backend.json, "loads", lambda text: decoded.append(text) or loads(text))
-    assert len(TranscriptCache(path)) == 734
-    assert len(decoded) <= 28 + 3  # one per distinct head and one per distinct params text
+    cache = TranscriptCache(path)
+    assert len(cache) == 734
+    # 28 lines that bring a new head, and 2 that bring only a new params
+    # text: the first raw Q2 and Q3 lines, on their document's raw Q1 head.
+    assert len(decoded) == 30
+    assert len({id(head) for head, _, _ in cache._entries.values()}) == 28
 
 
 def test_an_answered_prompt_never_enters_the_pool(entries, oracle, monkeypatch, tmp_path):

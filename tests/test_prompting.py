@@ -319,42 +319,3 @@ def test_oracle_suite_model_files_match_the_fingerprint(tmp_path, capsys):
     assert fingerprint.hexdigest() == \
         "dc4506e5c254005f5ebbe2bf0640b29fbdc82436afa7473b58949ad64e9c86f9"
 
-
-# Pieces of prompt text: the renderer's split point, near misses of it, and
-# non-ASCII characters of each width, to sit next to the split.
-_text_piece = st.sampled_from(["\nQ: ", "Q: ", "\n", "\nA: ", "é", "活動", "\U0001f600", "x"])
-_text = st.lists(_text_piece, max_size=8).map("".join)
-
-
-@settings(max_examples=300, deadline=None)
-@given(heads=st.lists(_text, min_size=1, max_size=3),
-       lines=st.lists(st.tuples(st.integers(0, 9), _text, st.sampled_from(prompting.QUESTION_KINDS)),
-                      min_size=1, max_size=12))
-def test_head_memo_gives_each_text_its_shared_head_and_state(heads, lines):
-    """The memo splits each text, in any order, after its last ``"\\nQ: "``
-    into a head, one object for every text with that head, and that head's
-    state, from which the rest hashes to the text's ``transcript_digest``:
-    texts with no, one or several ``"\\nQ: "``, texts that share a head, and
-    heads that share only the memo's lookup key, their length and their last
-    64 characters. The memo also finds each text's head at the start of the
-    text's JSON string. Each head is hashed once: every text with it gets
-    one state object."""
-    common = "活" * 64 + "\nQ: "
-    stems = [""]
-    for head in heads:
-        stems += [head, "a" + head + common, "é" + head + common]
-    memo = prompting.HeadMemo()
-    held, states = {}, {}
-    for stem, rest, question in lines:
-        text = stems[stem % len(stems)] + rest
-        params = default_params(question)
-        head, state = memo.split(text)
-        assert head == text[:text.rfind("\nQ: ") + 4] if "\nQ: " in text else head == ""
-        assert held.setdefault(head, head) is head
-        assert states.setdefault(head, state) is state
-        assert transcript_digest(text[len(head):], params, state) == \
-            transcript_digest(text, params)
-        # The text as a JSON string: its head, escaped, ends where found.
-        escaped = json.dumps(text).encode("ascii")
-        assert memo.find_json(escaped, 1) == (
-            (len(json.dumps(head)) - 1, (head, state)) if head else None)

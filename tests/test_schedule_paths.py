@@ -224,6 +224,9 @@ SCENARIOS = [
     [[("a",), ("a", "b")], [("b", "c")], [("c", "a")]],
     [[("a", "b"), ("c", "d")], [("c", "a"), ("b",)], [("d", "b", "a")]],
     [[("a",), ("b",)], [("c", "d", "e")], [("d",)]],
+    # When x fails, job 2's queued call for d, which no earlier job holds
+    # yet, is cancelled; job 0's second batch then asks d afresh.
+    [[("a",), ("d",)], [("x",)], [("y", "e", "d")]],
 ]
 
 
