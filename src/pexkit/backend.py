@@ -2,9 +2,10 @@
 
 All backends expose ``complete(prompt, params) -> str``, called with
 ``prompt.params`` once per distinct prompt of a run (``pipeline.schedule``
-keeps the answers). The transcript cache, which ``CachedBackend`` fronts, is
-a JSON-lines file keyed by ``prompt.digest``, the ``transcript_digest`` of
-prompt text + params, so a recorded run can be replayed byte-identically.
+keeps the answers). The transcript cache is a JSON-lines file keyed by
+``prompt.digest``, the ``transcript_digest`` of prompt text + params, so a
+recorded run can be replayed byte-identically; as a backend it answers the
+prompts it holds and asks its ``inner`` backend, if any, for the rest.
 
 The live backend speaks HTTP through the standard library's ``http.client``,
 imported only when one is built, so commands that send no request do not
@@ -146,7 +147,13 @@ def _read_whole(entry, heads: dict, json_heads: dict, params_texts: dict) -> tup
 
 
 class TranscriptCache:
-    """Append-only JSONL store of prompt -> completion transcripts.
+    """Append-only JSONL store of prompt -> completion transcripts, and a
+    backend: ``complete`` answers a prompt the cache holds, and asks
+    ``inner`` for any other and records the answer, so re-running an
+    interrupted recording resumes it; with no ``inner`` that miss raises
+    ``CacheMissError``. No lock is held while ``inner`` answers:
+    ``pipeline.schedule`` asks each distinct prompt of a run once, and never
+    twice at once. Its width, ``max_concurrency``, is ``inner``'s, else 1.
 
     Loading checks every entry: its digest must recompute from its prompt and
     params, else ``CacheConflictError``. A line whose digest is already loaded
@@ -180,8 +187,10 @@ class TranscriptCache:
     a ``threading.Lock`` guards the entries held in memory.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, inner=None):
         self.path = Path(path)
+        self.inner = inner
+        self.max_concurrency = getattr(inner, "max_concurrency", 1)
         self._lock = threading.Lock()
         # digest -> (prompt head, the rest of the prompt, completion)
         self._entries: dict[str, tuple[str, str, str]] = {}
@@ -260,6 +269,22 @@ class TranscriptCache:
         head, rest, completion = held
         return {"digest": digest, "prompt": head + rest, "completion": completion}
 
+    def complete(self, prompt: Prompt, params: CompletionParams) -> str:
+        """A hit is read through ``lookup``, so that a wrapper of it sees
+        every prompt a replay answers (perfbench counts them so). ``params``
+        is ``prompt.params``: ``inner`` is asked with it and ``record``
+        writes it, so an entry recomputes to ``prompt.digest``."""
+        entry = self.lookup(prompt.digest)
+        if entry is not None:
+            return entry["completion"]
+        if self.inner is None:
+            raise CacheMissError(
+                f"transcript cache miss for digest {prompt.digest[:12]} "
+                f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
+        completion = self.inner.complete(prompt, prompt.params)
+        self.record(prompt, completion)
+        return completion
+
     def record(self, prompt: Prompt, completion: str) -> None:
         """Append an entry for ``prompt`` under its digest, which is not
         hashed again. The line holds the prompt's text, joined for it alone,
@@ -313,6 +338,10 @@ class TranscriptCache:
             size = good_end
         if size and os.pread(fd, 1, size - 1) != b"\n":
             handle.write(b"\n")
+
+    def close(self) -> None:
+        """Close ``inner``'s connections, if it holds any."""
+        getattr(self.inner, "close", lambda: None)()
 
 
 def truncate_at_stop(text: str, stop: tuple[str, ...]) -> str:
@@ -516,41 +545,6 @@ class LiveBackend:
         """Close every connection; a later call opens a fresh one."""
         for conn in self._connections:
             conn.close()
-
-
-class CachedBackend:
-    """Serve a prompt from ``cache`` when it holds it; otherwise ask ``inner``
-    and record the answer, so re-running an interrupted recording resumes
-    it. With no ``inner`` that miss raises ``CacheMissError``. It keeps no
-    answers and takes no lock: ``pipeline.schedule`` asks each distinct
-    prompt of a run once, and never twice at once.
-    """
-
-    def __init__(self, cache: TranscriptCache, inner=None):
-        self.cache = cache
-        self.inner = inner
-
-    @property
-    def max_concurrency(self) -> int:
-        return getattr(self.inner, "max_concurrency", 1)
-
-    def complete(self, prompt: Prompt, params: CompletionParams) -> str:
-        """``params`` is ``prompt.params``: ``inner`` is asked with it and
-        ``cache`` records it, so an entry recomputes to ``prompt.digest``."""
-        entry = self.cache.lookup(prompt.digest)
-        if entry is not None:
-            return entry["completion"]
-        if self.inner is None:
-            raise CacheMissError(
-                f"transcript cache miss for digest {prompt.digest[:12]} "
-                f"(doc {prompt.doc_id}, {prompt.question}, {prompt.setting})")
-        completion = self.inner.complete(prompt, prompt.params)
-        self.cache.record(prompt, completion)
-        return completion
-
-    def close(self) -> None:
-        """Close ``inner``'s connections, if it holds any."""
-        getattr(self.inner, "close", lambda: None)()
 
 
 class OracleBackend:

@@ -23,7 +23,7 @@ from contextlib import closing
 from pathlib import Path
 
 from . import corpus, evaluation, pipeline, prompting
-from .backend import CachedBackend, LiveBackend, OracleBackend, TranscriptCache
+from .backend import LiveBackend, OracleBackend, TranscriptCache
 from .errors import BackendError, CorpusError, ModelError, PexError
 from .evaluation import MatchConfig
 from .suite import atomic_write, run_suite
@@ -87,10 +87,10 @@ def _make_backend(args, entries):
     """The backend of flags that ``_check_backend_flags`` accepted, bare but
     for a replay or ``--record``; the command closes it when it ends."""
     if args.backend == "replay":
-        return CachedBackend(TranscriptCache(args.cache))
+        return TranscriptCache(args.cache)
     inner = (OracleBackend(corpus.corpus_index(entries)) if args.backend == "oracle"
              else LiveBackend(args.endpoint, args.model_name))
-    return CachedBackend(TranscriptCache(args.cache), inner) if args.record else inner
+    return TranscriptCache(args.cache, inner) if args.record else inner
 
 
 def _add_backend_flags(parser):
@@ -274,15 +274,11 @@ def _aborted(args, exc: pipeline.ExtractionAborted) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = None  # until parsed: a usage error or Ctrl-C may come first
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
-    try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

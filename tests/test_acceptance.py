@@ -8,7 +8,7 @@ import pytest
 
 import table2
 from pexkit import cli, corpus, evaluation, pipeline, prompting
-from pexkit.backend import CachedBackend, TranscriptCache
+from pexkit.backend import TranscriptCache
 from pexkit.corpus import RawBehaviorGraph, derive_follows
 from pexkit.evaluation import MatchConfig, f1_score, match_phrase, normalize, round2
 from pexkit.pipeline import EXTRACTED, GOLD_INJECTED
@@ -109,7 +109,7 @@ def test_criterion_4_prompt_golden_files(index, shots):
 
 def test_criterion_5_replay_determinism(tmp_path, index, oracle, capsys):
     cache_path = tmp_path / "cache.jsonl"
-    recorder = CachedBackend(TranscriptCache(cache_path), oracle)
+    recorder = TranscriptCache(cache_path, oracle)
     from pexkit.suite import run_suite
     run_suite(corpus.default_corpus(), [prompting.RAW, prompting.SHOTS2],
               recorder, tmp_path / "seed")

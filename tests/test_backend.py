@@ -587,15 +587,14 @@ def test_cache_load_matches_a_whole_line_load(heads, lines, surrogate, tampered,
         assert cache.lookup(digest) == _held(entry)
 
 
-def test_cached_backend_without_inner_replays(tmp_path):
+def test_cache_without_inner_replays(tmp_path):
     cache = bk.TranscriptCache(tmp_path / "c.jsonl")
     prompt = make_prompt("the prompt")
     cache.record(prompt, "recorded")
-    replay = bk.CachedBackend(cache)
-    assert replay.complete(prompt, PARAMS) == "recorded"
-    assert replay.complete(prompt, PARAMS) == "recorded"
+    assert cache.complete(prompt, PARAMS) == "recorded"
+    assert cache.complete(prompt, PARAMS) == "recorded"
     with pytest.raises(CacheMissError, match=r"doc 10\.1, q1, raw"):
-        replay.complete(make_prompt("unseen"), PARAMS)
+        cache.complete(make_prompt("unseen"), PARAMS)
 
 
 def test_replay_fallback_records(tmp_path):
@@ -603,10 +602,10 @@ def test_replay_fallback_records(tmp_path):
     fresh load of the cache without an inner backend."""
     path = tmp_path / "c.jsonl"
     inner = CountingStub()
-    cached = bk.CachedBackend(bk.TranscriptCache(path), inner)
+    cached = bk.TranscriptCache(path, inner)
     assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
     assert inner.calls == {"unseen": 1}
-    replay = bk.CachedBackend(bk.TranscriptCache(path))
+    replay = bk.TranscriptCache(path)
     assert replay.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
     assert len(path.read_text().splitlines()) == 1
 
@@ -616,10 +615,9 @@ def test_recording_backend_write_through(tmp_path):
     of it is served from the cache. Recording again over the complete cache
     makes no inner call and leaves the file as it was."""
     path = tmp_path / "c.jsonl"
-    cache = bk.TranscriptCache(path)
-    cache.record(make_prompt("recorded"), "answer to recorded")
     inner = CountingStub()
-    cached = bk.CachedBackend(cache, inner)
+    cached = bk.TranscriptCache(path, inner)
+    cached.record(make_prompt("recorded"), "answer to recorded")
     assert cached.complete(make_prompt("recorded"), PARAMS) == "answer to recorded"
     assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
     assert cached.complete(make_prompt("unseen"), PARAMS) == "answer to unseen"
@@ -627,7 +625,7 @@ def test_recording_backend_write_through(tmp_path):
     assert len(path.read_text().splitlines()) == 2
     recorded = path.read_bytes()
     again = CountingStub()
-    rerun = bk.CachedBackend(bk.TranscriptCache(path), again)
+    rerun = bk.TranscriptCache(path, again)
     for text in ("recorded", "unseen", "recorded"):
         assert rerun.complete(make_prompt(text), PARAMS) == "answer to " + text
     assert again.calls == {}
@@ -1178,12 +1176,12 @@ def test_live_backend_gives_up_at_once_on_a_certificate_that_does_not_verify(
     assert server.requests == []
 
 
-def test_wrappers_forward_concurrency(tmp_path, oracle, api_key):
-    cache = bk.TranscriptCache(tmp_path / "c.jsonl")
+def test_cache_takes_its_inner_backends_width(tmp_path, oracle, api_key):
+    path = tmp_path / "c.jsonl"
     live = bk.LiveBackend("https://api.example/v1", "engine", max_concurrency=6)
-    assert bk.CachedBackend(cache).max_concurrency == 1
-    assert bk.CachedBackend(cache, live).max_concurrency == 6
-    assert bk.CachedBackend(cache, oracle).max_concurrency == 1
+    assert bk.TranscriptCache(path).max_concurrency == 1
+    assert bk.TranscriptCache(path, live).max_concurrency == 6
+    assert bk.TranscriptCache(path, oracle).max_concurrency == 1
 
 
 class CountingStub:

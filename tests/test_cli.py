@@ -786,6 +786,49 @@ def test_ctrl_c_without_a_cache_exits_130(tmp_path, monkeypatch, capsys):
     assert (code, out, err) == (130, "", "interrupted\n")
 
 
+def test_ctrl_c_while_parsing_exits_130(tmp_path, monkeypatch, capsys):
+    def interrupt(text):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_settings", interrupt)
+    code, out, err = run_cli(capsys, "run-suite", "--settings", "raw",
+                             "--outdir", str(tmp_path / "out"))
+    assert (code, out, err) == (130, "", "interrupted\n")
+
+
+def test_a_replay_looks_up_each_distinct_prompt_once(tmp_path, monkeypatch, capsys):
+    """A recording asks the oracle once per distinct prompt. A replay of it
+    reads each through ``TranscriptCache.lookup`` once, whose entry holds
+    the prompt's whole text, and asks the oracle nothing: the benchmark
+    counts a replay's questions by wrapping ``lookup``."""
+    asked, entries = {}, []
+    complete, lookup = OracleBackend.complete, TranscriptCache.lookup
+
+    def counting_complete(self, prompt, params):
+        asked.setdefault(prompt.digest, []).append(prompt.text)
+        return complete(self, prompt, params)
+
+    def counting_lookup(self, digest):
+        entry = lookup(self, digest)
+        entries.append((digest, entry))
+        return entry
+
+    monkeypatch.setattr(OracleBackend, "complete", counting_complete)
+    monkeypatch.setattr(TranscriptCache, "lookup", counting_lookup)
+    argv = ["run-suite", "--cache", str(tmp_path / "c.jsonl"), "--settings", "raw,defs+2shots",
+            "--outdir", str(tmp_path / "out")]
+    assert run_cli(capsys, *argv, "--backend", "oracle", "--record")[0] == 0
+    assert len(asked) == sum(map(len, asked.values())) == 734
+    recorded = {digest: texts[0] for digest, texts in asked.items()}
+    asked.clear()
+    entries.clear()
+    assert run_cli(capsys, *argv, "--backend", "replay")[0] == 0
+    assert asked == {}
+    assert len(entries) == len({digest for digest, _ in entries}) == 734
+    for digest, entry in entries:
+        assert entry["prompt"] == recorded[digest], digest
+
+
 @pytest.mark.parametrize("setting, follows, unknown", [("raw", (5, 1, 3), 1),
                                                       ("defs+2shots", (5, 3, 3), 2)])
 def test_a_pinned_noisy_recording_replays_to_its_model_and_scores(tmp_path, capsys, setting,

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pexkit import pipeline, prompting
-from pexkit.backend import CachedBackend, OracleBackend, TranscriptCache
+from pexkit.backend import OracleBackend, TranscriptCache
 from pexkit.corpus import Document
 from pexkit.errors import BackendError
 from pexkit.pipeline import (EXTRACTED, GOLD_INJECTED, ExtractionAborted,
@@ -293,10 +293,10 @@ def test_replay_pair_order_independence(index, oracle, tmp_path):
     """Permuting Q3 pair order does not change the follows set under replay."""
     doc, gold = index["10.6"]
     cache_path = tmp_path / "c.jsonl"
-    recording = CachedBackend(TranscriptCache(cache_path), oracle)
+    recording = TranscriptCache(cache_path, oracle)
     first = pipeline.extract(doc, prompting.RAW, recording, gold=gold,
                              activity_source=GOLD_INJECTED)
-    replay = CachedBackend(TranscriptCache(cache_path))
+    replay = TranscriptCache(cache_path)
     second = pipeline.extract(doc, prompting.RAW, replay, gold=gold,
                               activity_source=GOLD_INJECTED)
     assert first.model.follows == second.model.follows == set(gold.follows)
@@ -305,9 +305,9 @@ def test_replay_pair_order_independence(index, oracle, tmp_path):
 def test_provenance_joins_the_transcript_cache(index, oracle, shots, tmp_path):
     """Every Q1/Q2/Q3 provenance digest is the key of its cache entry."""
     doc, gold = index["10.1"]
-    cache = TranscriptCache(tmp_path / "c.jsonl")
+    cache = TranscriptCache(tmp_path / "c.jsonl", oracle)
     sent = []
-    run = extract_observed(sent, doc, prompting.DEFS_SHOTS2, CachedBackend(cache, oracle),
+    run = extract_observed(sent, doc, prompting.DEFS_SHOTS2, cache,
                            gold=gold, activity_source=EXTRACTED, shots=shots)
     provenance = list(run.model.provenance.values())
     assert {q for q, _ in provenance} == set(prompting.QUESTION_KINDS)
@@ -499,7 +499,7 @@ def test_concurrent_recording_keeps_every_entry(index, oracle, tmp_path):
         recorded = {}
         for width in (1, 8):
             path = tmp_path / f"w{width}.jsonl"
-            backend = CachedBackend(TranscriptCache(path), JitteryBackend(oracle, width))
+            backend = TranscriptCache(path, JitteryBackend(oracle, width))
             for doc_id in ("1.2", "1.3"):
                 doc, gold = index[doc_id]
                 pipeline.extract(doc, prompting.RAW, backend, gold=gold)
@@ -517,9 +517,8 @@ def test_unwritable_cache_aborts_a_concurrent_extract(index, oracle, tmp_path):
     """A cache write that fails on a dispatch worker thread stops the run
     with ``ExtractionAborted``, like any other backend failure."""
     (tmp_path / "file").write_text("")
-    cache = TranscriptCache(tmp_path / "file" / "c.jsonl")
     doc, gold = index["1.3"]
-    backend = CachedBackend(cache, JitteryBackend(oracle, 4))
+    backend = TranscriptCache(tmp_path / "file" / "c.jsonl", JitteryBackend(oracle, 4))
     with pytest.raises(ExtractionAborted, match="cannot write transcript cache") as excinfo:
         pipeline.extract(doc, prompting.RAW, backend, gold=gold,
                          activity_source=GOLD_INJECTED)
@@ -579,9 +578,9 @@ def test_run_suite_hashes_each_question_once(entries, oracle, monkeypatch, tmp_p
     from pexkit.suite import run_suite
 
     made, fed, digests = count_sha256(monkeypatch)
-    cache = TranscriptCache(tmp_path / "c.jsonl")
-    backend = CachedBackend(cache, oracle if width == 1 else JitteryBackend(oracle, width))
-    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], backend, tmp_path / "out")
+    cache = TranscriptCache(tmp_path / "c.jsonl",
+                            oracle if width == 1 else JitteryBackend(oracle, width))
+    run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2], cache, tmp_path / "out")
     assert len(made) == 42  # one per batch that renders: each ex run's Q1, Q2 and Q3
     assert len(cache) == len(set(digests)) == 734
     assert len(digests) == 734
@@ -727,7 +726,7 @@ def test_cache_load_hashes_each_distinct_head_once(entries, oracle, monkeypatch,
 
     path = tmp_path / "c.jsonl"
     run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2],
-              CachedBackend(TranscriptCache(path), oracle), tmp_path / "out")
+              TranscriptCache(path, oracle), tmp_path / "out")
     made, fed, digests = count_sha256(monkeypatch)
     assert len(TranscriptCache(path)) == len(digests) == 734
     assert len(made) <= 28  # one per distinct head: 7 raw, 21 defs+2shots
@@ -745,7 +744,7 @@ def test_cache_load_decodes_whole_only_the_lines_with_a_new_head_or_params(
 
     path = tmp_path / "c.jsonl"
     run_suite(entries, [prompting.RAW, prompting.DEFS_SHOTS2],
-              CachedBackend(TranscriptCache(path), oracle), tmp_path / "out")
+              TranscriptCache(path, oracle), tmp_path / "out")
     decoded = []
     loads = backend.json.loads
     monkeypatch.setattr(backend.json, "loads", lambda text: decoded.append(text) or loads(text))
@@ -1108,11 +1107,11 @@ def test_duplicate_documents_record_each_prompt_once_under_frequent_thread_switc
     twin = (replace(doc, id="1.3"), replace(gold, doc_id="1.3"))
     entries = [twin if d.id == "1.3" else (d, g) for d, g in entries]
     inner = JitteryBackend(OracleBackend(corpus_index(entries)), 8)
-    cache = TranscriptCache(tmp_path / "c.jsonl")
+    cache = TranscriptCache(tmp_path / "c.jsonl", inner)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run_suite(entries, [prompting.RAW], CachedBackend(cache, inner), tmp_path / "out")
+        run_suite(entries, [prompting.RAW], cache, tmp_path / "out")
     finally:
         sys.setswitchinterval(switch)
     assert sum(inner.asked.values()) == len(inner.asked) == len(cache) == 245
