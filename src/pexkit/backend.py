@@ -417,10 +417,9 @@ class LiveBackend:
         self._connections = connections
         # The width rule's state and the idle connections, most recently
         # used last, guarded by ``_gate``: a request starts only while fewer
-        # than ``width`` are in flight (``_busy``).
+        # than ``width`` are in flight, which are the connections not idle.
         self._gate = threading.Condition()
         self._idle = list(connections)
-        self._busy = 0
         self.width = max_concurrency
         self._round = 0  # halvings so far
         self._streak = 0  # successes in a row since the last change of width
@@ -506,9 +505,8 @@ class LiveBackend:
         """Wait until fewer than ``width`` requests are in flight, then take
         the most recently used idle connection; it and the current round."""
         with self._gate:
-            while self._busy >= self.width:
+            while self.max_concurrency - len(self._idle) >= self.width:
                 self._gate.wait()
-            self._busy += 1
             return self._idle.pop(), self._round
 
     def _release(self, conn, sent_in: int, status: int | None) -> None:
@@ -516,7 +514,6 @@ class LiveBackend:
         on it (None when there was no answer) for a request sent in round
         ``sent_in``, and wake as many waiters as there are free slots."""
         with self._gate:
-            self._busy -= 1
             self._idle.append(conn)
             if status != 200:
                 self._streak = 0
@@ -527,8 +524,7 @@ class LiveBackend:
                 self._streak += 1
                 if self._streak == self.width:
                     self._resize(self.width + 1, f"{self.width} x HTTP 200")
-            if self._busy < self.width:
-                self._gate.notify(self.width - self._busy)
+            self._gate.notify(max(0, self.width - (self.max_concurrency - len(self._idle))))
 
     def _resize(self, width: int, reason: str) -> None:
         """Set the width; called with ``_gate`` held."""

@@ -204,9 +204,9 @@ def cmd_extract(args) -> int:
     entries = _load_entries(args.corpus)
     doc, gold = _find_doc(entries, args.doc)
     with closing(_make_backend(args, entries)) as backend:
-        run = pipeline.extract(doc, args.setting, backend, gold=gold,
-                               activity_source=args.activity_source,
-                               shots=_shots(entries, args.setting))
+        injected = gold.activities if args.activity_source == pipeline.GOLD_INJECTED else None
+        run = pipeline.extract(doc, args.setting, backend, shots=_shots(entries, args.setting),
+                               gold_activities=injected)
     atomic_write(args.out, run.model.to_json())
     if args.dot:
         atomic_write(args.dot, run.model.to_dot())
@@ -229,12 +229,12 @@ def cmd_evaluate(args) -> int:
     kwargs = {"ex_model": model} if args.mode == evaluation.EX else {"gs_model": model}
     rows = evaluation.evaluate_document(gold, cfg=cfg, **kwargs)
     report = {"-": {args.doc: rows}}
-    table = evaluation.report_rows(report, ["-"])
+    table = evaluation.report_rows(report)
     sys.stdout.write(evaluation.render_table(table, "text"))
     if args.out_csv:
         atomic_write(args.out_csv, evaluation.render_table(table, "csv"))
     if args.out_json:
-        atomic_write(args.out_json, evaluation.report_json(report, ["-"]))
+        atomic_write(args.out_json, evaluation.report_json(report))
     return EXIT_OK
 
 
@@ -265,7 +265,7 @@ def _resumes(args) -> str:
 def _aborted(args, exc: pipeline.ExtractionAborted) -> str:
     """The one line of a command that ``exc`` ended."""
     run = exc.run
-    line = (f"backend error: {exc}; stopped at document {run.doc_id}, setting "
+    line = (f"backend error: {exc}; stopped at document {run.model.doc_id}, setting "
             f"{run.setting}, activity source {run.activity_source}")
     if args.command == "run-suite":
         line += (f"; the models of any jobs before it are in "

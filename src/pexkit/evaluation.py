@@ -230,30 +230,30 @@ def fmt2(value: float) -> str:
     return f"{round2(value):.2f}"
 
 
-def report_rows(report: dict, settings: list[str]) -> list[list[str]]:
+def report_rows(report: dict) -> list[list[str]]:
     """Flatten a suite report into CSV-shaped rows.
 
-    ``report`` maps setting -> doc_id -> row -> ElementScores; the Average
-    block averages the 2-decimal rendered per-document values, matching how
-    the reference result table is assembled.
+    ``report`` maps setting -> doc_id -> row -> ElementScores, in column and
+    row order; the Average block averages the 2-decimal rendered per-document
+    values, matching how the reference result table is assembled.
     """
     header = ["doc", "element"]
-    for setting in settings:
+    for setting in report:
         header += [f"{setting}_prec", f"{setting}_rec", f"{setting}_f1"]
     lines = [header]
     doc_ids = list(next(iter(report.values())).keys())
     present = [row for row in ROWS
-               if all(row in report[s][d] for s in settings for d in doc_ids)]
+               if all(row in report[s][d] for s in report for d in doc_ids)]
     for doc_id in doc_ids:
         for row in present:
             line = [doc_id, row]
-            for setting in settings:
+            for setting in report:
                 s = report[setting][doc_id][row]
                 line += [fmt2(s.precision), fmt2(s.recall), fmt2(s.f1)]
             lines.append(line)
     for row in present:
         line = ["Average", row]
-        for setting in settings:
+        for setting in report:
             scores = [report[setting][d][row] for d in doc_ids]
             line += [fmt2(mean(round2(s.precision) for s in scores)),
                      fmt2(mean(round2(s.recall) for s in scores)),
@@ -275,17 +275,17 @@ def render_table(rows: list[list[str]], layout: str = "text") -> str:
     raise PexError(f"unknown table layout: {layout}")
 
 
-def report_to_dict(report: dict, settings: list[str]) -> dict:
-    """JSON-ready structure with full-precision scores."""
+def report_to_dict(report: dict) -> dict:
+    """``report`` as a JSON-ready structure with full-precision scores."""
     out = {}
-    for setting in settings:
+    for setting, per_doc in report.items():
         out[setting] = {}
-        for doc_id, rows in report[setting].items():
+        for doc_id, rows in per_doc.items():
             out[setting][doc_id] = {
                 row: {"tp": s.tp, "fp": s.fp, "fn": s.fn,
                       "precision": s.precision, "recall": s.recall, "f1": s.f1}
                 for row, s in rows.items()}
-        avg = macro_average(list(report[setting].values()))
+        avg = macro_average(list(per_doc.values()))
         out[setting]["macro_average"] = {
             row: {"precision": p, "recall": r, "f1": f}
             for row, (p, r, f) in avg.items()}
@@ -300,28 +300,28 @@ _AVERAGES = ('{{\n        "f1": {},\n        "precision": {},\n'
              '        "recall": {}\n      }}').format
 
 
-def report_json(report: dict, settings: list[str]) -> str:
-    """``json.dumps(report_to_dict(report, settings), indent=2,
-    sort_keys=True) + "\\n"``, byte for byte, written for the report's fixed
-    shape, as ``WorldModel.to_json`` writes a model's: with ``indent``,
-    ``json.dumps`` takes CPython's pure-Python encoder. Keys sort as strings,
-    so ``macro_average`` sorts among the document ids; strings are escaped by
-    the C function ``json.dumps`` uses, scores written by ``float.__repr__``
-    and counts by ``int.__repr__``, as ``json.dumps`` writes finite floats
-    and ints."""
+def report_json(report: dict) -> str:
+    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True) +
+    "\\n"``, byte for byte, written for the report's fixed shape, as
+    ``WorldModel.to_json`` writes a model's: with ``indent``, ``json.dumps``
+    takes CPython's pure-Python encoder. Keys sort as strings, so
+    ``macro_average`` sorts among the document ids; strings are escaped by the
+    C function ``json.dumps`` uses, scores written by ``float.__repr__`` and
+    counts by ``int.__repr__``, as ``json.dumps`` writes finite floats and
+    ints."""
     def block(items: dict, indent: str) -> str:
         return _json_block("{}", [f"{_json_string(key)}: {text}"
                                   for key, text in sorted(items.items())], indent)
 
     score, count = float.__repr__, int.__repr__
     out = {}
-    for setting in settings:
+    for setting, per_doc in report.items():
         docs = {doc_id: block({row: _SCORES(score(s.f1), count(s.fn), count(s.fp),
                                             score(s.precision), score(s.recall),
                                             count(s.tp))
                                for row, s in rows.items()}, "    ")
-                for doc_id, rows in report[setting].items()}
-        average = macro_average(list(report[setting].values()))
+                for doc_id, rows in per_doc.items()}
+        average = macro_average(list(per_doc.values()))
         docs["macro_average"] = block({row: _AVERAGES(score(f1), score(p), score(r))
                                        for row, (p, r, f1) in average.items()}, "    ")
         out[setting] = block(docs, "  ")

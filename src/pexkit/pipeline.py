@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import groupby, permutations
 
 from . import prompting
-from .corpus import Document, GoldStandard
+from .corpus import Document
 from .errors import BackendError
 from .worldmodel import WorldModel, normalize_key
 
@@ -92,9 +92,9 @@ def parse_yesno(completion: str) -> str:
 
 @dataclass
 class ExtractionRun:
-    doc_id: str
+    """One dialogue's result, for the document ``model.doc_id``."""
     setting: str
-    activity_source: str
+    activity_source: str  # GOLD_INJECTED when given its activities, else EXTRACTED
     model: WorldModel
     counters: dict = field(default_factory=lambda: {"q1": 0, "q2": 0, "q3": 0})
     unknown_q3: int = 0
@@ -109,11 +109,13 @@ class ExtractionAborted(BackendError):
         self.run = run
 
 
-def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
-             activity_source: str = EXTRACTED, shots: list | None = None,
-             prompts: dict | None = None):
+def dialogue(doc: Document, setting: str, shots: list | None = None,
+             gold_activities: tuple | None = None, prompts: dict | None = None):
     """The question dialogue for one document and setting, as a job for
     ``schedule``; it returns the ``ExtractionRun``.
+
+    With ``gold_activities`` None it asks Q1 for the activities; given a
+    tuple, it injects those and asks no Q1.
 
     It yields each question batch as a list of its rendered prompts, and is
     sent an iterator of their completions, in order, whose ``next`` raises a
@@ -132,14 +134,10 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     Each answer, as it is applied, is logged at DEBUG as ``issued <question>
     prompt <digest>``.
     """
-    if activity_source not in (EXTRACTED, GOLD_INJECTED):
-        raise ValueError(f"unknown activity source: {activity_source}")
-    if activity_source == GOLD_INJECTED and gold is None:
-        raise ValueError("gold-injected extraction requires a gold standard")
-
-    run = ExtractionRun(doc.id, setting, activity_source, WorldModel(doc.id))
+    source = EXTRACTED if gold_activities is None else GOLD_INJECTED
+    run = ExtractionRun(setting, source, WorldModel(doc.id))
     model = run.model
-    store = prompts is not None and activity_source == EXTRACTED
+    store = prompts is not None and gold_activities is None
 
     def ask(question: str, bindings: list, apply):
         """Ask ``question`` for each (x, y) binding; call ``apply(k, completion,
@@ -173,11 +171,11 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
         for surface in parse_list_answer(completion):
             model.add_activity(surface, (prompting.Q1, digest))
 
-    if activity_source == GOLD_INJECTED:
-        for surface in gold.activities:
-            model.add_activity(surface, (GOLD_INJECTED, "-"))
-    else:
+    if gold_activities is None:
         yield from ask(prompting.Q1, [(None, None)], listed)
+    else:
+        for surface in gold_activities:
+            model.add_activity(surface, (GOLD_INJECTED, "-"))
 
     def performed(i, completion, digest):
         for name in parse_participant_answer(completion):
@@ -203,13 +201,11 @@ def dialogue(doc: Document, setting: str, gold: GoldStandard | None = None,
     return run
 
 
-def extract(doc: Document, setting: str, backend,
-            gold: GoldStandard | None = None,
-            activity_source: str = EXTRACTED,
-            shots: list | None = None) -> ExtractionRun:
-    """Run the full question dialogue for one document and setting: the
-    one-job case of ``schedule``."""
-    with closing(schedule([dialogue(doc, setting, gold, activity_source, shots)],
+def extract(doc: Document, setting: str, backend, shots: list | None = None,
+            gold_activities: tuple | None = None) -> ExtractionRun:
+    """Run ``dialogue`` for one document and setting: the one-job case of
+    ``schedule``."""
+    with closing(schedule([dialogue(doc, setting, shots, gold_activities)],
                           backend)) as runs:
         [run] = runs
     return run

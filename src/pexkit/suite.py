@@ -17,7 +17,7 @@ def atomic_write(path, text: str) -> None:
     writers of one path never share one, then moved over ``path``. The
     parent directory is made only when the first write finds it missing, so
     a suite's many files into one directory cost no ``mkdir`` each. Any
-    ``OSError`` removes the temp file and raises ``PexError``."""
+    exception removes the temp file; an ``OSError`` becomes ``PexError``."""
     path = Path(path)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
@@ -29,10 +29,12 @@ def atomic_write(path, text: str) -> None:
         with file:
             file.write(text)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with suppress(OSError):
             os.unlink(tmp)
-        raise PexError(f"cannot write {path}: {exc.strerror}") from exc
+        if isinstance(exc, OSError):
+            raise PexError(f"cannot write {path}: {exc.strerror}") from exc
+        raise
 
 
 def run_suite(entries, settings, backend, outdir,
@@ -41,16 +43,16 @@ def run_suite(entries, settings, backend, outdir,
     score the six report rows, and write models plus CSV/JSON reports.
 
     Each (setting, document) pair is one job of ``pipeline.schedule``: its
-    ex run, then its gs run. Jobs overlap up to ``backend.max_concurrency``,
-    and their results are scored and written in job order, so every file
-    equals a sequential run's. ``pipeline.schedule`` keeps the answers of
-    the whole suite and asks ``backend`` each distinct prompt once, so the
-    gs run reuses the ex run's answers wherever their questions agree. A job
-    also keeps one render memo for its two dialogues: the ex run stores its
-    prompts there, and the gs run takes the ex run's prompt, head and digest
-    included, for each question they share and stores nothing, so each job
-    renders and hashes each distinct question once. The memo dies with its
-    job.
+    ex run, then its gs run, given only the gold activities. Jobs overlap up
+    to ``backend.max_concurrency``, and their results are scored and written
+    in job order, so every file equals a sequential run's.
+    ``pipeline.schedule`` keeps the answers of the whole suite and asks
+    ``backend`` each distinct prompt once, so the gs run reuses the ex run's
+    answers wherever their questions agree. A job also keeps one render memo
+    for its two dialogues: the ex run stores its prompts there, and the gs
+    run takes the ex run's prompt, head and digest included, for each
+    question they share and stores nothing, so each job renders and hashes
+    each distinct question once. The memo dies with its job.
 
     Each file goes through ``atomic_write``, which makes ``outdir`` and
     ``outdir/models`` on their first write. ``report.json`` is written by
@@ -69,10 +71,10 @@ def run_suite(entries, settings, backend, outdir,
 
     def both_runs(doc, setting, gold):
         prompts: dict = {}  # the job's render memo, which dies with it
-        ex_run = yield from pipeline.dialogue(doc, setting, gold, pipeline.EXTRACTED, shots,
-                                              prompts)
-        gs_run = yield from pipeline.dialogue(doc, setting, gold, pipeline.GOLD_INJECTED, shots,
-                                              prompts)
+        ex_run = yield from pipeline.dialogue(doc, setting, shots, gold_activities=None,
+                                              prompts=prompts)
+        gs_run = yield from pipeline.dialogue(doc, setting, shots,
+                                              gold_activities=gold.activities, prompts=prompts)
         return ex_run, gs_run
 
     jobs = [(setting, doc, gold) for setting in settings for doc, gold in docs]
@@ -87,7 +89,7 @@ def run_suite(entries, settings, backend, outdir,
             report[setting][doc.id] = evaluation.evaluate_document(
                 gold, ex_model=ex_run.model, gs_model=gs_run.model, cfg=cfg)
 
-    rows = evaluation.report_rows(report, list(settings))
+    rows = evaluation.report_rows(report)
     atomic_write(outdir / "report.csv", evaluation.render_table(rows, "csv"))
-    atomic_write(outdir / "report.json", evaluation.report_json(report, list(settings)))
+    atomic_write(outdir / "report.json", evaluation.report_json(report))
     return rows

@@ -11,7 +11,6 @@ from pexkit import cli, corpus, evaluation, pipeline, prompting
 from pexkit.backend import TranscriptCache
 from pexkit.corpus import RawBehaviorGraph, derive_follows
 from pexkit.evaluation import MatchConfig, f1_score, match_phrase, normalize, round2
-from pexkit.pipeline import EXTRACTED, GOLD_INJECTED
 from test_corpus import brute_force_follows
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -27,10 +26,8 @@ def test_criterion_1_oracle_round_trip(index, oracle):
     ok = True
     for doc_id in corpus.EVALUATION_IDS:
         doc, gold = index[doc_id]
-        gs_run = pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
-                                  activity_source=GOLD_INJECTED)
-        ex_run = pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
-                                  activity_source=EXTRACTED)
+        gs_run = pipeline.extract(doc, prompting.RAW, oracle, gold_activities=gold.activities)
+        ex_run = pipeline.extract(doc, prompting.RAW, oracle)
         rows = evaluation.evaluate_document(gold, ex_model=ex_run.model,
                                             gs_model=gs_run.model)
         for row in ("Activity", "Participant", "Follows (gs)", "Performs (gs)"):
@@ -43,8 +40,7 @@ def test_criterion_1_oracle_round_trip(index, oracle):
 
 def test_criterion_2_query_count_law(index, oracle):
     doc, gold = index["10.1"]
-    run = pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
-                           activity_source=GOLD_INJECTED)
+    run = pipeline.extract(doc, prompting.RAW, oracle, gold_activities=gold.activities)
     ok = run.counters["q2"] == 4 and run.counters["q3"] == 12
 
     class Listing:

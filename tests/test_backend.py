@@ -914,6 +914,11 @@ def never_wait(live, monkeypatch):
     monkeypatch.setattr(live._gate, "wait", wait)
 
 
+def in_flight(live):
+    """The requests ``live`` has in flight: its connections not idle."""
+    return live.max_concurrency - len(live._idle)
+
+
 def test_live_backend_width_rule(api_key, caplog, monkeypatch):
     """A 429 halves the width once per round, down to 1; ``width``
     successes in a row add 1, up to ``max_concurrency``. Once every request
@@ -938,22 +943,22 @@ def test_live_backend_width_rule(api_key, caplog, monkeypatch):
     answer(burst[:1], 429)
     assert live.width == 8
     answer(burst[1:], 429)  # sent before the halving: no further halving
-    assert (live.width, live._busy) == (8, 0)
+    assert (live.width, in_flight(live)) == (8, 0)
     second = send(8)
     with pytest.raises(Blocked):  # the ninth waits
         live._acquire()
     answer(second, 429)  # one halving for the round sent at width 8
-    assert (live.width, live._busy) == (4, 0)
+    assert (live.width, in_flight(live)) == (4, 0)
     for width in (2, 1, 1):  # the floor
         answer(send(1), 429)
-        assert (live.width, live._busy) == (width, 0)
+        assert (live.width, in_flight(live)) == (width, 0)
     for width in range(1, 16):
         succeed(width - 1)
         assert live.width == width
         succeed(1)
-        assert (live.width, live._busy) == (width + 1, 0)
+        assert (live.width, in_flight(live)) == (width + 1, 0)
     succeed(40)  # the ceiling
-    assert (live.width, live._busy) == (16, 0)
+    assert (live.width, in_flight(live)) == (16, 0)
     resized = [r.getMessage() for r in caplog.records if r.getMessage().startswith("live width")]
     assert resized[:5] == ["live width 16 -> 8 (HTTP 429)", "live width 8 -> 4 (HTTP 429)",
                            "live width 4 -> 2 (HTTP 429)", "live width 2 -> 1 (HTTP 429)",
@@ -970,17 +975,17 @@ def test_live_backend_width_rule_with_every_connection_in_use(api_key, monkeypat
     never_wait(live, monkeypatch)
     sent = [live._acquire() for _ in range(5)]
     live._release(*sent[0], 429)
-    assert (live.width, live._busy) == (2, 4)
+    assert (live.width, in_flight(live)) == (2, 4)
     live._release(*sent[1], 200)
-    assert (live.width, live._busy) == (2, 3)
+    assert (live.width, in_flight(live)) == (2, 3)
     live._release(*sent[2], 200)  # the second success in a row
-    assert (live.width, live._busy) == (3, 2)
+    assert (live.width, in_flight(live)) == (3, 2)
     taken = live._acquire()
     with pytest.raises(Blocked):
         live._acquire()
     for conn, sent_in in [*sent[3:], taken]:
         live._release(conn, sent_in, 500)
-    assert (live.width, live._busy) == (3, 0)
+    assert (live.width, in_flight(live)) == (3, 0)
     assert len({id(conn) for conn, _ in [live._acquire() for _ in range(3)]}) == 3
     with pytest.raises(Blocked):
         live._acquire()
@@ -1010,7 +1015,7 @@ def test_live_backend_gate_waits_for_a_free_slot(api_key):
     live._release(*sent[2], 200)  # 1 in flight: a free slot
     first.join(5)
     assert not first.is_alive()
-    assert (live.width, live._busy, len(taken)) == (2, 2, 1)
+    assert (live.width, in_flight(live), len(taken)) == (2, 2, 1)
 
     second, third = waiter(), waiter()
     for thread in (second, third):
@@ -1020,7 +1025,7 @@ def test_live_backend_gate_waits_for_a_free_slot(api_key):
     for thread in (second, third):
         thread.join(5)
         assert not thread.is_alive()
-    assert (live.width, live._busy, len(taken)) == (3, 3, 3)
+    assert (live.width, in_flight(live), len(taken)) == (3, 3, 3)
     live.close()
 
 
@@ -1053,7 +1058,7 @@ def test_live_backend_gate_under_contention(api_key):
     finally:
         sys.setswitchinterval(interval)
     assert len(clashes) == 16 * 200 and not any(clashes)
-    assert live._busy == 0
+    assert in_flight(live) == 0
     assert sorted(map(id, live._idle)) == sorted(map(id, live._connections))
     live.close()
 

@@ -486,6 +486,40 @@ def test_two_writers_of_one_path_each_publish_a_whole_text(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_ctrl_c_while_a_report_is_moved_exits_130_and_leaves_no_temp_file(
+        tmp_path, monkeypatch, capsys):
+    """A Ctrl-C as ``atomic_write`` moves its temp file over ``report.json``
+    ends the command with exit code 130, and the temp file, whose name holds
+    the process id, so that no later run would replace it, is removed."""
+    replace = os.replace
+
+    def interrupted(src, dst):
+        if Path(dst).name == "report.json":
+            raise KeyboardInterrupt
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "run-suite", "--settings", "raw", "--outdir", str(outdir))
+    assert (code, out, err) == (130, "", "interrupted\n")
+    assert sorted(p.name for p in outdir.iterdir()) == ["models", "report.csv"]
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("setting", ["raw", "defs+2shots"])
+def test_extract_writes_the_models_run_suite_writes(tmp_path, capsys, setting):
+    """``pex extract`` of one document, with either activity source, writes
+    the bytes of the model that ``run-suite`` writes for it."""
+    outdir = tmp_path / "suite"
+    assert run_cli(capsys, "run-suite", "--settings", setting, "--outdir", str(outdir))[0] == 0
+    for source in ("extracted", "gold"):
+        model = tmp_path / f"{source}.json"
+        assert run_cli(capsys, "extract", "--doc", "10.13", "--setting", setting,
+                       "--activity-source", source, "--out", str(model))[0] == 0
+        suite_model = outdir / "models" / f"10.13_{setting}_{source}.json"
+        assert model.read_bytes() == suite_model.read_bytes()
+
+
 def test_run_suite_oracle_single_setting(tmp_path, capsys):
     outdir = tmp_path / "out"
     code, out, _ = run_cli(capsys, "run-suite", "--backend", "oracle",

@@ -231,8 +231,7 @@ def test_follows_gs_published_cell(index, oracle):
     # 8 predictions covering all 4 gold edges: 0.50 / 1.00 / 0.67
     from pexkit import pipeline, prompting
     doc, gold = index["10.1"]
-    run = pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
-                           activity_source=pipeline.GOLD_INJECTED)
+    run = pipeline.extract(doc, prompting.RAW, oracle, gold_activities=gold.activities)
     extra = [(0, 2), (0, 3), (2, 1), (3, 2)]
     for e in extra:
         run.model.add_follows(*e, ("q3", "-"))
@@ -294,10 +293,9 @@ def test_each_phrase_list_is_aligned_once(monkeypatch, index, oracle, sources, c
     from pexkit import pipeline, prompting
     doc, gold = index["10.1"]
     models = {
-        f"{source}_model": pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
-                                            activity_source=activity_source).model
-        for source, activity_source in (("ex", pipeline.EXTRACTED),
-                                        ("gs", pipeline.GOLD_INJECTED))
+        f"{source}_model": pipeline.extract(doc, prompting.RAW, oracle,
+                                            gold_activities=activities).model
+        for source, activities in (("ex", None), ("gs", gold.activities))
         if source in sources}
     aligned = []
 
@@ -500,7 +498,7 @@ def test_round2_half_up():
 
 def test_render_table_layouts():
     scores = {row: ElementScores.from_counts(1, 0, 0) for row in ev.ROWS}
-    rows = ev.report_rows({"raw": {"d1": scores}}, ["raw"])
+    rows = ev.report_rows({"raw": {"d1": scores}})
     csv = ev.render_table(rows, "csv")
     assert csv.splitlines()[0] == "doc,element,raw_prec,raw_rec,raw_f1"
     assert "d1,Activity,1.00,1.00,1.00" in csv
@@ -517,7 +515,7 @@ _count = st.integers(0, 10**6)
 
 @st.composite
 def _reports(draw):
-    """A suite report and its settings: ids that sort on both sides of
+    """A suite report: ids that sort on both sides of
     ``macro_average``, ids, settings and rows in any text, each document
     with its own rows, and ``evaluate``'s single ``-`` setting."""
     settings_ = draw(st.lists(st.sampled_from(("-", "raw", "defs", "2shots", "defs+2shots"))
@@ -529,15 +527,14 @@ def _reports(draw):
     report = {setting: {doc_id: {row: draw(scores) for row in draw(rows)}
                         for doc_id in doc_ids}
               for setting in settings_}
-    return report, settings_
+    return report
 
 
 @settings(max_examples=300, deadline=None)
 @given(_reports())
-def test_report_json_is_json_dumps_at_indent_2(case):
-    report, settings_ = case
-    assert ev.report_json(report, settings_) == json.dumps(
-        ev.report_to_dict(report, settings_), indent=2, sort_keys=True) + "\n"
+def test_report_json_is_json_dumps_at_indent_2(report):
+    assert ev.report_json(report) == json.dumps(
+        ev.report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_table2_f1_recomputes(index):

@@ -174,15 +174,13 @@ def extract_observed(sent: list, doc, setting, backend, **kwargs):
 
 def test_query_counts_gold_injected(index, oracle):
     doc, gold = index["10.1"]
-    run = pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
-                           activity_source=GOLD_INJECTED)
+    run = pipeline.extract(doc, prompting.RAW, oracle, gold_activities=gold.activities)
     assert run.counters == {"q1": 0, "q2": 4, "q3": 12}
 
 
 def test_query_counts_extracted(index, oracle):
-    doc, gold = index["10.1"]
-    run = pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
-                           activity_source=EXTRACTED)
+    doc, _ = index["10.1"]
+    run = pipeline.extract(doc, prompting.RAW, oracle)
     assert run.counters == {"q1": 1, "q2": 4, "q3": 12}
 
 
@@ -242,8 +240,7 @@ def test_edge_orientation():
 
 def test_oracle_closure_every_document(index, oracle):
     for doc_id, (doc, gold) in index.items():
-        run = pipeline.extract(doc, prompting.RAW, oracle, gold=gold,
-                               activity_source=GOLD_INJECTED)
+        run = pipeline.extract(doc, prompting.RAW, oracle, gold_activities=gold.activities)
         got_performs = {
             (run.model.participants[p], run.model.activities[a])
             for p, a in run.model.performs}
@@ -277,16 +274,8 @@ def test_backend_failure_keeps_partial_transcripts(index, oracle):
             return oracle.complete(prompt, params)
 
     with pytest.raises(ExtractionAborted) as excinfo:
-        pipeline.extract(doc, prompting.RAW, Flaky(), gold=gold,
-                         activity_source=GOLD_INJECTED)
+        pipeline.extract(doc, prompting.RAW, Flaky(), gold_activities=gold.activities)
     assert excinfo.value.run.counters == {"q1": 0, "q2": 3, "q3": 0}
-
-
-def test_gold_injected_requires_gold(index, oracle):
-    doc, _ = index["10.1"]
-    with pytest.raises(ValueError):
-        pipeline.extract(doc, prompting.RAW, oracle,
-                         activity_source=GOLD_INJECTED)
 
 
 def test_replay_pair_order_independence(index, oracle, tmp_path):
@@ -294,21 +283,18 @@ def test_replay_pair_order_independence(index, oracle, tmp_path):
     doc, gold = index["10.6"]
     cache_path = tmp_path / "c.jsonl"
     recording = TranscriptCache(cache_path, oracle)
-    first = pipeline.extract(doc, prompting.RAW, recording, gold=gold,
-                             activity_source=GOLD_INJECTED)
+    first = pipeline.extract(doc, prompting.RAW, recording, gold_activities=gold.activities)
     replay = TranscriptCache(cache_path)
-    second = pipeline.extract(doc, prompting.RAW, replay, gold=gold,
-                              activity_source=GOLD_INJECTED)
+    second = pipeline.extract(doc, prompting.RAW, replay, gold_activities=gold.activities)
     assert first.model.follows == second.model.follows == set(gold.follows)
 
 
 def test_provenance_joins_the_transcript_cache(index, oracle, shots, tmp_path):
     """Every Q1/Q2/Q3 provenance digest is the key of its cache entry."""
-    doc, gold = index["10.1"]
+    doc, _ = index["10.1"]
     cache = TranscriptCache(tmp_path / "c.jsonl", oracle)
     sent = []
-    run = extract_observed(sent, doc, prompting.DEFS_SHOTS2, cache,
-                           gold=gold, activity_source=EXTRACTED, shots=shots)
+    run = extract_observed(sent, doc, prompting.DEFS_SHOTS2, cache, shots=shots)
     provenance = list(run.model.provenance.values())
     assert {q for q, _ in provenance} == set(prompting.QUESTION_KINDS)
     for question, digest in provenance:
@@ -392,13 +378,13 @@ def dispatch_threads():
 
 
 def test_concurrent_extract_equals_sequential(index, oracle, shots):
-    doc, gold = index["1.3"]
+    doc, _ = index["1.3"]
     runs, backends, sent = {}, {}, {}
     for width in (1, 4):
         backends[width] = JitteryBackend(oracle, width)
         sent[width] = []
         runs[width] = extract_observed(sent[width], doc, prompting.DEFS_SHOTS2, backends[width],
-                                       gold=gold, shots=shots)
+                                       shots=shots)
     seq, conc = runs[1], runs[4]
     assert conc.model.to_json() == seq.model.to_json()
     assert sent[4] == sent[1]
@@ -438,7 +424,7 @@ def test_concurrent_abort_keeps_the_sequential_partial_run(index, oracle, k):
         backend = JitteryBackend(oracle, width, fail=fail)
         sent[width] = []
         with pytest.raises(ExtractionAborted) as excinfo:
-            extract_observed(sent[width], doc, prompting.RAW, backend, gold=gold)
+            extract_observed(sent[width], doc, prompting.RAW, backend)
         aborted[width] = excinfo.value.run
     assert sent[4] == sent[1]
     assert aborted[4].counters == aborted[1].counters == {"q1": 1, "q2": n, "q3": k}
@@ -468,16 +454,19 @@ def test_schedule_at_any_width_equals_width_1(index, shots, data):
                                           (activities[j], activities[i])]), label="fail")
 
     def fields(run, sent):
-        return (run.doc_id, run.setting, run.activity_source, run.model.to_json(),
+        return (run.model.doc_id, run.setting, run.activity_source, run.model.to_json(),
                 sent, run.counters, run.unknown_q3)
+
+    def dialogue(doc_id, setting, source):
+        doc, gold = index[doc_id]
+        return pipeline.dialogue(doc, setting, shots,
+                                 gold.activities if source == GOLD_INJECTED else None)
 
     def outcome(width):
         backend = JitteryBackend(OracleBackend(index), width, fail=fail, salt=salt,
                                  latency=(0, 0.0005))
         sent = [[] for _ in jobs]
-        dialogues = (observed(pipeline.dialogue(index[doc_id][0], setting, index[doc_id][1],
-                                                source, shots), sent[k])
-                     for k, (doc_id, setting, source) in enumerate(jobs))
+        dialogues = (observed(dialogue(*job), sent[k]) for k, job in enumerate(jobs))
         results = []
         try:
             for run in pipeline.schedule(dialogues, backend):
@@ -501,8 +490,8 @@ def test_concurrent_recording_keeps_every_entry(index, oracle, tmp_path):
             path = tmp_path / f"w{width}.jsonl"
             backend = TranscriptCache(path, JitteryBackend(oracle, width))
             for doc_id in ("1.2", "1.3"):
-                doc, gold = index[doc_id]
-                pipeline.extract(doc, prompting.RAW, backend, gold=gold)
+                doc, _ = index[doc_id]
+                pipeline.extract(doc, prompting.RAW, backend)
             lines = [json.loads(line) for line in path.read_text().splitlines()]
             recorded[width] = {e["digest"]: e["completion"] for e in lines}
             assert len(recorded[width]) == len(lines)
@@ -520,8 +509,7 @@ def test_unwritable_cache_aborts_a_concurrent_extract(index, oracle, tmp_path):
     doc, gold = index["1.3"]
     backend = TranscriptCache(tmp_path / "file" / "c.jsonl", JitteryBackend(oracle, 4))
     with pytest.raises(ExtractionAborted, match="cannot write transcript cache") as excinfo:
-        pipeline.extract(doc, prompting.RAW, backend, gold=gold,
-                         activity_source=GOLD_INJECTED)
+        pipeline.extract(doc, prompting.RAW, backend, gold_activities=gold.activities)
     assert excinfo.value.run.counters["q2"] == 0
     assert backend.inner.threads and all(
         name.startswith("pex-ask") for name in backend.inner.threads)
@@ -646,10 +634,10 @@ def test_gs_run_renders_only_the_questions_the_ex_run_did_not(entries, index, or
     runs, memos, sent = {}, {}, {}
     dialogue = pipeline.dialogue
 
-    def kept_dialogue(doc, setting, gold, source, shots, prompts):
+    def kept_dialogue(doc, setting, shots, gold_activities, prompts):
         memos.setdefault((doc.id, setting), []).append(prompts)
-        key = doc.id, setting, source
-        run = yield from observed(dialogue(doc, setting, gold, source, shots, prompts),
+        key = doc.id, setting, EXTRACTED if gold_activities is None else GOLD_INJECTED
+        run = yield from observed(dialogue(doc, setting, shots, gold_activities, prompts),
                                   sent.setdefault(key, []))
         runs[key] = run
         return run
@@ -681,8 +669,9 @@ def test_gs_run_renders_only_the_questions_the_ex_run_did_not(entries, index, or
         doc, gold = index[doc_id]
         for source in (EXTRACTED, GOLD_INJECTED):
             alone_sent = []
-            alone = extract_observed(alone_sent, doc, setting, backend, gold=gold,
-                                     activity_source=source, shots=shots)
+            alone = extract_observed(alone_sent, doc, setting, backend, shots=shots,
+                                     gold_activities=gold.activities
+                                     if source == GOLD_INJECTED else None)
             run = runs[doc_id, setting, source]
             assert run.model.to_json() == alone.model.to_json()
             assert sent[doc_id, setting, source] == alone_sent
@@ -701,9 +690,10 @@ def test_a_jobs_render_memo_holds_only_its_ex_runs_prompts(entries, index, oracl
     memos, sent = {}, {}
     dialogue = pipeline.dialogue
 
-    def kept_dialogue(doc, setting, gold, source, shots, prompts):
+    def kept_dialogue(doc, setting, shots, gold_activities, prompts):
         memos[doc.id, setting] = prompts
-        return (yield from observed(dialogue(doc, setting, gold, source, shots, prompts),
+        source = EXTRACTED if gold_activities is None else GOLD_INJECTED
+        return (yield from observed(dialogue(doc, setting, shots, gold_activities, prompts),
                                     sent.setdefault((doc.id, setting, source), [])))
 
     monkeypatch.setattr(pipeline, "dialogue", kept_dialogue)
@@ -1195,8 +1185,9 @@ def test_run_suite_abort_in_a_middle_job_keeps_the_sequential_partial_run(entrie
     aborted, written, sent = {}, {}, {}
     dialogue = pipeline.dialogue
 
-    def observed_dialogue(doc, setting, gold, source, shots, prompts):
-        return (yield from observed(dialogue(doc, setting, gold, source, shots, prompts),
+    def observed_dialogue(doc, setting, shots, gold_activities, prompts):
+        source = EXTRACTED if gold_activities is None else GOLD_INJECTED
+        return (yield from observed(dialogue(doc, setting, shots, gold_activities, prompts),
                                     taken.setdefault((doc.id, source), [])))
 
     monkeypatch.setattr(pipeline, "dialogue", observed_dialogue)
@@ -1209,7 +1200,7 @@ def test_run_suite_abort_in_a_middle_job_keeps_the_sequential_partial_run(entrie
         aborted[width] = excinfo.value.run
         written[width] = {p.relative_to(outdir): p.read_bytes()
                           for p in outdir.rglob("*") if p.is_file()}
-    assert aborted[4].doc_id == aborted[1].doc_id == doc.id
+    assert aborted[4].model.doc_id == aborted[1].model.doc_id == doc.id
     assert aborted[4].activity_source == aborted[1].activity_source == EXTRACTED
     assert all(sent[4][key] == pairs for key, pairs in sent[1].items())
     assert aborted[4].counters == aborted[1].counters == \
