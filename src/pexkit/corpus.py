@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorpusError, ModelError, PexError
 from .worldmodel import follows_pairs, index_pairs, phrases
@@ -28,14 +28,12 @@ EVALUATION_IDS = ("1.2", "1.3", "3.3", "5.2", "10.1", "10.6", "10.13")
 SHOT_IDS = ("2.2", "10.9")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     id: str
     body: str
 
 
-@dataclass(frozen=True)
-class GoldStandard:
+class GoldStandard(NamedTuple):
     doc_id: str
     activities: tuple[str, ...]
     participants: tuple[str, ...]
@@ -62,8 +60,7 @@ class GoldStandard:
         return [self.participants[p] for p, a in sorted(self.performs) if a == activity]
 
 
-@dataclass(frozen=True)
-class RawBehaviorGraph:
+class RawBehaviorGraph(NamedTuple):
     """Behavioral annotation before gateway elision: nodes tagged by kind."""
 
     kinds: dict  # node id -> kind; "activity" or anything else (gateway, condition, ...)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii as _json_string
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .corpus import GoldStandard, read_json
 from .errors import PexError
@@ -28,10 +30,11 @@ STOPWORDS = frozenset({"the", "a", "an", "to", "of", "its", "their", "is", "be"}
 _PUNCT = re.compile(r"[^\w\s]")
 
 
-@dataclass(frozen=True)
-class MatchConfig:
+class MatchConfig(NamedTuple):
     jaccard_threshold: float = 0.5
-    aliases: dict = field(default_factory=dict)  # extracted phrase -> [gold phrases]
+    # extracted phrase -> [gold phrases]; the default is read-only, as every
+    # config without aliases shares it
+    aliases: Mapping = MappingProxyType({})
 
     @classmethod
     def with_aliases(cls, path, **kwargs) -> "MatchConfig":
@@ -102,8 +105,7 @@ def align(extracted: list, gold: list,
     return pairing
 
 
-@dataclass(frozen=True)
-class ElementScores:
+class ElementScores(NamedTuple):
     tp: int
     fp: int
     fn: int

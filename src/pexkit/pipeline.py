@@ -11,7 +11,6 @@ import logging
 import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import closing
-from dataclasses import dataclass, field
 from itertools import groupby, permutations
 
 from . import prompting
@@ -90,14 +89,16 @@ def parse_yesno(completion: str) -> str:
     return UNKNOWN
 
 
-@dataclass
 class ExtractionRun:
     """One dialogue's result, for the document ``model.doc_id``."""
-    setting: str
-    activity_source: str  # GOLD_INJECTED when given its activities, else EXTRACTED
-    model: WorldModel
-    counters: dict = field(default_factory=lambda: {"q1": 0, "q2": 0, "q3": 0})
-    unknown_q3: int = 0
+
+    def __init__(self, setting: str, activity_source: str, model: WorldModel):
+        self.setting = setting
+        # GOLD_INJECTED when given its activities, else EXTRACTED
+        self.activity_source = activity_source
+        self.model = model
+        self.counters = {"q1": 0, "q2": 0, "q3": 0}
+        self.unknown_q3 = 0
 
 
 class ExtractionAborted(BackendError):

@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import corpus
@@ -46,8 +45,7 @@ PREAMBLE = ("Considering the context of Business Process Management and "
 PROCESS_CUE = "Consider the following process:"
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     name: str
     text: str
     applies_to: frozenset
@@ -133,8 +131,7 @@ def _check_binding(question: str, takes: frozenset, name: str, value) -> None:
         raise PromptError(f"question {question} binding {name} {value!r} is not UTF-8 text")
 
 
-@dataclass(frozen=True)
-class ShotExample:
+class ShotExample(NamedTuple):
     """A sample document with worked question/answer pairs per question kind."""
 
     body: str
@@ -172,20 +169,28 @@ DEFAULT_STOP = ("\n\n", "Q:")
 DEFAULT_MAX_TOKENS = {Q1: 256, Q2: 64, Q3: 8}
 
 
-@dataclass(frozen=True)
-class CompletionParams:
-    temperature: float = 0.0
-    nucleus: float = 1.0
-    max_tokens: int = 256
-    stop: tuple[str, ...] = DEFAULT_STOP
+class _ParamFields(NamedTuple):
+    temperature: float
+    nucleus: float
+    max_tokens: int
+    stop: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.temperature < 0:
+
+class CompletionParams(_ParamFields):
+    """A completion's sampling params, range-checked when built. A subclass
+    of a named tuple, as a ``NamedTuple`` body may not define ``__new__``;
+    without ``__slots__`` it keeps an instance ``__dict__`` for
+    ``sorted_json``."""
+
+    def __new__(cls, temperature: float = 0.0, nucleus: float = 1.0,
+                max_tokens: int = 256, stop: tuple[str, ...] = DEFAULT_STOP):
+        if temperature < 0:
             raise BackendError("temperature must be >= 0")
-        if not 0 <= self.nucleus <= 1:
+        if not 0 <= nucleus <= 1:
             raise BackendError("nucleus must be in [0, 1]")
-        if self.max_tokens <= 0:
+        if max_tokens <= 0:
             raise BackendError("max_tokens must be positive")
+        return super().__new__(cls, temperature, nucleus, max_tokens, stop)
 
     def to_dict(self) -> dict:
         return {

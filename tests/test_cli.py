@@ -409,8 +409,8 @@ def test_threshold_must_be_in_zero_one(tmp_path, capsys, threshold, activity):
 
 def test_cli_import_loads_no_http_client():
     src = Path(cli.__file__).parents[1]
-    probe = ("import pexkit.cli, sys; "
-             "print(sorted({'requests', 'urllib3', 'http.client'} & set(sys.modules)))")
+    probe = ("import pexkit.cli, sys; print(sorted("
+             "{'requests', 'urllib3', 'http.client', 'dataclasses'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
@@ -861,6 +861,51 @@ def test_a_replay_looks_up_each_distinct_prompt_once(tmp_path, monkeypatch, caps
     assert len(entries) == len({digest for digest, _ in entries}) == 734
     for digest, entry in entries:
         assert entry["prompt"] == recorded[digest], digest
+
+
+def test_a_recording_resumes_from_any_crash_prefix(tmp_path, monkeypatch, capsys):
+    """A crash leaves a recording holding a byte prefix of the whole one.
+    Cut at every line end, and one byte in, mid-line, one byte short and just
+    before the newline of each line, it resumes with the same command: exit
+    0, the uninterrupted model's bytes and entry set, and the oracle asked
+    once for each entry the cut lost. A complete last line without its
+    newline is kept and served."""
+    asked = []
+    complete = OracleBackend.complete
+
+    def counting_complete(self, prompt, params):
+        asked.append(prompt.digest)
+        return complete(self, prompt, params)
+
+    def extract(name):
+        return run_cli(capsys, "extract", "--doc", "10.13", "--setting", "raw", "--backend",
+                       "oracle", "--record", "--cache", str(tmp_path / f"{name}.jsonl"),
+                       "--out", str(tmp_path / f"{name}.json"))[0]
+
+    def entry_set(name):
+        return {(e["digest"], e["prompt"], json.dumps(e["params"], sort_keys=True),
+                 e["completion"])
+                for e in map(json.loads, (tmp_path / f"{name}.jsonl").read_bytes().splitlines())}
+
+    monkeypatch.setattr(OracleBackend, "complete", counting_complete)
+    assert extract("whole") == 0
+    whole, model = (tmp_path / "whole.jsonl").read_bytes(), (tmp_path / "whole.json").read_bytes()
+    lines = whole.splitlines(keepends=True)
+    assert len(lines) == len(asked) == len(set(asked)) == 10
+    ends, cuts = [], {0}
+    for line in lines:
+        start = ends[-1] if ends else 0
+        ends.append(start + len(line))
+        cuts |= {start + 1, start + len(line) // 2, ends[-1] - 2, ends[-1] - 1, ends[-1]}
+    assert len(cuts) == 51
+    for cut in sorted(cuts):
+        (tmp_path / f"{cut}.jsonl").write_bytes(whole[:cut])
+        asked.clear()
+        assert extract(cut) == 0, cut
+        assert (tmp_path / f"{cut}.json").read_bytes() == model, cut
+        assert entry_set(cut) == entry_set("whole"), cut
+        lost = [json.loads(line)["digest"] for line, end in zip(lines, ends) if cut < end - 1]
+        assert sorted(asked) == sorted(lost), cut
 
 
 @pytest.mark.parametrize("setting, follows, unknown", [("raw", (5, 1, 3), 1),

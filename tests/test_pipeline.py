@@ -7,7 +7,6 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing
-from dataclasses import replace
 from datetime import timedelta
 from itertools import permutations
 from types import SimpleNamespace
@@ -775,7 +774,7 @@ def test_duplicate_documents_share_calls_in_flight(entries, tmp_path):
 
     index = corpus_index(entries)
     doc, gold = index["1.2"]
-    twin = (replace(doc, id="1.3"), replace(gold, doc_id="1.3"))
+    twin = (doc._replace(id="1.3"), gold._replace(doc_id="1.3"))
     entries = [twin if d.id == "1.3" else (d, g) for d, g in entries]
     inner = JitteryBackend(OracleBackend(corpus_index(entries)), 4)
     run_suite(entries, [prompting.RAW], inner, tmp_path)
@@ -1094,7 +1093,7 @@ def test_duplicate_documents_record_each_prompt_once_under_frequent_thread_switc
     from pexkit.suite import run_suite
 
     doc, gold = corpus_index(entries)["1.2"]
-    twin = (replace(doc, id="1.3"), replace(gold, doc_id="1.3"))
+    twin = (doc._replace(id="1.3"), gold._replace(doc_id="1.3"))
     entries = [twin if d.id == "1.3" else (d, g) for d, g in entries]
     inner = JitteryBackend(OracleBackend(corpus_index(entries)), 8)
     cache = TranscriptCache(tmp_path / "c.jsonl", inner)
