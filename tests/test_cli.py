@@ -506,18 +506,45 @@ def test_ctrl_c_while_a_report_is_moved_exits_130_and_leaves_no_temp_file(
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
-@pytest.mark.parametrize("setting", ["raw", "defs+2shots"])
-def test_extract_writes_the_models_run_suite_writes(tmp_path, capsys, setting):
-    """``pex extract`` of one document, with either activity source, writes
-    the bytes of the model that ``run-suite`` writes for it."""
-    outdir = tmp_path / "suite"
-    assert run_cli(capsys, "run-suite", "--settings", setting, "--outdir", str(outdir))[0] == 0
-    for source in ("extracted", "gold"):
-        model = tmp_path / f"{source}.json"
-        assert run_cli(capsys, "extract", "--doc", "10.13", "--setting", setting,
-                       "--activity-source", source, "--out", str(model))[0] == 0
-        suite_model = outdir / "models" / f"10.13_{setting}_{source}.json"
-        assert model.read_bytes() == suite_model.read_bytes()
+@pytest.fixture(scope="module")
+def oracle_suite(tmp_path_factory):
+    """The outdir of an oracle ``run-suite`` over every setting."""
+    outdir = tmp_path_factory.mktemp("oracle-suite")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["run-suite", "--backend", "oracle", "--outdir", str(outdir)]) == 0
+    return outdir
+
+
+@pytest.mark.parametrize("setting", prompting.SETTINGS)
+def test_extract_writes_the_models_run_suite_writes(tmp_path, capsys, oracle_suite, setting):
+    """For each model of ``setting`` that an oracle ``run-suite`` writes:
+    ``pex extract`` with its document and activity source writes its bytes,
+    and ``pex evaluate`` scores it as the suite did, the ex rows from each
+    ``_extracted`` model and the gs rows from each ``_gold`` one."""
+    report = json.loads((oracle_suite / "report.json").read_text())
+    assert sorted(report) == sorted(prompting.SETTINGS)
+    scored = set()
+    for model in sorted((oracle_suite / "models").glob("*.json")):
+        doc, model_setting, source = model.stem.split("_")
+        if model_setting != setting:
+            continue
+        mode = {"extracted": "ex", "gold": "gs"}[source]
+        scores = tmp_path / "scores.json"
+        assert run_cli(capsys, "evaluate", "--doc", doc, "--model", str(model),
+                       "--mode", mode, "--out-json", str(scores))[0] == 0
+        # evaluation.report_json writes the scores: it must write what json.dumps writes.
+        text = scores.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", model.name
+        expected = {row: value for row, value in report[setting][doc].items()
+                    if row.endswith("(gs)") == (mode == "gs")}
+        assert json.loads(text)["-"][doc] == expected, model.name
+        scored.add((doc, mode))
+        extracted = tmp_path / "model.json"
+        assert run_cli(capsys, "extract", "--doc", doc, "--setting", setting,
+                       "--activity-source", source, "--out", str(extracted))[0] == 0
+        assert extracted.read_bytes() == model.read_bytes(), model.name
+    docs = [doc for doc in report[setting] if doc != "macro_average"]
+    assert scored == {(doc, mode) for doc in docs for mode in ("ex", "gs")}
 
 
 def test_run_suite_oracle_single_setting(tmp_path, capsys):
